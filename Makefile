@@ -18,9 +18,10 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzReadConns \
 	./internal/trace:FuzzReadDNSJSON \
 	./internal/trace:FuzzReadConnsJSON \
+	./internal/core:FuzzSpillFrames \
 	./internal/bulk:FuzzFeed
 
-.PHONY: check vet build test race obs-determinism stream-parity transport-matrix scan soak chaos scaling-gate bench bench-all bench-parallel bench-compare scan-bench profile fuzz cover
+.PHONY: check vet build test race obs-determinism stream-parity transport-matrix scan soak chaos scaling-gate bench bench-all bench-compare scan-bench profile fuzz cover
 
 check: vet build race obs-determinism stream-parity transport-matrix scan soak chaos
 
@@ -88,8 +89,8 @@ chaos:
 	DNSCTX_CHAOS_NAMES=$(CHAOSNAMES) $(GO) test ./internal/bulk -race \
 		-run='^TestChaosSoak$$|^TestResumeAfterKill$$' -count=1 -timeout=10m -v
 
-# Short-budget coverage-guided fuzzing of the trace codecs and the bulk
-# feed reader. Go allows one -fuzz target per invocation, so loop over
+# Short-budget coverage-guided fuzzing of the trace codecs, the spill
+# frame decoder, and the bulk feed reader. Go allows one -fuzz target per invocation, so loop over
 # package:function pairs.
 fuzz:
 	@for pt in $(FUZZ_TARGETS); do \
@@ -146,10 +147,6 @@ bench-compare:
 # Full paper reproduction: every table and figure as bench metrics.
 bench-all:
 	$(GO) test -bench=. -benchmem -run='^$$'
-
-# Scaling record: the sharded pipeline vs. its 1-worker baseline.
-bench-parallel:
-	$(GO) test -bench=BenchmarkAnalyzeParallel -run='^$$' -benchtime=3x
 
 # CPU and allocation profiles of the single-worker pipeline, plus the
 # top-function summaries. This is the workflow behind the ISSUE 5

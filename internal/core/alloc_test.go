@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
 
-	"dnscontext/internal/households"
 	"dnscontext/internal/stats"
 	"dnscontext/internal/trace"
 )
@@ -18,17 +19,9 @@ import (
 // allocAnalysis builds one analyzed trace for the budget tests.
 func allocAnalysis(t *testing.T) *Analysis {
 	t.Helper()
-	cfg := households.SmallConfig(7)
-	cfg.Houses = 8
-	cfg.Duration = time.Hour
-	cfg.Warmup = 30 * time.Minute
-	ds, _, err := households.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 50
-	return Analyze(ds, opts)
+	return Analyze(determinismTrace(t), opts)
 }
 
 // TestPairAllocFree gates pair's no-candidate and single-candidate
@@ -134,5 +127,69 @@ func TestClassifyShardAllocBudget(t *testing.T) {
 	if budget := 64 + 0.5*float64(bestConns); perRun > budget {
 		t.Fatalf("classifyShard allocates %.0f per pass over %d conns; budget is %.0f",
 			perRun, bestConns, budget)
+	}
+}
+
+// reloadTrace is a time-ordered trace of n lookups and n connections
+// spread over 256 clients, cycling through a bounded set of names and
+// addresses the way a real trace does.
+func reloadTrace(n int) *trace.Dataset {
+	ds := &trace.Dataset{}
+	for i := 0; i < n; i++ {
+		client := netip.AddrFrom4([4]byte{10, 1, byte(i % 256 / 16), byte(i % 16)})
+		server := netip.AddrFrom4([4]byte{192, 0, 2, byte(i % 64)})
+		ts := time.Duration(i) * time.Millisecond
+		ds.DNS = append(ds.DNS, trace.DNSRecord{
+			QueryTS: ts - time.Millisecond, TS: ts, Client: client,
+			Resolver: netip.AddrFrom4([4]byte{198, 51, 100, byte(i % 4)}),
+			ID:       uint16(i), Query: fmt.Sprintf("host%d.example.com", i%32), QType: 1,
+			Answers: []trace.Answer{{Addr: server, TTL: time.Minute}, {Addr: server.Next(), TTL: time.Minute}},
+		})
+		ds.Conns = append(ds.Conns, trace.ConnRecord{
+			TS: ts, Duration: time.Second, Proto: trace.TCP, Orig: client, OrigPort: uint16(40000 + i%1000),
+			Resp: server, RespPort: 443, OrigBytes: int64(i), RespBytes: int64(10 * i),
+		})
+	}
+	return ds
+}
+
+// TestPartitionReloadAllocBudget gates the spill reload: reading every
+// partition back and grouping it by client may cost a fixed setup per
+// partition (files, record arrays, answer arena, name table, and the
+// names themselves) but at most 0.05 allocations per spilled record
+// beyond it, where per-field decoding and per-client appends cost
+// several.
+func TestPartitionReloadAllocBudget(t *testing.T) {
+	ds := reloadTrace(20000)
+	opts := DefaultOptions().withDefaults()
+	opts.MemoryBudget = 1 // spill from the first record
+	run := newStreamRun(opts)
+	defer run.cleanup()
+	if err := run.ingest(context.Background(), trace.NewDatasetSource(ds)); err != nil {
+		t.Fatal(err)
+	}
+	if !run.spilled {
+		t.Fatal("budget never tripped")
+	}
+	loaded := 0
+	perRun := testing.AllocsPerRun(5, func() {
+		ld := partitionLoader{dir: run.spillDir}
+		loaded = 0
+		for p := 0; p < run.parts; p++ {
+			work, err := ld.load(p, run.dnsW.counts[p], run.connW.counts[p])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range work {
+				loaded += len(w.dns) + len(w.conns)
+			}
+		}
+	})
+	if int64(loaded) != run.spilledRecords {
+		t.Fatalf("reload yields %d records, %d were spilled", loaded, run.spilledRecords)
+	}
+	if budget := 64*float64(run.parts) + 0.05*float64(loaded); perRun > budget {
+		t.Fatalf("reloading %d partitions allocates %.0f for %d records; budget is %.0f (64/partition + 0.05/record)",
+			run.parts, perRun, loaded, budget)
 	}
 }

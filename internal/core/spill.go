@@ -7,7 +7,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"path/filepath"
+	"slices"
 	"time"
 
 	"dnscontext/internal/trace"
@@ -33,17 +33,27 @@ const defaultSpillParts = 32
 type spillWriter struct {
 	files []*os.File
 	bufs  []*bufio.Writer
+	// counts tallies what each partition holds, so the reader can size
+	// its arrays exactly and tell a truncated partition from a whole one.
+	counts []spillCount
 	// scratch is the per-record encode buffer, reused across writes.
 	scratch []byte
 }
 
+// spillCount is what one partition file holds: its frames and, for
+// the DNS stream, the answers they carry.
+type spillCount struct {
+	frames, answers int
+}
+
 func newSpillWriter(dir, stream string, parts int) (*spillWriter, error) {
 	w := &spillWriter{
-		files: make([]*os.File, parts),
-		bufs:  make([]*bufio.Writer, parts),
+		files:  make([]*os.File, parts),
+		bufs:   make([]*bufio.Writer, parts),
+		counts: make([]spillCount, parts),
 	}
 	for p := 0; p < parts; p++ {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%03d.spill", stream, p)))
+		f, err := os.Create(spillPath(dir, stream, p))
 		if err != nil {
 			w.close()
 			return nil, fmt.Errorf("dnscontext: creating spill partition: %w", err)
@@ -148,186 +158,299 @@ func appendConnFrame(b []byte, c *trace.ConnRecord) []byte {
 }
 
 func (w *spillWriter) writeDNS(d *trace.DNSRecord, parts int) error {
+	p := partitionOf(d.Client, parts)
+	w.counts[p].frames++
+	w.counts[p].answers += len(d.Answers)
 	w.scratch = appendDNSFrame(w.scratch[:0], d)
-	_, err := w.bufs[partitionOf(d.Client, parts)].Write(w.scratch)
+	_, err := w.bufs[p].Write(w.scratch)
 	return err
 }
 
 func (w *spillWriter) writeConn(c *trace.ConnRecord, parts int) error {
+	p := partitionOf(c.Orig, parts)
+	w.counts[p].frames++
 	w.scratch = appendConnFrame(w.scratch[:0], c)
-	_, err := w.bufs[partitionOf(c.Orig, parts)].Write(w.scratch)
+	_, err := w.bufs[p].Write(w.scratch)
 	return err
 }
 
-// spillReader decodes one partition file's frames.
-type spillReader struct {
-	r    *bufio.Reader
-	path string
+// Partition reload. A partition must fit in memory anyway (see
+// Options.SpillParts), so the loader reads each file whole into a
+// buffer it reuses and decodes it in one pass: the writer's frame and
+// answer counts size the record array and the answer arena exactly,
+// query names are interned per partition, and no field allocates.
+
+// frameReader is a cursor over frame bytes. A read past the end sets
+// err and yields zero values, so a decoder checks err once per frame.
+type frameReader struct {
+	b   []byte
+	err error
 }
 
-func openSpillPartition(path string) (*spillReader, *os.File, error) {
+func (f *frameReader) take(n int) []byte {
+	if f.err != nil || len(f.b) < n {
+		f.fail(io.ErrUnexpectedEOF)
+		return nil
+	}
+	v := f.b[:n:n]
+	f.b = f.b[n:]
+	return v
+}
+
+func (f *frameReader) fail(err error) {
+	if f.err == nil {
+		f.err = err
+	}
+}
+
+func (f *frameReader) u8() uint8 {
+	if v := f.take(1); v != nil {
+		return v[0]
+	}
+	return 0
+}
+
+func (f *frameReader) u16() uint16 {
+	if v := f.take(2); v != nil {
+		return binary.LittleEndian.Uint16(v)
+	}
+	return 0
+}
+
+func (f *frameReader) i64() int64 {
+	if v := f.take(8); v != nil {
+		return int64(binary.LittleEndian.Uint64(v))
+	}
+	return 0
+}
+
+// addr is the inverse of appendAddr: length 0 is the zero Addr.
+func (f *frameReader) addr() netip.Addr {
+	n := f.u8()
+	v := f.take(int(n))
+	switch {
+	case f.err != nil:
+	case n == 4:
+		return netip.AddrFrom4([4]byte(v))
+	case n == 16:
+		return netip.AddrFrom16([16]byte(v))
+	case n != 0:
+		f.fail(fmt.Errorf("address length %d", n))
+	}
+	return netip.Addr{}
+}
+
+// decodeDNSFrames decodes exactly `frames` DNS frames holding `answers`
+// answers in total, and nothing else, from b. Answers share one arena;
+// equal names share one string.
+func decodeDNSFrames(b []byte, frames, answers int) ([]trace.DNSRecord, error) {
+	recs := make([]trace.DNSRecord, frames)
+	arena := make([]trace.Answer, answers)
+	names := trace.NewSymbolTable()
+	f := frameReader{b: b}
+	for i := range recs {
+		d := &recs[i]
+		d.QueryTS = time.Duration(f.i64())
+		d.TS = time.Duration(f.i64())
+		d.Client = f.addr()
+		d.Resolver = f.addr()
+		d.ID = f.u16()
+		d.Query = names.Canonical(f.take(int(f.u16())))
+		d.QType = f.u16()
+		d.RCode = f.u8()
+		if n := int(f.u16()); n > len(arena) {
+			f.fail(fmt.Errorf("frame %d has %d answers, %d remain", i, n, len(arena)))
+		} else if n > 0 {
+			d.Answers, arena = arena[:n:n], arena[n:]
+			for j := range d.Answers {
+				d.Answers[j].Addr = f.addr()
+				d.Answers[j].TTL = time.Duration(f.i64())
+			}
+		}
+		d.Retries = f.u8()
+		d.TC = f.u8() != 0
+		if f.err != nil {
+			return nil, fmt.Errorf("frame %d: %w", i, f.err)
+		}
+	}
+	if err := decodedAll(f.b, len(arena)); err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// decodeConnFrames decodes exactly `frames` connection frames, and
+// nothing else, from b.
+func decodeConnFrames(b []byte, frames int) ([]trace.ConnRecord, error) {
+	recs := make([]trace.ConnRecord, frames)
+	f := frameReader{b: b}
+	for i := range recs {
+		c := &recs[i]
+		c.TS = time.Duration(f.i64())
+		c.Duration = time.Duration(f.i64())
+		c.Proto = trace.Proto(f.u8())
+		c.Orig = f.addr()
+		c.OrigPort = f.u16()
+		c.Resp = f.addr()
+		c.RespPort = f.u16()
+		c.OrigBytes = f.i64()
+		c.RespBytes = f.i64()
+		if f.err != nil {
+			return nil, fmt.Errorf("frame %d: %w", i, f.err)
+		}
+	}
+	if err := decodedAll(f.b, 0); err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// decodedAll checks that a decode consumed every byte and answer the
+// writer counted.
+func decodedAll(rest []byte, answers int) error {
+	if len(rest) > 0 {
+		return fmt.Errorf("%d bytes after the last frame", len(rest))
+	}
+	if answers > 0 {
+		return fmt.Errorf("%d answers missing", answers)
+	}
+	return nil
+}
+
+// partitionLoader reloads spill partitions, reusing its read buffer
+// and grouping scratch from one partition to the next.
+type partitionLoader struct {
+	dir    string
+	buf    []byte
+	slot   []int32
+	bounds []int32
+	ids    map[netip.Addr]int32
+	work   []clientWork
+}
+
+// load reads partition p of both streams, written as the given counts,
+// and groups its records by client: each client's records are one
+// contiguous run of the partition's array per stream, in arrival
+// order. Clients come in first-appearance order (DNS stream first),
+// purely for reproducible scheduling; results do not depend on it.
+// The returned slice is reused by the next call.
+func (l *partitionLoader) load(p int, dns, conn spillCount) ([]clientWork, error) {
+	if l.ids == nil {
+		l.ids = make(map[netip.Addr]int32)
+	}
+	clear(l.ids)
+	l.work = l.work[:0]
+
+	path := spillPath(l.dir, "dns", p)
+	b, err := l.read(path)
+	if err != nil {
+		return nil, err
+	}
+	drecs, err := decodeDNSFrames(b, dns.frames, dns.answers)
+	if err != nil {
+		return nil, corruptPartition(path, err)
+	}
+	l.slot = l.slot[:0]
+	for i := range drecs {
+		l.slot = append(l.slot, l.clientID(drecs[i].Client))
+	}
+	groupByClient(drecs, l.slot, l.runBounds())
+	for c := range l.work {
+		lo, hi := l.bounds[c], l.bounds[c+1]
+		l.work[c].dns = drecs[lo:hi:hi]
+	}
+
+	path = spillPath(l.dir, "conn", p)
+	if b, err = l.read(path); err != nil {
+		return nil, err
+	}
+	crecs, err := decodeConnFrames(b, conn.frames)
+	if err != nil {
+		return nil, corruptPartition(path, err)
+	}
+	l.slot = l.slot[:0]
+	for i := range crecs {
+		l.slot = append(l.slot, l.clientID(crecs[i].Orig))
+	}
+	groupByClient(crecs, l.slot, l.runBounds())
+	for c := range l.work {
+		lo, hi := l.bounds[c], l.bounds[c+1]
+		l.work[c].conns = crecs[lo:hi:hi]
+	}
+	return l.work, nil
+}
+
+// read loads the file at path whole into the loader's buffer.
+func (l *partitionLoader) read(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &spillReader{r: bufio.NewReaderSize(f, 1<<16), path: path}, f, nil
-}
-
-func (r *spillReader) corrupt(err error) error {
-	return fmt.Errorf("dnscontext: spill partition %s: unexpected frame: %w", r.path, err)
-}
-
-func (r *spillReader) readAddr() (netip.Addr, error) {
-	n, err := r.r.ReadByte()
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
-		return netip.Addr{}, err
+		return nil, err
 	}
-	var buf [16]byte
-	if int(n) > len(buf) {
-		return netip.Addr{}, fmt.Errorf("address length %d", n)
+	n := int(fi.Size())
+	if cap(l.buf) < n {
+		l.buf = make([]byte, n)
 	}
-	if _, err := io.ReadFull(r.r, buf[:n]); err != nil {
-		return netip.Addr{}, err
+	if _, err := io.ReadFull(f, l.buf[:n]); err != nil {
+		return nil, fmt.Errorf("dnscontext: reading spill partition %s: %w", path, err)
 	}
-	a, ok := netip.AddrFromSlice(buf[:n])
+	return l.buf[:n], nil
+}
+
+func corruptPartition(path string, err error) error {
+	return fmt.Errorf("dnscontext: spill partition %s: unexpected frame: %w", path, err)
+}
+
+// clientID numbers a client in first-appearance order within the
+// partition, opening its work item on first sight.
+func (l *partitionLoader) clientID(client netip.Addr) int32 {
+	id, ok := l.ids[client]
 	if !ok {
-		return netip.Addr{}, fmt.Errorf("address length %d", n)
+		id = int32(len(l.work))
+		l.ids[client] = id
+		l.work = append(l.work, clientWork{client: client})
 	}
-	return a, nil
+	return id
 }
 
-func (r *spillReader) readU16() (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r.r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
+// runBounds sizes the bounds scratch for the clients seen so far.
+func (l *partitionLoader) runBounds() []int32 {
+	l.bounds = slices.Grow(l.bounds[:0], len(l.work)+1)[:len(l.work)+1]
+	return l.bounds
 }
 
-func (r *spillReader) readI64() (int64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r.r, b[:]); err != nil {
-		return 0, err
+// groupByClient is a counting sort in place: it permutes recs so each
+// client's records are contiguous, clients in id order and each
+// client's records in arrival order. slot[i] is record i's client id
+// on entry and is consumed; bounds (one longer than the number of
+// clients) receives the run starts plus the end, so client c's run is
+// recs[bounds[c]:bounds[c+1]].
+func groupByClient[T any](recs []T, slot, bounds []int32) {
+	clear(bounds)
+	for _, c := range slot {
+		bounds[c+1]++
 	}
-	return int64(binary.LittleEndian.Uint64(b[:])), nil
-}
-
-// readDNS decodes the next DNS frame; io.EOF (clean, at a frame
-// boundary) signals the end of the partition.
-func (r *spillReader) readDNS() (trace.DNSRecord, error) {
-	var d trace.DNSRecord
-	qts, err := r.readI64()
-	if err != nil {
-		if err == io.EOF {
-			return d, io.EOF
-		}
-		return d, r.corrupt(err)
+	for c := 1; c < len(bounds); c++ {
+		bounds[c] += bounds[c-1]
 	}
-	d.QueryTS = time.Duration(qts)
-	ts, err := r.readI64()
-	if err != nil {
-		return d, r.corrupt(err)
+	// Each client id becomes its record's destination. Advancing the
+	// run starts leaves each at the next run's start: shift them back.
+	for i, c := range slot {
+		slot[i] = bounds[c]
+		bounds[c]++
 	}
-	d.TS = time.Duration(ts)
-	if d.Client, err = r.readAddr(); err != nil {
-		return d, r.corrupt(err)
-	}
-	if d.Resolver, err = r.readAddr(); err != nil {
-		return d, r.corrupt(err)
-	}
-	if d.ID, err = r.readU16(); err != nil {
-		return d, r.corrupt(err)
-	}
-	qlen, err := r.readU16()
-	if err != nil {
-		return d, r.corrupt(err)
-	}
-	q := make([]byte, qlen)
-	if _, err := io.ReadFull(r.r, q); err != nil {
-		return d, r.corrupt(err)
-	}
-	d.Query = string(q)
-	if d.QType, err = r.readU16(); err != nil {
-		return d, r.corrupt(err)
-	}
-	if d.RCode, err = r.r.ReadByte(); err != nil {
-		return d, r.corrupt(err)
-	}
-	nAns, err := r.readU16()
-	if err != nil {
-		return d, r.corrupt(err)
-	}
-	if nAns > 0 {
-		d.Answers = make([]trace.Answer, nAns)
-		for i := range d.Answers {
-			if d.Answers[i].Addr, err = r.readAddr(); err != nil {
-				return d, r.corrupt(err)
-			}
-			ttl, err := r.readI64()
-			if err != nil {
-				return d, r.corrupt(err)
-			}
-			d.Answers[i].TTL = time.Duration(ttl)
+	copy(bounds[1:], bounds[:len(bounds)-1])
+	bounds[0] = 0
+	// Apply the permutation by following its cycles: every swap puts
+	// one record in its final slot.
+	for i := range recs {
+		for d := slot[i]; d != int32(i); d = slot[i] {
+			recs[i], recs[d] = recs[d], recs[i]
+			slot[i], slot[d] = slot[d], slot[i]
 		}
 	}
-	if d.Retries, err = r.r.ReadByte(); err != nil {
-		return d, r.corrupt(err)
-	}
-	tc, err := r.r.ReadByte()
-	if err != nil {
-		return d, r.corrupt(err)
-	}
-	d.TC = tc != 0
-	return d, nil
 }
-
-// readConn decodes the next connection frame; io.EOF signals the end.
-func (r *spillReader) readConn() (trace.ConnRecord, error) {
-	var c trace.ConnRecord
-	ts, err := r.readI64()
-	if err != nil {
-		if err == io.EOF {
-			return c, io.EOF
-		}
-		return c, r.corrupt(err)
-	}
-	c.TS = time.Duration(ts)
-	dur, err := r.readI64()
-	if err != nil {
-		return c, r.corrupt(err)
-	}
-	c.Duration = time.Duration(dur)
-	proto, err := r.r.ReadByte()
-	if err != nil {
-		return c, r.corrupt(err)
-	}
-	c.Proto = trace.Proto(proto)
-	if c.Orig, err = r.readAddr(); err != nil {
-		return c, r.corrupt(err)
-	}
-	if c.OrigPort, err = r.readU16(); err != nil {
-		return c, r.corrupt(err)
-	}
-	if c.Resp, err = r.readAddr(); err != nil {
-		return c, r.corrupt(err)
-	}
-	if c.RespPort, err = r.readU16(); err != nil {
-		return c, r.corrupt(err)
-	}
-	if c.OrigBytes, err = r.readI64(); err != nil {
-		return c, r.corrupt(err)
-	}
-	if c.RespBytes, err = r.readI64(); err != nil {
-		return c, r.corrupt(err)
-	}
-	return c, nil
-}
-
-// retainedDNSBytes estimates the resident footprint of one DNS record
-// for budget accounting: struct, query string, and answer backing.
-func retainedDNSBytes(d *trace.DNSRecord) int64 {
-	return 120 + int64(len(d.Query)) + 24*int64(len(d.Answers))
-}
-
-// retainedConnBytes is the resident footprint of one connection record.
-func retainedConnBytes() int64 { return 80 }

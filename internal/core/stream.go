@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/netip"
 	"os"
 	"sync"
 	"time"
+	"unsafe"
 
 	"dnscontext/internal/parallel"
 	"dnscontext/internal/stats"
@@ -40,7 +40,7 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts Options) (*Analys
 		return nil, analysisAborted(err)
 	}
 	if !run.spilled {
-		return analyze(ctx, &trace.Dataset{DNS: run.dns, Conns: run.conns}, opts, run.takePrep())
+		return analyze(ctx, run.dataset(), opts, run.takePrep())
 	}
 	sh, err := run.collect(ctx)
 	if err != nil {
@@ -82,7 +82,7 @@ func CollectShard(ctx context.Context, src trace.Source, opts Options) (*Analysi
 		return nil, analysisAborted(err)
 	}
 	if !run.spilled {
-		return inMemory(&trace.Dataset{DNS: run.dns, Conns: run.conns}, run.takePrep())
+		return inMemory(run.dataset(), run.takePrep())
 	}
 	sh, err := run.collect(ctx)
 	if err != nil {
@@ -119,9 +119,10 @@ type streamRun struct {
 	opts  Options
 	parts int
 
-	// Resident mode: records retained until the budget trips.
-	dns          []trace.DNSRecord
-	conns        []trace.ConnRecord
+	// Resident mode: records retained until the budget trips, charged
+	// with their blocks' unused capacity.
+	dns          recordBlocks[trace.DNSRecord]
+	conns        recordBlocks[trace.ConnRecord]
 	retained     int64
 	peakRetained int64
 
@@ -135,7 +136,9 @@ type streamRun struct {
 	// Whole-trace accumulators, all associative: totals, failure stats,
 	// per-resolver (count, min) for threshold derivation, and the
 	// client first-appearance orders that reproduce the in-memory shard
-	// ranks (conn originators first, then DNS-only clients).
+	// ranks (conn originators first, then DNS-only clients). Only the
+	// spill path reads them beyond the totals, so records are folded in
+	// from the trip on (observeDNS, observeConn).
 	dnsTotal, connTotal int64
 	failures            FailureStats
 	rsyms               map[netip.Addr]int32
@@ -158,13 +161,7 @@ func newStreamRun(opts Options) *streamRun {
 	if parts <= 0 {
 		parts = defaultSpillParts
 	}
-	return &streamRun{
-		opts:     opts,
-		parts:    parts,
-		rsyms:    make(map[netip.Addr]int32),
-		connRank: make(map[netip.Addr]int32),
-		dnsRank:  make(map[netip.Addr]int32),
-	}
+	return &streamRun{opts: opts, parts: parts}
 }
 
 func (r *streamRun) cleanup() {
@@ -193,9 +190,8 @@ func spillPath(dir, stream string, p int) string {
 }
 
 // ingest scans the source — DNS first, then connections — verifying
-// time order, accumulating the whole-trace statistics, and retaining
-// records until the memory budget trips, after which records go to the
-// spill partitions instead.
+// time order, counting records, and retaining them until the memory
+// budget trips, after which records go to the spill partitions instead.
 func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 	tr := r.opts.Trace
 	sp := tr.StartPhase("ingest-dns")
@@ -209,13 +205,15 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 			return fmt.Errorf("source DNS stream out of order: response at %v after %v (sources must yield nondecreasing TS)", d.TS, lastTS)
 		}
 		first, lastTS = false, d.TS
-		r.observeDNS(d)
+		r.dnsTotal++
 		if r.spilled {
+			r.observeDNS(d)
 			r.spilledRecords++
 			return r.dnsW.writeDNS(d, r.parts)
 		}
-		r.dns = append(r.dns, *d)
-		return r.account(retainedDNSBytes(d))
+		// The record's slot was charged as slack when its block opened.
+		opened := r.dns.push(d)
+		return r.account(retainedDNSBytes(d) + int64(opened-1)*dnsRecordBytes)
 	})
 	sp.SetItems(int(r.dnsTotal))
 	if err != nil {
@@ -226,10 +224,11 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 	// the symbol sidecar now, overlapped with the connection scan, so the
 	// in-memory analysis adopts it instead of re-walking the records.
 	// The goroutine reads only its private slice header's elements —
-	// a later budget trip nils r.dns but never mutates the records — and
-	// takePrep discards the result if the run spilled.
-	if !r.spilled && len(r.dns) > 0 {
-		dns := r.dns
+	// a later budget trip releases the blocks but never mutates the
+	// records — and takePrep discards the result if the run spilled.
+	if !r.spilled && r.dns.n > 0 {
+		r.retained -= int64(r.dns.slack()) * dnsRecordBytes
+		dns := r.dns.flatten()
 		r.prepCh = make(chan *sidecars, 1)
 		psp := tr.StartConcurrent("prep-symbols")
 		go func() {
@@ -253,14 +252,18 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 			return fmt.Errorf("source connection stream out of order: start at %v after %v (sources must yield nondecreasing TS)", c.TS, lastTS)
 		}
 		first, lastTS = false, c.TS
-		r.observeConn(c)
+		r.connTotal++
 		if r.spilled {
+			r.observeConn(c)
 			r.spilledRecords++
 			return r.connW.writeConn(c, r.parts)
 		}
-		r.conns = append(r.conns, *c)
-		return r.account(retainedConnBytes())
+		opened := r.conns.push(c)
+		return r.account(retainedConnBytes() + int64(opened-1)*connRecordBytes)
 	})
+	if err == nil && !r.spilled {
+		r.conns.flatten() // ingest work: keep it inside the phase
+	}
 	sp.SetItems(int(r.connTotal))
 	sp.End()
 	if err != nil {
@@ -290,9 +293,14 @@ func (r *streamRun) takePrep() *sidecars {
 	return sc
 }
 
+// dataset returns the fully resident trace of a run that never spilled,
+// whose streams ingest has already flattened.
+func (r *streamRun) dataset() *trace.Dataset {
+	return &trace.Dataset{DNS: r.dns.flatten(), Conns: r.conns.flatten()}
+}
+
 // observeDNS folds one DNS record into the whole-trace accumulators.
 func (r *streamRun) observeDNS(d *trace.DNSRecord) {
-	r.dnsTotal++
 	r.failures.Lookups++
 	if failureRecord(d) {
 		r.failures.ServFails++
@@ -324,7 +332,6 @@ func (r *streamRun) observeDNS(d *trace.DNSRecord) {
 
 // observeConn folds one connection record into the accumulators.
 func (r *streamRun) observeConn(c *trace.ConnRecord) {
-	r.connTotal++
 	if _, ok := r.connRank[c.Orig]; !ok {
 		r.connRank[c.Orig] = int32(len(r.connOrder))
 		r.connOrder = append(r.connOrder, c.Orig)
@@ -345,9 +352,10 @@ func (r *streamRun) account(n int64) error {
 }
 
 // trip switches the run to spill mode: create the partition files,
-// flush every retained record into them (preserving arrival order, so
-// per-client sequences stay time-ordered), and release the retained
-// slices.
+// fold every retained record into the whole-trace accumulators and
+// flush it to its partition (both in arrival order, so rank orders
+// match an eager fold and per-client sequences stay time-ordered), and
+// release the retained blocks.
 func (r *streamRun) trip() error {
 	dir := r.opts.SpillDir
 	if dir == "" {
@@ -367,22 +375,116 @@ func (r *streamRun) trip() error {
 	if r.connW, err = newSpillWriter(dir, "conn", r.parts); err != nil {
 		return err
 	}
-	for i := range r.dns {
-		if err := r.dnsW.writeDNS(&r.dns[i], r.parts); err != nil {
-			return err
-		}
+	r.rsyms = make(map[netip.Addr]int32)
+	r.connRank = make(map[netip.Addr]int32)
+	r.dnsRank = make(map[netip.Addr]int32)
+	err = r.dns.each(func(d *trace.DNSRecord) error {
+		r.observeDNS(d)
+		return r.dnsW.writeDNS(d, r.parts)
+	})
+	if err != nil {
+		return err
 	}
-	for i := range r.conns {
-		if err := r.connW.writeConn(&r.conns[i], r.parts); err != nil {
-			return err
-		}
+	err = r.conns.each(func(c *trace.ConnRecord) error {
+		r.observeConn(c)
+		return r.connW.writeConn(c, r.parts)
+	})
+	if err != nil {
+		return err
 	}
-	r.spilledRecords += int64(len(r.dns)) + int64(len(r.conns))
-	r.dns, r.conns = nil, nil
+	r.spilledRecords += int64(r.dns.n + r.conns.n)
+	r.dns, r.conns = recordBlocks[trace.DNSRecord]{}, recordBlocks[trace.ConnRecord]{}
 	r.retained = 0
 	r.spilled = true
 	return nil
 }
+
+// Retention blocks start at minRetainBlock records and double up to
+// maxRetainBlock (about 1 MiB of DNS records), so a small stream stays
+// small and a large one appends without ever copying a filled block.
+const (
+	minRetainBlock = 64
+	maxRetainBlock = 8192
+)
+
+// recordBlocks retains one stream's records in arrival order.
+type recordBlocks[T any] struct {
+	blocks [][]T // only the last has unused capacity
+	n      int
+}
+
+// push appends a copy of *v and returns the capacity of the block it
+// had to open, or 0.
+func (b *recordBlocks[T]) push(v *T) (opened int) {
+	last := len(b.blocks) - 1
+	if last < 0 || len(b.blocks[last]) == cap(b.blocks[last]) {
+		opened = minRetainBlock
+		if last >= 0 {
+			opened = min(2*cap(b.blocks[last]), maxRetainBlock)
+		}
+		b.blocks = append(b.blocks, make([]T, 0, opened))
+		last++
+	}
+	b.blocks[last] = append(b.blocks[last], *v)
+	b.n++
+	return opened
+}
+
+// slack is the unused capacity of the last block, in records.
+func (b *recordBlocks[T]) slack() int {
+	if len(b.blocks) == 0 {
+		return 0
+	}
+	last := b.blocks[len(b.blocks)-1]
+	return cap(last) - len(last)
+}
+
+// flatten returns the records as one exact-size slice (nil when there
+// are none). The first call concatenates the blocks; the slice then
+// stands as the only block, so later calls return it as is.
+func (b *recordBlocks[T]) flatten() []T {
+	if b.n == 0 {
+		return nil
+	}
+	if len(b.blocks) == 1 && b.slack() == 0 {
+		return b.blocks[0]
+	}
+	all := make([]T, 0, b.n)
+	for _, blk := range b.blocks {
+		all = append(all, blk...)
+	}
+	b.blocks = [][]T{all}
+	return all
+}
+
+// each calls fn on every record in arrival order, stopping at the
+// first error.
+func (b *recordBlocks[T]) each(fn func(*T) error) error {
+	for _, blk := range b.blocks {
+		for i := range blk {
+			if err := fn(&blk[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Budget charges: the real in-memory sizes of the retained types.
+const (
+	dnsRecordBytes  = int64(unsafe.Sizeof(trace.DNSRecord{}))
+	answerBytes     = int64(unsafe.Sizeof(trace.Answer{}))
+	connRecordBytes = int64(unsafe.Sizeof(trace.ConnRecord{}))
+)
+
+// retainedDNSBytes is the resident footprint of one DNS record for
+// budget accounting: struct, query string, and answer backing.
+func retainedDNSBytes(d *trace.DNSRecord) int64 {
+	return dnsRecordBytes + int64(len(d.Query)) + answerBytes*int64(len(d.Answers))
+}
+
+// retainedConnBytes is the resident footprint of one connection record.
+func retainedConnBytes() int64 { return connRecordBytes }
 
 // clientWork is one client's complete record slice, ready to classify.
 type clientWork struct {
@@ -428,14 +530,15 @@ func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 
 	workers := parallel.Workers(r.opts.Workers)
 	produce := func(emit func(clientWork) error) error {
+		ld := partitionLoader{dir: r.spillDir}
 		for p := 0; p < r.parts; p++ {
-			perClient, order, err := r.loadPartition(p)
+			work, err := ld.load(p, r.dnsW.counts[p], r.connW.counts[p])
 			if err != nil {
 				return err
 			}
-			for _, client := range order {
-				recs := perClient[client]
-				if err := emit(clientWork{client: client, rank: rank[client], dns: recs.dns, conns: recs.conns}); err != nil {
+			for _, w := range work {
+				w.rank = rank[w.client]
+				if err := emit(w); err != nil {
 					return err
 				}
 			}
@@ -457,65 +560,6 @@ func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 	sp.SetItems(len(sh.clients))
 	sp.End()
 	return sh, nil
-}
-
-// partitionRecs is one client's records within a partition.
-type partitionRecs struct {
-	dns   []trace.DNSRecord
-	conns []trace.ConnRecord
-}
-
-// loadPartition reads partition p's two spill files, grouping records
-// by client in arrival order. Returned clients preserve first-appearance
-// order (DNS stream first), purely for reproducible scheduling; results
-// do not depend on it.
-func (r *streamRun) loadPartition(p int) (map[netip.Addr]*partitionRecs, []netip.Addr, error) {
-	perClient := make(map[netip.Addr]*partitionRecs)
-	var order []netip.Addr
-	get := func(client netip.Addr) *partitionRecs {
-		recs, ok := perClient[client]
-		if !ok {
-			recs = &partitionRecs{}
-			perClient[client] = recs
-			order = append(order, client)
-		}
-		return recs
-	}
-
-	dr, df, err := openSpillPartition(spillPath(r.spillDir, "dns", p))
-	if err != nil {
-		return nil, nil, err
-	}
-	for {
-		d, err := dr.readDNS()
-		if err != nil {
-			df.Close()
-			if err == io.EOF {
-				break
-			}
-			return nil, nil, err
-		}
-		recs := get(d.Client)
-		recs.dns = append(recs.dns, d)
-	}
-
-	cr, cf, err := openSpillPartition(spillPath(r.spillDir, "conn", p))
-	if err != nil {
-		return nil, nil, err
-	}
-	for {
-		c, err := cr.readConn()
-		if err != nil {
-			cf.Close()
-			if err == io.EOF {
-				break
-			}
-			return nil, nil, err
-		}
-		recs := get(c.Orig)
-		recs.conns = append(recs.conns, c)
-	}
-	return perClient, order, nil
 }
 
 // classifyClient pairs and classifies one client's connections against

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dnscontext/internal/trace"
 )
@@ -83,6 +84,75 @@ func TestStreamParityWithInMemory(t *testing.T) {
 	}
 }
 
+// tripProbe notes which stream the memory budget tripped in.
+type tripProbe struct {
+	trace.Source
+	run    *streamRun
+	stream string
+}
+
+func (p *tripProbe) StreamDNS(yield func(*trace.DNSRecord) error) error {
+	err := p.Source.StreamDNS(yield)
+	p.stream = "conn"
+	if p.run.spilled {
+		p.stream = "dns"
+	}
+	return err
+}
+
+// TestStreamTripPointParity moves the budget trip from early in the DNS
+// stream to late in the connection stream. Records resident at the trip
+// are folded into the whole-trace accumulators only then, so the result
+// must still match the in-memory pipeline wherever the trip lands.
+func TestStreamTripPointParity(t *testing.T) {
+	ds := determinismTrace(t)
+	ds.SortByTime()
+	var total int64
+	for i := range ds.DNS {
+		total += retainedDNSBytes(&ds.DNS[i])
+	}
+	total += int64(len(ds.Conns)) * retainedConnBytes()
+	tripped := map[string]bool{}
+	for _, pairing := range []PairingPolicy{PairMostRecent, PairRandom} {
+		opts := DefaultOptions()
+		opts.Pairing = pairing
+		opts.SCRMinSamples = 50
+		ref := analyzeCopy(ds, opts)
+		wantSummary := summaryBytes(t, ref)
+		for _, frac := range []float64{0.25, 0.5, 0.75, 0.95} {
+			o := opts.withDefaults()
+			o.MemoryBudget = int64(frac * float64(total))
+			run := newStreamRun(o)
+			src := &tripProbe{Source: trace.NewDatasetSource(ds), run: run}
+			err := run.ingest(context.Background(), src)
+			var sh *AnalysisShard
+			if err == nil {
+				sh, err = run.collect(context.Background())
+			}
+			run.cleanup()
+			if err != nil {
+				t.Fatalf("pairing=%v budget=%.2f: %v", pairing, frac, err)
+			}
+			if !run.spilled {
+				t.Fatalf("pairing=%v budget=%.2f: budget never tripped", pairing, frac)
+			}
+			tripped[src.stream] = true
+			a := sh.Finalize()
+			if got, want := a.Digest(), ref.Digest(); got != want {
+				t.Errorf("pairing=%v budget=%.2f (trip in %s): digest %#016x, want %#016x",
+					pairing, frac, src.stream, got, want)
+			}
+			if got := summaryBytes(t, a); !bytes.Equal(got, wantSummary) {
+				t.Errorf("pairing=%v budget=%.2f (trip in %s): summary differs from in-memory:\n%s\n--- want ---\n%s",
+					pairing, frac, src.stream, got, wantSummary)
+			}
+		}
+	}
+	if !tripped["dns"] || !tripped["conn"] {
+		t.Fatalf("trips landed only in %v; want both streams covered", tripped)
+	}
+}
+
 // TestStreamResidentPathMatchesInMemory checks the no-spill streaming
 // path (budget never trips) short-circuits to the exact in-memory
 // result, including the full (non-summary) analysis grade.
@@ -134,8 +204,9 @@ func TestStreamBoundedResidency(t *testing.T) {
 	if !run.spilled {
 		t.Fatal("budget never tripped")
 	}
-	// account() charges a record before checking, so the peak may exceed
-	// the budget by at most one record.
+	// account() charges a record, and any block opened for it, before
+	// checking, so the peak may exceed the budget by one record plus
+	// one block, which doubling keeps no larger than what was retained.
 	const maxRecord = 64 << 10
 	if run.peakRetained > opts.MemoryBudget+maxRecord {
 		t.Errorf("peak retained %d bytes exceeds budget %d + slack", run.peakRetained, opts.MemoryBudget)
@@ -147,6 +218,22 @@ func TestStreamBoundedResidency(t *testing.T) {
 	if sh.ConnTotal() != len(ds.Conns) || sh.DNSTotal() != len(ds.DNS) {
 		t.Errorf("shard covers %d conns / %d dns, want %d / %d",
 			sh.ConnTotal(), sh.DNSTotal(), len(ds.Conns), len(ds.DNS))
+	}
+}
+
+// TestRetainedChargesCoverRecordSizes fails if a budget charge falls
+// below the in-memory size of what it charges for, which would let
+// WithMemoryBudget keep more record bytes resident than it promises.
+func TestRetainedChargesCoverRecordSizes(t *testing.T) {
+	if got, size := retainedConnBytes(), int64(unsafe.Sizeof(trace.ConnRecord{})); got < size {
+		t.Errorf("connection charge %d B is below sizeof(ConnRecord) = %d B", got, size)
+	}
+	for _, n := range []int{0, 1, 4} {
+		d := trace.DNSRecord{Query: "www.example.com", Answers: make([]trace.Answer, n)}
+		size := int64(unsafe.Sizeof(d)) + int64(len(d.Query)) + int64(n)*int64(unsafe.Sizeof(trace.Answer{}))
+		if got := retainedDNSBytes(&d); got < size {
+			t.Errorf("DNS charge with %d answers is %d B, below its size %d B", n, got, size)
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // Allocation budgets (ISSUE 5): the zero-copy scanner path must stay
@@ -86,4 +88,36 @@ func TestConnScannerAllocsPerLine(t *testing.T) {
 		}
 	})
 	scanAllocBudget(t, "conn", lines, perRun)
+}
+
+// TestChunkedScanBytesPerLine gates the chunked scan's heap traffic:
+// at most twice the record size plus the input bytes of each line. A
+// chunk's input buffer and its record slice, sized once from its line
+// count, cost about one of each; regrowing the record slice or keeping
+// an event per line costs several times that. Allocation counts cannot
+// tell the two apart: both allocate about once per hundred lines.
+func TestChunkedScanBytesPerLine(t *testing.T) {
+	const lines, runs = 32000, 4
+	input := allocTSV(lines)
+	scan := func() {
+		src := NewScannerSource(strings.NewReader(input), nil, Strict())
+		src.SetIngestWorkers(2)
+		n := 0
+		if err := src.StreamDNS(func(*DNSRecord) error { n++; return nil }); err != nil || n != lines {
+			t.Fatalf("scan: n=%d err=%v", n, err)
+		}
+	}
+	scan() // warm the parse-state pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	perLine := float64(after.TotalAlloc-before.TotalAlloc) / (runs * lines)
+	inputPerLine := float64(len(input)) / lines
+	if budget := 2 * (float64(unsafe.Sizeof(DNSRecord{})) + inputPerLine); perLine > budget {
+		t.Fatalf("chunked scan allocates %.0f B/line on %.0f-byte lines; budget is %.0f (2 × (record + line))",
+			perLine, inputPerLine, budget)
+	}
 }

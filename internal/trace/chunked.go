@@ -45,7 +45,19 @@ type ingestChunk struct {
 	// first line, so workers report exact line numbers without any
 	// global counter.
 	startLine int
-	data      []byte
+	// lines counts the chunk's lines, a final unterminated one included:
+	// an upper bound on its records that sizes the parse output once.
+	lines int
+	data  []byte
+}
+
+// newIngestChunk wraps data, counting its lines.
+func newIngestChunk(startLine int, data []byte) ingestChunk {
+	n := bytes.Count(data, []byte{'\n'})
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		n++
+	}
+	return ingestChunk{startLine: startLine, lines: n, data: data}
 }
 
 // produceIngestChunks reads r into newline-aligned chunks. A line that
@@ -69,13 +81,13 @@ func produceIngestChunks(r io.Reader, chunkBytes int, emit func(ingestChunk) err
 		}
 		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 			if len(buf) > 0 {
-				return emit(ingestChunk{startLine: startLine, data: buf})
+				return emit(newIngestChunk(startLine, buf))
 			}
 			return nil
 		}
 		if rerr != nil {
 			if len(buf) > 0 {
-				if err := emit(ingestChunk{startLine: startLine, data: buf}); err != nil {
+				if err := emit(newIngestChunk(startLine, buf)); err != nil {
 					return err
 				}
 			}
@@ -88,38 +100,40 @@ func produceIngestChunks(r io.Reader, chunkBytes int, emit func(ingestChunk) err
 		}
 		// Cap the emitted slice's capacity: carry aliases the same
 		// backing array and is copied out on the next iteration.
-		if err := emit(ingestChunk{startLine: startLine, data: buf[: cut+1 : cut+1]}); err != nil {
+		c := newIngestChunk(startLine, buf[:cut+1:cut+1])
+		if err := emit(c); err != nil {
 			return err
 		}
-		startLine += bytes.Count(buf[:cut+1], []byte{'\n'})
+		startLine += c.lines
 		carry = buf[cut+1:]
 	}
 }
 
-// scanEvent is one data line's outcome inside a parsed chunk, in line
-// order: either a parsed record (rec indexes parsedChunk.recs) or a
-// parse failure (rec < 0) carrying the copied text and cause so the
-// merge can replay the error policy exactly.
-type scanEvent struct {
-	line int
-	rec  int32
-	text string
-	err  error
+// lineFailure is one data line that failed to parse inside a chunk:
+// its line number, copied text and cause, and the index of the chunk
+// record it precedes, so the merge can replay records and failures in
+// line order.
+type lineFailure struct {
+	line   int
+	before int
+	text   string
+	err    error
 }
 
-// parsedChunk is one chunk's parse output.
+// parsedChunk is one chunk's parse output: its records in line order,
+// and the failing lines among them.
 type parsedChunk[R any] struct {
-	recs   []R
-	events []scanEvent
+	recs  []R
+	fails []lineFailure
 }
 
 // parseChunkLines splits one chunk into lines — mirroring
 // bufio.ScanLines: '\n' terminators, one trailing '\r' dropped, a final
-// unterminated line kept — and parses every data line, recording
-// outcomes in line order. Comment ('#') and blank lines advance the
-// line counter without producing an event, as the serial scanners do.
+// unterminated line kept — and parses every data line. The record
+// slice is sized once from the chunk's line count. Comment ('#') and
+// blank lines advance the line counter only, as the serial scanners do.
 func parseChunkLines[R any](c ingestChunk, parse func(lineNo int, line []byte) (R, error)) parsedChunk[R] {
-	var pc parsedChunk[R]
+	pc := parsedChunk[R]{recs: make([]R, 0, c.lines)}
 	line := c.startLine - 1
 	data := c.data
 	for len(data) > 0 {
@@ -138,11 +152,10 @@ func parseChunkLines[R any](c ingestChunk, parse func(lineNo int, line []byte) (
 		}
 		rec, err := parse(line, ln)
 		if err != nil {
-			pc.events = append(pc.events, scanEvent{line: line, rec: -1, text: string(ln), err: err})
+			pc.fails = append(pc.fails, lineFailure{line: line, before: len(pc.recs), text: string(ln), err: err})
 			continue
 		}
 		pc.recs = append(pc.recs, rec)
-		pc.events = append(pc.events, scanEvent{line: line, rec: int32(len(pc.recs) - 1)})
 	}
 	return pc
 }
@@ -178,24 +191,31 @@ func scanChunked[R any](r io.Reader, workers, chunkBytes int, policy ErrorPolicy
 				return pc, nil
 			},
 			func(pc parsedChunk[R]) error {
-				for i := range pc.events {
-					ev := &pc.events[i]
-					lines++
-					if ev.rec >= 0 {
-						rec := &pc.recs[ev.rec]
+				next := 0
+				yieldUpTo := func(end int) error {
+					for ; next < end; next++ {
+						lines++
+						rec := &pc.recs[next]
 						if canon != nil {
 							canon(rec)
 						}
 						if err := yield(rec); err != nil {
 							return err
 						}
-						continue
 					}
+					return nil
+				}
+				for i := range pc.fails {
+					f := &pc.fails[i]
+					if err := yieldUpTo(f.before); err != nil {
+						return err
+					}
+					lines++
 					if !policy.Quarantine {
-						return ev.err
+						return f.err
 					}
 					nQuar++
-					q := Quarantined{Line: ev.line, Text: ev.text, Err: ev.err}
+					q := Quarantined{Line: f.line, Text: f.text, Err: f.err}
 					if policy.Sink != nil {
 						policy.Sink(q)
 					}
@@ -203,7 +223,7 @@ func scanChunked[R any](r io.Reader, workers, chunkBytes int, policy ErrorPolicy
 						return &BudgetError{Quarantined: nQuar, Lines: lines, Last: q}
 					}
 				}
-				return nil
+				return yieldUpTo(len(pc.recs))
 			})
 	})
 	return err

@@ -102,8 +102,9 @@ func (s *ScannerSource) StreamDNS(yield func(*DNSRecord) error) error {
 	}
 	sc := NewDNSScanner(s.dns, s.policy)
 	for sc.Scan() {
-		rec := sc.Record()
-		if err := yield(&rec); err != nil {
+		// The scanner's own record: yield's pointer is valid only for
+		// the call, so no per-record copy is needed.
+		if err := yield(&sc.rec); err != nil {
 			return err
 		}
 	}
@@ -117,8 +118,7 @@ func (s *ScannerSource) StreamConns(yield func(*ConnRecord) error) error {
 	}
 	sc := NewConnScanner(s.conns, s.policy)
 	for sc.Scan() {
-		rec := sc.Record()
-		if err := yield(&rec); err != nil {
+		if err := yield(&sc.rec); err != nil {
 			return err
 		}
 	}
