@@ -21,9 +21,9 @@ FUZZ_TARGETS := \
 	./internal/core:FuzzSpillFrames \
 	./internal/bulk:FuzzFeed
 
-.PHONY: check vet build test race obs-determinism stream-parity transport-matrix scan soak chaos scaling-gate bench bench-all bench-compare scan-bench profile fuzz cover
+.PHONY: check vet build test race obs-determinism stream-parity transport-matrix report-parity scan soak chaos scaling-gate bench bench-all bench-compare scan-bench profile fuzz cover
 
-check: vet build race obs-determinism stream-parity transport-matrix scan soak chaos
+check: vet build race obs-determinism stream-parity transport-matrix report-parity scan soak chaos
 
 vet:
 	$(GO) vet ./...
@@ -57,6 +57,16 @@ stream-parity:
 # `race`, but named so the gate is visible.
 transport-matrix:
 	$(GO) test ./internal/core -run='TestGoldenOutputsBitIdentical|TestExplicitUDPTransportMatchesGolden|TestTransportMatrixDigestParity' -count=1
+
+# Report parity: the rendered report and every figure CSV must match
+# their pinned hashes (the fault-free golden, and a faulted trace that
+# renders the failure section and all four Figure 3 platforms) at
+# Workers 1, 2, and 8 under both pairing policies, and several
+# goroutines rendering one Analysis at once must all get the serial
+# render's bytes. Repeated under the race detector, so the report
+# fold's per-worker scratch is race-checked on every check.
+report-parity:
+	$(GO) test ./internal/core -race -run='^(TestGoldenOutputsBitIdentical|TestReportGoldenWithFaults|TestReportConcurrentRenders)$$' -count=10
 
 # Bulk-scan determinism gate: a pinned simulated scan (fixed seed,
 # synthetic feed) must reproduce the golden digest of its sorted JSONL

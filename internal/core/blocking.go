@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"time"
 
-	"dnscontext/internal/parallel"
 	"dnscontext/internal/stats"
 )
 
@@ -27,57 +25,48 @@ type Figure1 struct {
 	Knee, Block time.Duration
 }
 
-// Figure1 computes the gap distribution and first-use split. The scan is
-// chunked across the worker pool; per-chunk samples are appended in
-// chunk order, so the resulting distribution matches a sequential
-// left-to-right pass exactly.
+// Figure1 computes the gap distribution and first-use split.
 func (a *Analysis) Figure1() Figure1 {
-	f := Figure1{
-		Gaps:  stats.NewECDF(len(a.Paired)),
-		Knee:  a.Opts.KneeThreshold,
-		Block: a.Opts.BlockThreshold,
-	}
-	type partial struct {
-		gaps                                     []float64
-		withinFirst, within, beyondFirst, beyond int
-	}
-	chunks := parallel.Chunks(len(a.Paired), parallel.Workers(a.Opts.Workers))
-	parts, _ := parallel.Map(context.Background(), a.Opts.Workers, len(chunks), func(c int) (partial, error) {
-		var p partial
-		for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
-			pc := &a.Paired[i]
-			if pc.DNS < 0 {
-				continue
-			}
-			p.gaps = append(p.gaps, float64(pc.Gap)/float64(time.Millisecond))
-			if pc.Gap <= a.Opts.KneeThreshold {
-				p.within++
-				if pc.FirstUse {
-					p.withinFirst++
-				}
-			} else {
-				p.beyond++
-				if pc.FirstUse {
-					p.beyondFirst++
-				}
-			}
-		}
-		return p, nil
-	})
+	return a.fold(foldReq{secs: secFigure1}).figure1.result(&a.Opts)
+}
 
-	var withinFirst, within, beyondFirst, beyond int
-	for _, p := range parts {
-		f.Gaps.AddAll(p.gaps)
-		withinFirst += p.withinFirst
-		within += p.within
-		beyondFirst += p.beyondFirst
-		beyond += p.beyond
+// figure1Fold is a house's share of Figure1, over its paired
+// connections.
+type figure1Fold struct {
+	gaps                                     stats.ECDF // ms
+	within, withinFirst, beyond, beyondFirst int
+}
+
+func (f *figure1Fold) conn(pc *PairedConn, knee time.Duration) {
+	f.gaps.Add(float64(pc.Gap) / float64(time.Millisecond))
+	if pc.Gap <= knee {
+		f.within++
+		if pc.FirstUse {
+			f.withinFirst++
+		}
+	} else {
+		f.beyond++
+		if pc.FirstUse {
+			f.beyondFirst++
+		}
 	}
-	if within > 0 {
-		f.FirstUseWithinKnee = float64(withinFirst) / float64(within)
+}
+
+func (f *figure1Fold) merge(o *figure1Fold) {
+	f.gaps.Merge(&o.gaps)
+	f.within += o.within
+	f.withinFirst += o.withinFirst
+	f.beyond += o.beyond
+	f.beyondFirst += o.beyondFirst
+}
+
+func (f *figure1Fold) result(opts *Options) Figure1 {
+	out := Figure1{Gaps: &f.gaps, Knee: opts.KneeThreshold, Block: opts.BlockThreshold}
+	if f.within > 0 {
+		out.FirstUseWithinKnee = float64(f.withinFirst) / float64(f.within)
 	}
-	if beyond > 0 {
-		f.FirstUseBeyondKnee = float64(beyondFirst) / float64(beyond)
+	if f.beyond > 0 {
+		out.FirstUseBeyondKnee = float64(f.beyondFirst) / float64(f.beyond)
 	}
-	return f
+	return out
 }

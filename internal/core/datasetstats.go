@@ -1,7 +1,6 @@
 package core
 
 import (
-	"net/netip"
 	"time"
 
 	"dnscontext/internal/trace"
@@ -29,45 +28,56 @@ type DatasetStats struct {
 
 // DatasetStats characterizes the analyzed trace.
 func (a *Analysis) DatasetStats() DatasetStats {
+	return a.fold(foldReq{secs: secDataset}).datasetStats(a)
+}
+
+// datasetFold is a house's share of DatasetStats.
+type datasetFold struct {
+	tcp, answerless int
+	bytes           int64
+	window          time.Duration // latest record timestamp
+}
+
+func (f *datasetFold) dns(d *trace.DNSRecord) {
+	if len(d.Answers) == 0 {
+		f.answerless++
+	}
+	f.window = max(f.window, d.TS)
+}
+
+func (f *datasetFold) conn(c *trace.ConnRecord) {
+	if c.Proto == trace.TCP {
+		f.tcp++
+	}
+	f.bytes += c.TotalBytes()
+	f.window = max(f.window, c.TS)
+}
+
+func (f *datasetFold) merge(o *datasetFold) {
+	f.tcp += o.tcp
+	f.answerless += o.answerless
+	f.bytes += o.bytes
+	f.window = max(f.window, o.window)
+}
+
+func (h *houseFold) datasetStats(a *Analysis) DatasetStats {
+	f := &h.dataset
 	s := DatasetStats{
 		DNSTransactions: len(a.DS.DNS),
 		Connections:     len(a.DS.Conns),
+		Houses:          h.houses, // every client is a house
+		Window:          f.window,
+		TotalBytes:      f.bytes,
 	}
-	houses := make(map[netip.Addr]bool, len(a.shards)) // shards are per-client
-	var tcp int
-	var window time.Duration
-	for i := range a.DS.Conns {
-		c := &a.DS.Conns[i]
-		houses[c.Orig] = true
-		if c.Proto == trace.TCP {
-			tcp++
-		}
-		s.TotalBytes += c.TotalBytes()
-		if c.TS > window {
-			window = c.TS
-		}
-	}
-	answerless := 0
-	for i := range a.DS.DNS {
-		houses[a.DS.DNS[i].Client] = true
-		if len(a.DS.DNS[i].Answers) == 0 {
-			answerless++
-		}
-		if ts := a.DS.DNS[i].TS; ts > window {
-			window = ts
-		}
-	}
-	s.Houses = len(houses)
-	s.Window = window
 	if s.Connections > 0 {
-		s.TCPFraction = float64(tcp) / float64(s.Connections)
+		s.TCPFraction = float64(f.tcp) / float64(s.Connections)
 		s.UDPFraction = 1 - s.TCPFraction
 	}
 	if s.DNSTransactions > 0 {
-		s.AnswerlessFraction = float64(answerless) / float64(s.DNSTransactions)
+		s.AnswerlessFraction = float64(f.answerless) / float64(s.DNSTransactions)
 	}
-	if s.Houses > 0 && window > 0 {
-		s.ConnsPerHousePerDay = float64(s.Connections) / float64(s.Houses) / (window.Hours() / 24)
+	if s.Houses > 0 && f.window > 0 {
+		s.ConnsPerHousePerDay = float64(s.Connections) / float64(s.Houses) / (f.window.Hours() / 24)
 	}
 	return s
 }

@@ -29,6 +29,11 @@ func (a *Analysis) ExportFigureData(dir string, points int, profiles []resolver.
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	// One per-house fold computes every exported section (fold.go).
+	r := a.fold(foldReq{
+		secs:     secTable1 | secRefresh | secFigure1 | secFigure2 | secResolvers,
+		profiles: profiles, floor: 10 * time.Second, policies: table3Policies,
+	})
 	write := func(name string, fill func(*strings.Builder)) error {
 		var b strings.Builder
 		fill(&b)
@@ -46,7 +51,7 @@ func (a *Analysis) ExportFigureData(dir string, points int, profiles []resolver.
 
 	if err := write("table1.csv", func(b *strings.Builder) {
 		b.WriteString("platform,houses_frac,lookups_frac,conns_frac,bytes_frac\n")
-		for _, row := range a.Table1(profiles) {
+		for _, row := range r.table1(profiles) {
 			fmt.Fprintf(b, "%s,%g,%g,%g,%g\n", row.Platform,
 				row.HousesFraction, row.LookupsFraction, row.ConnsFraction, row.BytesFraction)
 		}
@@ -63,7 +68,7 @@ func (a *Analysis) ExportFigureData(dir string, points int, profiles []resolver.
 		return err
 	}
 
-	rf := a.RefreshSimulation(10 * time.Second)
+	rf := r.refreshResult(10 * time.Second)
 	if err := write("table3.csv", func(b *strings.Builder) {
 		b.WriteString("policy,lookups,hits,misses,hit_rate,lookups_per_sec_per_house\n")
 		for _, row := range []struct {
@@ -77,7 +82,7 @@ func (a *Analysis) ExportFigureData(dir string, points int, profiles []resolver.
 		return err
 	}
 
-	f1 := a.Figure1()
+	f1 := r.figure1.result(&a.Opts)
 	if err := write("fig1_gap_cdf.csv", func(b *strings.Builder) {
 		b.WriteString("gap_ms,cdf\n")
 		curve(b, "", f1.Gaps)
@@ -85,7 +90,7 @@ func (a *Analysis) ExportFigureData(dir string, points int, profiles []resolver.
 		return err
 	}
 
-	f2 := a.Figure2()
+	f2 := r.figure2.result()
 	if err := write("fig2_delay_cdf.csv", func(b *strings.Builder) {
 		b.WriteString("delay_ms,cdf\n")
 		curve(b, "", f2.LookupDelays)
@@ -101,7 +106,7 @@ func (a *Analysis) ExportFigureData(dir string, points int, profiles []resolver.
 		return err
 	}
 
-	rp := a.ResolverPerformance(profiles)
+	rp := r.resolverPerformance()
 	if err := write("fig3_rdelay_cdf.csv", func(b *strings.Builder) {
 		b.WriteString("platform,delay_ms,cdf\n")
 		for _, p := range profiles {

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"dnscontext/internal/parallel"
-	"dnscontext/internal/trace"
-)
+import "dnscontext/internal/trace"
 
 // FailureStats summarizes the failure-path activity visible in the DNS
 // dataset: retransmissions, SERVFAIL giveups, and truncation-driven TCP
@@ -54,45 +49,32 @@ func frac(n, total int) float64 {
 	return float64(n) / float64(total)
 }
 
-// Failures scans the DNS dataset for fault-path activity. The scan is
-// chunked across the analysis worker pool; summing per-chunk tallies is
-// order-independent integer arithmetic, so the result is identical for
-// every worker count. A summary-grade analysis has no dataset to scan;
-// it returns the stats accumulated during the streaming ingest, which
-// tally the same fields over the same records.
+// Failures scans the DNS dataset for fault-path activity, as one
+// section of the per-house fold (summing integer tallies is
+// order-independent, so the result is identical for every worker
+// count). A summary-grade analysis has no dataset to scan; it returns
+// the stats accumulated during the streaming ingest, which tally the
+// same fields over the same records with the same add.
 func (a *Analysis) Failures() FailureStats {
 	if a.failures != nil {
 		return *a.failures
 	}
-	chunks := parallel.Chunks(len(a.DS.DNS), parallel.Workers(a.Opts.Workers))
-	parts, _ := parallel.Map(context.Background(), a.Opts.Workers, len(chunks),
-		func(ci int) (FailureStats, error) {
-			var fs FailureStats
-			for i := chunks[ci].Lo; i < chunks[ci].Hi; i++ {
-				d := &a.DS.DNS[i]
-				fs.Lookups++
-				if failureRecord(d) {
-					fs.ServFails++
-				}
-				if d.Retries > 0 {
-					fs.Retried++
-					fs.TotalRetries += int(d.Retries)
-				}
-				if d.TC {
-					fs.TCPFallbacks++
-				}
-			}
-			return fs, nil
-		})
-	var total FailureStats
-	for _, p := range parts {
-		total.Lookups += p.Lookups
-		total.ServFails += p.ServFails
-		total.Retried += p.Retried
-		total.TotalRetries += p.TotalRetries
-		total.TCPFallbacks += p.TCPFallbacks
+	return a.fold(foldReq{secs: secFailures}).failures
+}
+
+// add tallies one DNS transaction.
+func (f *FailureStats) add(d *trace.DNSRecord) {
+	f.Lookups++
+	if failureRecord(d) {
+		f.ServFails++
 	}
-	return total
+	if d.Retries > 0 {
+		f.Retried++
+		f.TotalRetries += int(d.Retries)
+	}
+	if d.TC {
+		f.TCPFallbacks++
+	}
 }
 
 // HasFailures reports whether the dataset shows any fault-path activity

@@ -2,7 +2,6 @@ package core
 
 import (
 	"net/netip"
-	"sort"
 
 	"dnscontext/internal/resolver"
 	"dnscontext/internal/trace"
@@ -44,43 +43,30 @@ func (h *HouseSummary) UsesOnlyLocal() bool {
 	return h.PlatformLookups[resolver.PlatformLocal] > 0
 }
 
-// PerHouse computes per-house summaries, ordered by house index.
+// PerHouse computes per-house summaries, ordered by house index and,
+// among clients with the same index (HouseOf numbers only 10/8
+// addresses, so every other client is house -1), by address.
 func (a *Analysis) PerHouse(profiles []resolver.PlatformProfile) []HouseSummary {
-	byAddr := make(map[netip.Addr]*HouseSummary, len(a.shards)) // shards are per-client
-	get := func(addr netip.Addr) *HouseSummary {
-		h, ok := byAddr[addr]
-		if !ok {
-			h = &HouseSummary{
-				House:           trace.HouseOf(addr),
-				Addr:            addr,
-				PlatformLookups: make(map[resolver.PlatformID]int),
-			}
-			byAddr[addr] = h
-		}
-		return h
-	}
+	return a.fold(foldReq{secs: secPerHouse, profiles: profiles}).perHouse
+}
 
-	for i := range a.DS.DNS {
-		d := &a.DS.DNS[i]
-		h := get(d.Client)
-		h.DNS++
-		if id, ok := resolver.PlatformOf(d.Resolver, profiles); ok {
-			h.PlatformLookups[id]++
+// houseSummary is shard sh's HouseSummary, from its per-class connection
+// counts and its per-platform lookup counts.
+func houseSummary(sh *clientShard, classes [numClasses]int, plats []platformFold, ids []resolver.PlatformID) HouseSummary {
+	h := HouseSummary{
+		House:           trace.HouseOf(sh.client),
+		Addr:            sh.client,
+		Conns:           len(sh.conns),
+		DNS:             len(sh.dns),
+		ClassCounts:     classes,
+		PlatformLookups: make(map[resolver.PlatformID]int),
+	}
+	for p := range plats {
+		if n := plats[p].lookups; n > 0 {
+			h.PlatformLookups[ids[p]] = n
 		}
 	}
-	for i := range a.Paired {
-		pc := &a.Paired[i]
-		h := get(a.DS.Conns[pc.Conn].Orig)
-		h.Conns++
-		h.ClassCounts[pc.Class]++
-	}
-
-	out := make([]HouseSummary, 0, len(byAddr))
-	for _, h := range byAddr {
-		out = append(out, *h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].House < out[j].House })
-	return out
+	return h
 }
 
 // OnlyLocalFraction is §3's statistic: the share of houses whose every

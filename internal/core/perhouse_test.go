@@ -1,6 +1,7 @@
 package core
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -69,6 +70,41 @@ func TestPerHousePaperBand(t *testing.T) {
 	for _, h := range houses {
 		if h.Conns == 0 {
 			t.Fatalf("house %d has no connections", h.House)
+		}
+	}
+}
+
+// TestPerHouseOrderStable pins PerHouse's row order for clients that
+// HouseOf cannot number (outside 10/8, so all House -1): rows must come
+// back ordered by (House, Addr), identically on every call and at every
+// worker count. Ordering the rows by House alone left such clients in
+// whatever order a map iteration produced.
+func TestPerHouseOrderStable(t *testing.T) {
+	var ds trace.Dataset
+	for i := 0; i < 40; i++ {
+		// Interleave the clients' first appearances so shard order is
+		// not address order.
+		client := netip.AddrFrom4([4]byte{192, 168, byte((i * 7) % 5), byte(1 + (i*13)%40)})
+		ts := time.Duration(i+1) * time.Second
+		ds.DNS = append(ds.DNS, mkDNS(client, resLoc, ts, 3*time.Millisecond, "a.com", webIP, time.Hour))
+		ds.Conns = append(ds.Conns, mkConn(client, webIP, ts+5*time.Millisecond, time.Second, 443))
+	}
+	for _, workers := range []int{1, 2, 8} {
+		opts := testOptions()
+		opts.Workers = workers
+		a := analyzeCopy(&ds, opts)
+		for call := 0; call < 20; call++ {
+			houses := a.PerHouse(resolver.DefaultProfiles())
+			if len(houses) != 40 {
+				t.Fatalf("workers=%d: %d houses, want 40", workers, len(houses))
+			}
+			for i := 1; i < len(houses); i++ {
+				p, h := houses[i-1], houses[i]
+				if p.House > h.House || (p.House == h.House && p.Addr.Compare(h.Addr) >= 0) {
+					t.Fatalf("workers=%d call %d: row %d (%d %v) after row %d (%d %v)",
+						workers, call, i, h.House, h.Addr, i-1, p.House, p.Addr)
+				}
+			}
 		}
 	}
 }

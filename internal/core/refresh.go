@@ -1,9 +1,6 @@
 package core
 
-import (
-	"net/netip"
-	"time"
-)
+import "time"
 
 // CachePolicy summarizes one simulated cache's outcome (one column of
 // Table 3).
@@ -40,21 +37,21 @@ type RefreshResult struct {
 // TTL at or below floor are never refreshed. It is the two-extremes
 // special case of SimulateCachePolicy.
 func (a *Analysis) RefreshSimulation(floor time.Duration) RefreshResult {
-	out := RefreshResult{TTLFloor: floor}
-	_, out.Window = a.refreshInputs()
+	return a.fold(foldReq{secs: secRefresh, floor: floor, policies: table3Policies}).refreshResult(floor)
+}
 
-	houses := make(map[netip.Addr]bool, len(a.shards)) // shards are per-client
-	for i := range a.Paired {
-		if a.Paired[i].Class == ClassN {
-			continue
-		}
-		houses[a.DS.Conns[a.Paired[i].Conn].Orig] = true
-		out.Conns++
+// table3Policies are Table 3's two columns, in refreshResult's order.
+var table3Policies = []RefreshPolicy{PolicyNever, PolicyRefreshAll}
+
+func (h *houseFold) refreshResult(floor time.Duration) RefreshResult {
+	out := RefreshResult{
+		TTLFloor:   floor,
+		Conns:      h.refresh.conns,
+		Houses:     h.refresh.houses,
+		Window:     h.window,
+		Standard:   h.refresh.policy(0, h.window),
+		RefreshAll: h.refresh.policy(1, h.window),
 	}
-	out.Houses = len(houses)
-
-	out.Standard = a.SimulateCachePolicy(floor, PolicyNever)
-	out.RefreshAll = a.SimulateCachePolicy(floor, PolicyRefreshAll)
 	if out.Standard.Lookups > 0 {
 		out.LookupMultiplier = float64(out.RefreshAll.Lookups) / float64(out.Standard.Lookups)
 	}

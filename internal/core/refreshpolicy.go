@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
-
-	"dnscontext/internal/parallel"
-	"dnscontext/internal/trace"
 )
 
 // RefreshPolicy is a declarative rule for when a whole-house cache
@@ -58,99 +54,75 @@ func PolicyPopular(minUses int, maxIdle time.Duration) RefreshPolicy {
 // and one per speculative refresh. Names with authoritative TTL at or
 // below floor are never refreshed (the paper's logistical bound).
 //
-// Caches are per house and the shards are per house, so each shard
-// replays independently on the worker pool; the per-shard counters are
-// summed in shard order.
+// Caches are per house and the shards are per house, so each house
+// replays independently in the per-house fold; the per-house counters
+// are summed in shard order.
 func (a *Analysis) SimulateCachePolicy(floor time.Duration, pol RefreshPolicy) CachePolicy {
-	authTTL, window := a.refreshInputs()
+	f := a.fold(foldReq{secs: secRefresh, floor: floor, policies: []RefreshPolicy{pol}})
+	return f.refresh.policy(0, f.window)
+}
 
-	parts, _ := parallel.Map(context.Background(), a.Opts.Workers, len(a.shards),
-		func(s int) (cacheShardTally, error) {
-			return a.simulateShardCache(s, floor, pol, authTTL, window), nil
-		})
+// cacheShardTally is one house's contribution to a cache simulation.
+type cacheShardTally struct {
+	lookups, hits, misses uint64
+}
 
-	var out CachePolicy
-	houses := 0
-	for _, p := range parts {
-		out.Lookups += p.lookups
-		out.Hits += p.hits
-		out.Misses += p.misses
-		if p.active {
-			houses++
-		}
+// refreshFold is a house's share of the refresh simulations: its
+// DNS-using connections, and one cache tally per simulated policy.
+// houses, set by the merge, counts the houses with DNS-using
+// connections, which the per-house lookup rate divides by.
+type refreshFold struct {
+	conns, houses int
+	tallies       []cacheShardTally
+}
+
+func (f *refreshFold) merge(o *refreshFold) {
+	if o.conns > 0 {
+		f.houses++
 	}
-	total := out.Hits + out.Misses
-	if total > 0 {
+	f.conns += o.conns
+	for k := range o.tallies {
+		f.tallies[k].lookups += o.tallies[k].lookups
+		f.tallies[k].hits += o.tallies[k].hits
+		f.tallies[k].misses += o.tallies[k].misses
+	}
+}
+
+// policy is the outcome of the k-th simulated policy.
+func (f *refreshFold) policy(k int, window time.Duration) CachePolicy {
+	t := f.tallies[k]
+	out := CachePolicy{Lookups: t.lookups, Hits: t.hits, Misses: t.misses}
+	if total := out.Hits + out.Misses; total > 0 {
 		out.HitRate = float64(out.Hits) / float64(total)
 	}
-	if houses > 0 && window > 0 {
-		out.LookupsPerSecPerHouse = float64(out.Lookups) / window.Seconds() / float64(houses)
+	if f.houses > 0 && window > 0 {
+		out.LookupsPerSecPerHouse = float64(out.Lookups) / window.Seconds() / float64(f.houses)
 	}
 	return out
 }
 
-// cacheShardTally is one house's contribution to a cache simulation;
-// active marks houses that drove at least one DNS-using connection.
-type cacheShardTally struct {
-	lookups, hits, misses uint64
-	active                bool
-}
-
 // simulateShardCache replays one house's DNS-using connections through a
-// cache governed by pol (see SimulateCachePolicy). Cache entries key on
-// query-name symbols, so the replay loop never hashes a string.
+// cache governed by pol (see SimulateCachePolicy). Cache entries are
+// scr's per-name states, indexed by query-name symbol, so the replay
+// never hashes.
 func (a *Analysis) simulateShardCache(shardID int, floor time.Duration, pol RefreshPolicy,
-	authTTL []time.Duration, window time.Duration) (out cacheShardTally) {
-	type state struct {
-		alive     bool
-		expiresAt time.Duration
-		lastUse   time.Duration
-		uses      int
-	}
+	authTTL []time.Duration, window time.Duration, scr *whatIfScratch) (out cacheShardTally) {
 	sh := &a.shards[shardID]
-	states := make(map[trace.Sym]*state, len(sh.dns)/4+1)
-
-	// refreshesUntil counts the refresh lookups for an entry expiring at
-	// st.expiresAt, up to (not including) the first expiry the policy
-	// abandons, capped at limit. It advances the entry's expiry as it
-	// counts.
-	refreshesUntil := func(st *state, ttl, limit time.Duration) (count uint64) {
-		if pol.Never || ttl <= floor || ttl <= 0 {
-			return 0
-		}
-		if pol.MinUses > 0 && st.uses < pol.MinUses {
-			return 0
-		}
-		for st.expiresAt <= limit {
-			if pol.MaxIdle > 0 && st.expiresAt-st.lastUse > pol.MaxIdle {
-				return count
-			}
-			count++
-			st.expiresAt += ttl
-		}
-		return count
-	}
-
+	scr.begin()
 	for _, ci := range sh.conns {
 		pc := &a.Paired[ci]
 		if pc.Class == ClassN {
 			continue
 		}
-		out.active = true
 		name := a.qsym[pc.DNS]
 		ttl := authTTL[name]
 		now := a.DS.Conns[ci].TS
-
-		st := states[name]
-		if st == nil {
-			st = &state{}
-			states[name] = st
-		}
+		st := scr.entry(name)
 
 		if st.alive && now >= st.expiresAt {
 			// The entry expired before this use; see how long the policy
 			// kept it alive.
-			out.lookups += refreshesUntil(st, ttl, now)
+			out.lookups += refreshesUntil(pol, floor, st, ttl, now)
 			if now >= st.expiresAt {
 				st.alive = false
 			}
@@ -170,13 +142,38 @@ func (a *Analysis) simulateShardCache(shardID int, floor time.Duration, pol Refr
 
 	// Tail: entries still alive at the end of the window keep consuming
 	// refresh lookups until the policy abandons them or the capture ends.
-	for name, st := range states {
-		if !st.alive {
-			continue
+	for _, name := range scr.touched {
+		if st := &scr.names[name]; st.alive {
+			out.lookups += refreshesUntil(pol, floor, st, authTTL[name], window)
 		}
-		out.lookups += refreshesUntil(st, authTTL[name], window)
 	}
 	return out
+}
+
+// refreshesUntil counts the refresh lookups pol charges an entry of
+// authoritative TTL ttl that expires at st.expiresAt: one at each expiry
+// st.expiresAt + k·ttl (k = 0, 1, ...) up to and including limit and,
+// when pol.MaxIdle is set, up to and including st.lastUse + MaxIdle. It
+// advances st.expiresAt past the counted refreshes. The count is
+// closed-form: the last refresh is the largest k with k·ttl within
+// both bounds, found by one integer division.
+func refreshesUntil(pol RefreshPolicy, floor time.Duration, st *nameState, ttl, limit time.Duration) uint64 {
+	if pol.Never || ttl <= floor || ttl <= 0 {
+		return 0
+	}
+	if pol.MinUses > 0 && int(st.uses) < pol.MinUses {
+		return 0
+	}
+	room := limit - st.expiresAt
+	if pol.MaxIdle > 0 {
+		room = min(room, pol.MaxIdle-(st.expiresAt-st.lastUse))
+	}
+	if room < 0 {
+		return 0
+	}
+	n := room/ttl + 1
+	st.expiresAt += n * ttl
+	return uint64(n)
 }
 
 // refreshInputs derives the per-name authoritative TTL approximation
@@ -187,18 +184,15 @@ func (a *Analysis) refreshInputs() ([]time.Duration, time.Duration) {
 	a.refreshOnce.Do(func() {
 		a.authTTL = make([]time.Duration, a.names.Len())
 		for i := range a.DS.DNS {
-			d := &a.DS.DNS[i]
-			if t := d.MinTTL(); t > a.authTTL[a.qsym[i]] {
+			ts := a.DS.DNS[i].TS
+			// expiry is TS + MinTTL, precomputed per record.
+			if t := a.expiry[i] - ts; t > a.authTTL[a.qsym[i]] {
 				a.authTTL[a.qsym[i]] = t
 			}
-			if d.TS > a.window {
-				a.window = d.TS
-			}
+			a.window = max(a.window, ts)
 		}
 		for i := range a.DS.Conns {
-			if end := a.DS.Conns[i].TS; end > a.window {
-				a.window = end
-			}
+			a.window = max(a.window, a.DS.Conns[i].TS)
 		}
 	})
 	return a.authTTL, a.window
@@ -212,17 +206,16 @@ type PolicyComparison struct {
 }
 
 // CompareRefreshPolicies evaluates a set of refresh policies over the
-// trace, bracketing them with the paper's two extremes. The grid points
-// are independent simulations, so they run concurrently; the rows come
-// back in policy order.
+// trace, bracketing them with the paper's two extremes. Every policy
+// replays each house in the same per-house fold task, one after
+// another on that worker's scratch; the rows come back in policy order.
 func (a *Analysis) CompareRefreshPolicies(floor time.Duration, policies ...RefreshPolicy) []PolicyComparison {
 	all := append([]RefreshPolicy{PolicyNever}, policies...)
 	all = append(all, PolicyRefreshAll)
-	// Warm the shared inputs before fanning out.
-	a.refreshInputs()
-	out, _ := parallel.Map(context.Background(), a.Opts.Workers, len(all),
-		func(i int) (PolicyComparison, error) {
-			return PolicyComparison{Policy: all[i], Result: a.SimulateCachePolicy(floor, all[i])}, nil
-		})
+	f := a.fold(foldReq{secs: secRefresh, floor: floor, policies: all})
+	out := make([]PolicyComparison, len(all))
+	for i, pol := range all {
+		out[i] = PolicyComparison{Policy: pol, Result: f.refresh.policy(i, f.window)}
+	}
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -147,5 +148,68 @@ func TestPolicyLabels(t *testing.T) {
 	}
 	if PolicyPopular(3, time.Hour).Label != "uses>=3,idle<=1h0m0s" {
 		t.Fatalf("label %q", PolicyPopular(3, time.Hour).Label)
+	}
+}
+
+// refreshesUntilStep is the step-by-step reference for refreshesUntil:
+// it walks the entry's expiries one TTL at a time, as the simulation
+// did before the closed form.
+func refreshesUntilStep(pol RefreshPolicy, floor time.Duration, st *nameState, ttl, limit time.Duration) (count uint64) {
+	if pol.Never || ttl <= floor || ttl <= 0 {
+		return 0
+	}
+	if pol.MinUses > 0 && int(st.uses) < pol.MinUses {
+		return 0
+	}
+	for st.expiresAt <= limit {
+		if pol.MaxIdle > 0 && st.expiresAt-st.lastUse > pol.MaxIdle {
+			return count
+		}
+		count++
+		st.expiresAt += ttl
+	}
+	return count
+}
+
+// TestRefreshesUntilMatchesStepLoop is the closed form's differential
+// test: over random expiries, TTLs, limits, last uses, idle bounds
+// (MaxIdle 0 included), use gates and floors (sub-floor and zero TTLs
+// included), and on exact boundaries where a bound lands on an expiry,
+// the count and the advanced expiry must equal the step loop's.
+func TestRefreshesUntilMatchesStepLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	units := []time.Duration{time.Nanosecond, time.Millisecond, time.Second}
+	pick := func(lo, hi int64) int64 { return lo + rng.Int63n(hi-lo+1) }
+	for i := 0; i < 200000; i++ {
+		u := units[rng.Intn(len(units))]
+		exp := time.Duration(pick(0, 10000)) * u
+		ttl := time.Duration(pick(0, 600)) * u
+		st := nameState{
+			expiresAt: exp,
+			lastUse:   exp - time.Duration(pick(-100, 5000))*u,
+			uses:      int32(pick(0, 6)),
+		}
+		limit := exp + time.Duration(pick(-200, 20000))*u
+		pol := RefreshPolicy{MinUses: []int{0, 0, 1, 2, 5}[rng.Intn(5)], Never: rng.Intn(20) == 0}
+		if rng.Intn(3) > 0 {
+			pol.MaxIdle = time.Duration(pick(0, 6000)) * u
+		}
+		floor := []time.Duration{0, 10 * u, time.Duration(pick(0, 300)) * u}[rng.Intn(3)]
+		if ttl > 0 && rng.Intn(4) == 0 {
+			// Land a bound exactly on an expiry.
+			k := time.Duration(pick(0, 50))
+			if rng.Intn(2) == 0 {
+				limit = exp + k*ttl
+			} else if pol.MaxIdle > 0 {
+				st.lastUse = exp + k*ttl - pol.MaxIdle
+			}
+		}
+		want, got := st, st
+		wantN := refreshesUntilStep(pol, floor, &want, ttl, limit)
+		gotN := refreshesUntil(pol, floor, &got, ttl, limit)
+		if gotN != wantN || got != want {
+			t.Fatalf("case %d: pol=%+v floor=%v ttl=%v limit=%v state=%+v: closed form %d (expiry %v), step loop %d (expiry %v)",
+				i, pol, floor, ttl, limit, st, gotN, got.expiresAt, wantN, want.expiresAt)
+		}
 	}
 }

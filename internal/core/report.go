@@ -18,24 +18,29 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 	if a.DS == nil {
 		return a.WriteSummary(w)
 	}
+	// Every section comes out of one per-house fold (fold.go).
+	r := a.fold(foldReq{
+		secs: secAll, profiles: profiles,
+		extra: 100 * time.Millisecond, floor: 10 * time.Second, policies: table3Policies,
+	})
 	// Errors from fmt.Fprintf to w are surfaced once at the end via this
 	// small tracking writer, keeping the body readable.
 	tw := &trackingWriter{w: w}
 
 	fmt.Fprintf(tw, "=== Putting DNS in Context: reproduction report ===\n")
-	st := a.DatasetStats()
+	st := r.datasetStats(a)
 	fmt.Fprintf(tw, "connections: %d (%.0f%% TCP / %.0f%% UDP; paper: 88/12)   dns transactions: %d\n",
 		st.Connections, 100*st.TCPFraction, 100*st.UDPFraction, st.DNSTransactions)
 	fmt.Fprintf(tw, "houses: %d   window: %v   conns/house/day: %.0f\n\n",
 		st.Houses, st.Window.Round(time.Minute), st.ConnsPerHousePerDay)
 
 	// --- §4 pairing & blocking ---
-	unamb, paired := a.PairingAmbiguity()
+	unamb, paired := r.pairing.result()
 	fmt.Fprintf(tw, "--- Section 4: pairing ---\n")
 	fmt.Fprintf(tw, "paired connections: %d (%.1f%% of all)\n", paired, pct(paired, len(a.Paired)))
 	fmt.Fprintf(tw, "single non-expired candidate: %.1f%% (paper: >82%%)\n\n", 100*unamb)
 
-	f1 := a.Figure1()
+	f1 := r.figure1.result(&a.Opts)
 	fmt.Fprintf(tw, "--- Figure 1: DNS-completion to connection-start gap ---\n")
 	if f1.Gaps.N() > 0 {
 		fmt.Fprint(tw, stats.RenderCDFs(stats.PlotOptions{
@@ -48,13 +53,13 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 	// --- Table 1 ---
 	fmt.Fprintf(tw, "--- Table 1: resolver platforms ---\n")
 	fmt.Fprintf(tw, "%-11s %9s %10s %9s %9s\n", "Resolver", "% Houses", "% Lookups", "% Conns", "% Bytes")
-	for _, row := range a.Table1(profiles) {
+	for _, row := range r.table1(profiles) {
 		fmt.Fprintf(tw, "%-11s %9.1f %10.1f %9.1f %9.1f\n",
 			row.Platform, 100*row.HousesFraction, 100*row.LookupsFraction,
 			100*row.ConnsFraction, 100*row.BytesFraction)
 	}
 	fmt.Fprintf(tw, "houses using only the local resolvers: %.1f%% (paper: ~16%%)\n\n",
-		100*OnlyLocalFraction(a.PerHouse(profiles)))
+		100*OnlyLocalFraction(r.perHouse))
 
 	// --- Table 2 ---
 	fmt.Fprintf(tw, "--- Table 2: DNS information origin ---\n")
@@ -70,7 +75,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 		100*a.BlockedFraction(), 100*a.SharedCacheHitRate())
 
 	// --- §5.1 ---
-	nd := a.NoDNS()
+	nd := r.noDNS.result(len(a.Paired))
 	fmt.Fprintf(tw, "--- Section 5.1: connections without DNS ---\n")
 	fmt.Fprintf(tw, "N connections: %d, high-port (p2p-like): %.1f%% (paper: 81.6%%)\n", nd.Total, 100*nd.HighPortFraction)
 	fmt.Fprintf(tw, "DoT (853) connections: %d (paper: 0)\n", nd.DoTConns)
@@ -81,8 +86,8 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 	fmt.Fprintln(tw)
 
 	// --- §5.2 ---
-	ttl := a.TTLViolations()
-	pf := a.Prefetch()
+	ttl := r.ttl.result()
+	pf := r.prefetch.result(len(a.DS.DNS))
 	fmt.Fprintf(tw, "--- Section 5.2: local cache and prefetching ---\n")
 	fmt.Fprintf(tw, "LC conns using expired records: %.1f%% (paper: 22.2%%)\n", 100*ttl.LCExpiredFraction)
 	fmt.Fprintf(tw, "P conns using expired records:  %.1f%% (paper: 12.4%%)\n", 100*ttl.PExpiredFraction)
@@ -96,7 +101,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 		100*pf.UnusedFraction, 100*pf.SpeculativeUsedFraction)
 
 	// --- Figure 2 / §6 ---
-	f2 := a.Figure2()
+	f2 := r.figure2.result()
 	fmt.Fprintf(tw, "--- Figure 2 / Section 6: DNS performance for SC and R ---\n")
 	if f2.LookupDelays.N() > 0 {
 		fmt.Fprint(tw, stats.RenderCDFs(stats.PlotOptions{
@@ -116,7 +121,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 			100*f2.ContributionAll.FractionAbove(1), 100*f2.ContributionAll.FractionAbove(10),
 			100*f2.ContributionR.FractionAbove(1))
 	}
-	sig := a.Significance()
+	sig := r.sig.result(len(a.Paired))
 	fmt.Fprintf(tw, "significance quadrants over SC+R (abs>%v, rel>%.0f%%):\n", a.Opts.InsignificantAbs, 100*a.Opts.InsignificantRel)
 	fmt.Fprintf(tw, "  both insignificant: %.1f%% (paper: 64.0%%)\n", 100*sig.BothInsignificant)
 	fmt.Fprintf(tw, "  only relative high: %.1f%% (paper: 11.5%%)\n", 100*sig.OnlyRelHigh)
@@ -125,7 +130,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 		100*sig.BothSignificant, 100*sig.OverallSignificant)
 
 	// --- §7 / Figure 3 ---
-	rp := a.ResolverPerformance(profiles)
+	rp := r.resolverPerformance()
 	fmt.Fprintf(tw, "--- Section 7 / Figure 3: per-platform comparison ---\n")
 	fmt.Fprintf(tw, "shared-cache hit rate by platform (paper: CF 83.6 / Local 71.2 / OpenDNS 58.8 / Google 23.0):\n")
 	for _, p := range profiles {
@@ -159,7 +164,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 		100*rp.GoogleCCFraction, 100*rp.NonGoogleCCFraction)
 
 	// --- Fault injection (only for traces that show failure activity) ---
-	if fs := a.Failures(); fs.HasFailures() {
+	if fs := r.failures; fs.HasFailures() {
 		fmt.Fprintf(tw, "--- Fault injection: failure-adjusted view ---\n")
 		fmt.Fprintf(tw, "lookups: %d   servfail: %.2f%%   retried: %.2f%%   tcp-fallback: %.2f%%   mean attempts: %.3f\n",
 			fs.Lookups, 100*fs.ServFailFraction(), 100*fs.RetriedFraction(),
@@ -169,16 +174,16 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 	}
 
 	// --- §8 ---
-	wh := a.WholeHouse()
+	wh := r.whole.result(len(a.Paired))
 	fmt.Fprintf(tw, "--- Section 8: possible improvements ---\n")
 	fmt.Fprintf(tw, "whole-house cache: %.1f%% of all conns move to LC (paper: 9.8%%); SC benefit %.0f%% (paper: 22%%), R benefit %.0f%% (paper: 25%%)\n",
 		100*wh.MovedFraction, 100*wh.SCBenefit, 100*wh.RBenefit)
 
-	sl := a.Slack()
+	sl := r.slack.result()
 	fmt.Fprintf(tw, "lookup slack (first-use gap): >1s for %.0f%%, >10s for %.0f%% of used lookups; +100ms would newly block %.1f%% of conns\n",
-		100*sl.SlackOver1s, 100*sl.SlackOver10s, 100*a.TolerableExtraDelay(100*time.Millisecond))
+		100*sl.SlackOver1s, 100*sl.SlackOver10s, 100*r.tolerable.result())
 
-	rf := a.RefreshSimulation(10 * time.Second)
+	rf := r.refreshResult(10 * time.Second)
 	fmt.Fprintf(tw, "refresh simulation (Table 3), %d DNS-using conns over %v, %d houses:\n", rf.Conns, rf.Window.Round(time.Minute), rf.Houses)
 	fmt.Fprintf(tw, "  %-22s %12s %12s\n", "", "Standard", "Refresh All")
 	fmt.Fprintf(tw, "  %-22s %12d %12d\n", "DNS lookups", rf.Standard.Lookups, rf.RefreshAll.Lookups)

@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
-	"net/netip"
+	"slices"
 	"time"
 
 	"dnscontext/internal/parallel"
 	"dnscontext/internal/resolver"
 	"dnscontext/internal/stats"
+	"dnscontext/internal/trace"
 )
 
 // ConnectivityCheckHost is the Android captive-portal probe hostname whose
@@ -96,74 +97,77 @@ type Table1Row struct {
 // Table1 computes resolver-platform usage shares. profiles supplies the
 // platform address book.
 func (a *Analysis) Table1(profiles []resolver.PlatformProfile) []Table1Row {
-	type agg struct {
-		houses  map[netip.Addr]bool
-		lookups int
-		conns   int
-		bytes   int64
-	}
-	aggs := make(map[resolver.PlatformID]*agg)
-	get := func(id resolver.PlatformID) *agg {
-		g, ok := aggs[id]
-		if !ok {
-			g = &agg{houses: make(map[netip.Addr]bool)}
-			aggs[id] = g
-		}
-		return g
-	}
+	return a.fold(foldReq{secs: secTable1, profiles: profiles}).table1(profiles)
+}
 
-	allHouses := make(map[netip.Addr]bool)
-	totalLookups := 0
-	for i := range a.DS.DNS {
-		d := &a.DS.DNS[i]
-		allHouses[d.Client] = true
-		id, ok := resolver.PlatformOf(d.Resolver, profiles)
-		if !ok {
-			continue
-		}
-		totalLookups++
-		g := get(id)
-		g.houses[d.Client] = true
-		g.lookups++
-	}
+// platformFold is a house's share of one resolver platform's Table 1 row
+// and §7 comparison: its lookups, its DNS-paired connections and their
+// bytes, and its blocked (SC/R) connections with their R lookup delays
+// (ms) and throughputs (bits/s). houses, set by the merge, counts the
+// houses with at least one lookup on the platform.
+type platformFold struct {
+	lookups, conns, houses int
+	bytes                  int64
+	sc, r                  int
+	rDelays, throughput    stats.ECDF
+}
 
-	var totalConns int
-	var totalBytes int64
-	for i := range a.Paired {
-		pc := &a.Paired[i]
-		if pc.DNS < 0 {
-			continue
-		}
-		id, ok := resolver.PlatformOf(a.DS.DNS[pc.DNS].Resolver, profiles)
-		if !ok {
-			continue
-		}
-		totalConns++
-		c := &a.DS.Conns[pc.Conn]
-		totalBytes += c.TotalBytes()
-		g := get(id)
-		g.conns++
-		g.bytes += c.TotalBytes()
-	}
+// conn adds a DNS-paired connection whose lookup went to the platform.
+func (f *platformFold) conn(c *trace.ConnRecord) {
+	f.conns++
+	f.bytes += c.TotalBytes()
+}
 
+// blocked adds an SC or R connection whose lookup went to the platform.
+func (f *platformFold) blocked(class Class, lookup time.Duration, tput float64) {
+	if class == ClassSC {
+		f.sc++
+	} else {
+		f.r++
+		f.rDelays.Add(float64(lookup) / float64(time.Millisecond))
+	}
+	f.throughput.Add(tput)
+}
+
+func (f *platformFold) merge(o *platformFold) {
+	if o.lookups > 0 {
+		f.houses++
+	}
+	f.lookups += o.lookups
+	f.conns += o.conns
+	f.bytes += o.bytes
+	f.sc += o.sc
+	f.r += o.r
+	f.rDelays.Merge(&o.rDelays)
+	f.throughput.Merge(&o.throughput)
+}
+
+func (h *houseFold) table1(profiles []resolver.PlatformProfile) []Table1Row {
+	var lookups, conns int
+	var bytes int64
+	for i := range h.platforms {
+		lookups += h.platforms[i].lookups
+		conns += h.platforms[i].conns
+		bytes += h.platforms[i].bytes
+	}
 	var rows []Table1Row
 	for _, p := range profiles {
-		g := aggs[p.ID]
-		if g == nil {
+		g := &h.platforms[slices.Index(h.platformIDs, p.ID)]
+		if g.lookups == 0 {
 			continue
 		}
 		row := Table1Row{Platform: p.ID}
-		if len(allHouses) > 0 {
-			row.HousesFraction = float64(len(g.houses)) / float64(len(allHouses))
+		if h.dnsHouses > 0 {
+			row.HousesFraction = float64(g.houses) / float64(h.dnsHouses)
 		}
-		if totalLookups > 0 {
-			row.LookupsFraction = float64(g.lookups) / float64(totalLookups)
+		if lookups > 0 {
+			row.LookupsFraction = float64(g.lookups) / float64(lookups)
 		}
-		if totalConns > 0 {
-			row.ConnsFraction = float64(g.conns) / float64(totalConns)
+		if conns > 0 {
+			row.ConnsFraction = float64(g.conns) / float64(conns)
 		}
-		if totalBytes > 0 {
-			row.BytesFraction = float64(g.bytes) / float64(totalBytes)
+		if bytes > 0 {
+			row.BytesFraction = float64(g.bytes) / float64(bytes)
 		}
 		rows = append(rows, row)
 	}
@@ -194,73 +198,63 @@ type ResolverPerformance struct {
 
 // ResolverPerformance computes the §7 comparison.
 func (a *Analysis) ResolverPerformance(profiles []resolver.PlatformProfile) ResolverPerformance {
+	return a.fold(foldReq{secs: secResolvers, profiles: profiles}).resolverPerformance()
+}
+
+// resolverFold is a house's share of the connectivity-check accounting
+// over its blocked (SC/R) connections with a known platform.
+type resolverFold struct {
+	googleConns, googleCC, otherConns, otherCC int
+	googleNoCC                                 stats.ECDF
+}
+
+func (f *resolverFold) conn(id resolver.PlatformID, connectivityCheck bool, tput float64) {
+	if id == resolver.PlatformGoogle {
+		f.googleConns++
+		if connectivityCheck {
+			f.googleCC++
+		} else {
+			f.googleNoCC.Add(tput)
+		}
+		return
+	}
+	f.otherConns++
+	if connectivityCheck {
+		f.otherCC++
+	}
+}
+
+func (f *resolverFold) merge(o *resolverFold) {
+	f.googleConns += o.googleConns
+	f.googleCC += o.googleCC
+	f.otherConns += o.otherConns
+	f.otherCC += o.otherCC
+	f.googleNoCC.Merge(&o.googleNoCC)
+}
+
+func (h *houseFold) resolverPerformance() ResolverPerformance {
+	f := &h.resolvers
 	out := ResolverPerformance{
 		HitRate:    make(map[resolver.PlatformID]float64),
 		RDelays:    make(map[resolver.PlatformID]*stats.ECDF),
 		Throughput: make(map[resolver.PlatformID]*stats.ECDF),
-		GoogleNoCC: stats.NewECDF(0),
+		GoogleNoCC: &f.googleNoCC,
 	}
-	sc := make(map[resolver.PlatformID]int)
-	rr := make(map[resolver.PlatformID]int)
-	var googleConns, googleCC, otherConns, otherCC int
-
-	for i := range a.Paired {
-		pc := &a.Paired[i]
-		if pc.Class != ClassSC && pc.Class != ClassR {
-			continue
+	for p, id := range h.platformIDs {
+		g := &h.platforms[p]
+		if g.sc+g.r > 0 {
+			out.HitRate[id] = float64(g.sc) / float64(g.sc+g.r)
+			out.Throughput[id] = &g.throughput
 		}
-		d := &a.DS.DNS[pc.DNS]
-		id, ok := resolver.PlatformOf(d.Resolver, profiles)
-		if !ok {
-			continue
-		}
-		conn := &a.DS.Conns[pc.Conn]
-		isCC := d.Query == ConnectivityCheckHost
-
-		if pc.Class == ClassSC {
-			sc[id]++
-		} else {
-			rr[id]++
-			if out.RDelays[id] == nil {
-				out.RDelays[id] = stats.NewECDF(0)
-			}
-			out.RDelays[id].Add(float64(d.Duration()) / float64(time.Millisecond))
-		}
-
-		tput := conn.ThroughputBps()
-		if out.Throughput[id] == nil {
-			out.Throughput[id] = stats.NewECDF(0)
-		}
-		out.Throughput[id].Add(tput)
-		if id == resolver.PlatformGoogle {
-			googleConns++
-			if isCC {
-				googleCC++
-			} else {
-				out.GoogleNoCC.Add(tput)
-			}
-		} else {
-			otherConns++
-			if isCC {
-				otherCC++
-			}
+		if g.r > 0 {
+			out.RDelays[id] = &g.rDelays
 		}
 	}
-	for id := range sc {
-		if sc[id]+rr[id] > 0 {
-			out.HitRate[id] = float64(sc[id]) / float64(sc[id]+rr[id])
-		}
+	if f.googleConns > 0 {
+		out.GoogleCCFraction = float64(f.googleCC) / float64(f.googleConns)
 	}
-	for id := range rr {
-		if _, ok := out.HitRate[id]; !ok {
-			out.HitRate[id] = 0
-		}
-	}
-	if googleConns > 0 {
-		out.GoogleCCFraction = float64(googleCC) / float64(googleConns)
-	}
-	if otherConns > 0 {
-		out.NonGoogleCCFraction = float64(otherCC) / float64(otherConns)
+	if f.otherConns > 0 {
+		out.NonGoogleCCFraction = float64(f.otherCC) / float64(f.otherConns)
 	}
 	return out
 }

@@ -1,5 +1,7 @@
 package core
 
+import "dnscontext/internal/trace"
+
 // NoDNS is §5.1's dissection of the N connections (no DNS information).
 type NoDNS struct {
 	// Total is the number of N connections.
@@ -20,31 +22,56 @@ type NoDNS struct {
 }
 
 // NoDNS computes the §5.1 breakdown.
-func (a *Analysis) NoDNS() NoDNS {
-	out := NoDNS{ReservedPortCounts: make(map[uint16]int)}
-	unpairedNonP2P := 0
-	for i := range a.Paired {
-		pc := &a.Paired[i]
-		c := &a.DS.Conns[pc.Conn]
-		if c.RespPort == 853 {
-			out.DoTConns++
+func (a *Analysis) NoDNS() NoDNS { return a.fold(foldReq{secs: secNoDNS}).noDNS.result(len(a.Paired)) }
+
+// noDNSFold is a house's share of NoDNS.
+type noDNSFold struct {
+	total, highPort, unpairedNonP2P, dot int
+	reserved                             map[uint16]int // nil until needed
+}
+
+func (f *noDNSFold) conn(pc *PairedConn, c *trace.ConnRecord) {
+	if c.RespPort == 853 {
+		f.dot++
+	}
+	if pc.Class != ClassN {
+		return
+	}
+	f.total++
+	if c.OrigPort >= 1024 && c.RespPort >= 1024 {
+		f.highPort++
+		return
+	}
+	if f.reserved == nil {
+		f.reserved = make(map[uint16]int)
+	}
+	f.reserved[c.RespPort]++
+	f.unpairedNonP2P++
+}
+
+func (f *noDNSFold) merge(o *noDNSFold) {
+	f.total += o.total
+	f.highPort += o.highPort
+	f.unpairedNonP2P += o.unpairedNonP2P
+	f.dot += o.dot
+	for port, n := range o.reserved {
+		if f.reserved == nil {
+			f.reserved = make(map[uint16]int)
 		}
-		if pc.Class != ClassN {
-			continue
-		}
-		out.Total++
-		if c.OrigPort >= 1024 && c.RespPort >= 1024 {
-			out.HighPortFraction++
-		} else {
-			out.ReservedPortCounts[c.RespPort]++
-			unpairedNonP2P++
-		}
+		f.reserved[port] += n
+	}
+}
+
+func (f *noDNSFold) result(conns int) NoDNS {
+	out := NoDNS{Total: f.total, DoTConns: f.dot, ReservedPortCounts: f.reserved}
+	if out.ReservedPortCounts == nil {
+		out.ReservedPortCounts = make(map[uint16]int)
 	}
 	if out.Total > 0 {
-		out.HighPortFraction /= float64(out.Total)
+		out.HighPortFraction = float64(f.highPort) / float64(out.Total)
 	}
-	if len(a.Paired) > 0 {
-		out.UnpairedNonP2PFraction = float64(unpairedNonP2P) / float64(len(a.Paired))
+	if conns > 0 {
+		out.UnpairedNonP2PFraction = float64(f.unpairedNonP2P) / float64(conns)
 	}
 	return out
 }
@@ -53,19 +80,28 @@ func (a *Analysis) NoDNS() NoDNS {
 // of paired connections with exactly one non-expired candidate record
 // (paper: >82%).
 func (a *Analysis) PairingAmbiguity() (unambiguous float64, paired int) {
-	single := 0
-	for i := range a.Paired {
-		pc := &a.Paired[i]
-		if pc.DNS < 0 {
-			continue
-		}
-		paired++
-		if pc.Candidates <= 1 {
-			single++
-		}
+	return a.fold(foldReq{secs: secPairing}).pairing.result()
+}
+
+// pairingFold is a house's share of PairingAmbiguity, over its paired
+// connections.
+type pairingFold struct{ paired, single int }
+
+func (f *pairingFold) conn(pc *PairedConn) {
+	f.paired++
+	if pc.Candidates <= 1 {
+		f.single++
 	}
-	if paired == 0 {
+}
+
+func (f *pairingFold) merge(o *pairingFold) {
+	f.paired += o.paired
+	f.single += o.single
+}
+
+func (f *pairingFold) result() (unambiguous float64, paired int) {
+	if f.paired == 0 {
 		return 0, 0
 	}
-	return float64(single) / float64(paired), paired
+	return float64(f.single) / float64(f.paired), f.paired
 }

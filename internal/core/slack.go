@@ -28,19 +28,33 @@ type Slack struct {
 }
 
 // Slack computes the per-lookup slack analysis over used lookups.
-func (a *Analysis) Slack() Slack {
-	out := Slack{FirstUseGap: stats.NewECDF(0)}
-	for i := range a.Paired {
-		pc := &a.Paired[i]
-		if pc.DNS < 0 || !pc.FirstUse {
-			continue
-		}
-		out.TotalLookups++
-		out.FirstUseGap.Add(pc.Gap.Seconds())
-		if pc.Gap <= a.Opts.BlockThreshold {
-			out.BlockedLookups++
-		}
+func (a *Analysis) Slack() Slack { return a.fold(foldReq{secs: secSlack}).slack.result() }
+
+// slackFold is a house's share of Slack, over its paired connections.
+type slackFold struct {
+	total, blocked int
+	gaps           stats.ECDF // seconds, first uses only
+}
+
+func (f *slackFold) conn(pc *PairedConn, block time.Duration) {
+	if !pc.FirstUse {
+		return
 	}
+	f.total++
+	f.gaps.Add(pc.Gap.Seconds())
+	if pc.Gap <= block {
+		f.blocked++
+	}
+}
+
+func (f *slackFold) merge(o *slackFold) {
+	f.total += o.total
+	f.blocked += o.blocked
+	f.gaps.Merge(&o.gaps)
+}
+
+func (f *slackFold) result() Slack {
+	out := Slack{FirstUseGap: &f.gaps, BlockedLookups: f.blocked, TotalLookups: f.total}
 	if out.FirstUseGap.N() > 0 {
 		out.SlackOver10ms = out.FirstUseGap.FractionAbove(0.010)
 		out.SlackOver1s = out.FirstUseGap.FractionAbove(1)
@@ -55,19 +69,28 @@ func (a *Analysis) Slack() Slack {
 // (Connections already blocked stay blocked; a cache-served connection
 // blocks only if the extra delay exceeds its observed slack.)
 func (a *Analysis) TolerableExtraDelay(extra time.Duration) (newlyBlockedFraction float64) {
-	var newly, considered int
-	for i := range a.Paired {
-		pc := &a.Paired[i]
-		if pc.DNS < 0 {
-			continue
-		}
-		considered++
-		if pc.Gap > a.Opts.BlockThreshold && pc.Gap <= a.Opts.BlockThreshold+extra {
-			newly++
-		}
+	return a.fold(foldReq{secs: secTolerable, extra: extra}).tolerable.result()
+}
+
+// tolerableFold is a house's share of TolerableExtraDelay, over its
+// paired connections.
+type tolerableFold struct{ newly, considered int }
+
+func (f *tolerableFold) conn(pc *PairedConn, block, extra time.Duration) {
+	f.considered++
+	if pc.Gap > block && pc.Gap <= block+extra {
+		f.newly++
 	}
-	if considered == 0 {
+}
+
+func (f *tolerableFold) merge(o *tolerableFold) {
+	f.newly += o.newly
+	f.considered += o.considered
+}
+
+func (f *tolerableFold) result() float64 {
+	if f.considered == 0 {
 		return 0
 	}
-	return float64(newly) / float64(considered)
+	return float64(f.newly) / float64(f.considered)
 }

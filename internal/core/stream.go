@@ -301,17 +301,7 @@ func (r *streamRun) dataset() *trace.Dataset {
 
 // observeDNS folds one DNS record into the whole-trace accumulators.
 func (r *streamRun) observeDNS(d *trace.DNSRecord) {
-	r.failures.Lookups++
-	if failureRecord(d) {
-		r.failures.ServFails++
-	}
-	if d.Retries > 0 {
-		r.failures.Retried++
-		r.failures.TotalRetries += int(d.Retries)
-	}
-	if d.TC {
-		r.failures.TCPFallbacks++
-	}
+	r.failures.add(d)
 	rs, ok := r.rsyms[d.Resolver]
 	if !ok {
 		rs = int32(len(r.resolvers))

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dnscontext/internal/stats"
+	"dnscontext/internal/trace"
 )
 
 // TTLViolations is §5.2's analysis of connections using DNS records past
@@ -29,49 +30,70 @@ type TTLViolations struct {
 
 // TTLViolations computes the expired-record-use analysis.
 func (a *Analysis) TTLViolations() TTLViolations {
-	var out TTLViolations
-	out.Lateness = stats.NewECDF(0)
-	var lc, lcExp, p, pExp int
-	gapsP := stats.NewECDF(0)
-	gapsLC := stats.NewECDF(0)
-	for i := range a.Paired {
-		pc := &a.Paired[i]
-		switch pc.Class {
-		case ClassLC:
-			lc++
-			gapsLC.Add(pc.Gap.Seconds())
-			if pc.UsedExpired {
-				lcExp++
-			}
-		case ClassP:
-			p++
-			gapsP.Add(pc.Gap.Seconds())
-			if pc.UsedExpired {
-				pExp++
-			}
-		default:
-			continue
-		}
+	return a.fold(foldReq{secs: secTTL}).ttl.result()
+}
+
+// ttlFold is a house's share of TTLViolations.
+type ttlFold struct {
+	lc, lcExp, p, pExp      int
+	lateness, gapsP, gapsLC stats.ECDF // seconds
+}
+
+func (f *ttlFold) conn(pc *PairedConn, c *trace.ConnRecord, expiry []time.Duration) {
+	switch pc.Class {
+	case ClassLC:
+		f.lc++
+		f.gapsLC.Add(pc.Gap.Seconds())
 		if pc.UsedExpired {
-			d := &a.DS.DNS[pc.DNS]
-			late := a.DS.Conns[pc.Conn].TS - d.ExpiresAt()
-			out.Lateness.Add(late.Seconds())
+			f.lcExp++
 		}
+	case ClassP:
+		f.p++
+		f.gapsP.Add(pc.Gap.Seconds())
+		if pc.UsedExpired {
+			f.pExp++
+		}
+	default:
+		return
 	}
-	if lc > 0 {
-		out.LCExpiredFraction = float64(lcExp) / float64(lc)
+	if pc.UsedExpired {
+		f.lateness.Add((c.TS - expiry[pc.DNS]).Seconds())
 	}
-	if p > 0 {
-		out.PExpiredFraction = float64(pExp) / float64(p)
+}
+
+// reserve sizes the gap curves for a house with n connections per
+// class.
+func (f *ttlFold) reserve(n *[numClasses]int) {
+	f.gapsLC.Grow(n[ClassLC])
+	f.gapsP.Grow(n[ClassP])
+}
+
+func (f *ttlFold) merge(o *ttlFold) {
+	f.lc += o.lc
+	f.lcExp += o.lcExp
+	f.p += o.p
+	f.pExp += o.pExp
+	f.lateness.Merge(&o.lateness)
+	f.gapsP.Merge(&o.gapsP)
+	f.gapsLC.Merge(&o.gapsLC)
+}
+
+func (f *ttlFold) result() TTLViolations {
+	out := TTLViolations{Lateness: &f.lateness}
+	if f.lc > 0 {
+		out.LCExpiredFraction = float64(f.lcExp) / float64(f.lc)
+	}
+	if f.p > 0 {
+		out.PExpiredFraction = float64(f.pExp) / float64(f.p)
 	}
 	if out.Lateness.N() > 0 {
 		out.LatenessBeyond30s = out.Lateness.FractionAbove(30)
 	}
-	if gapsP.N() > 0 {
-		out.GapMedianP = time.Duration(gapsP.Median() * float64(time.Second))
+	if f.gapsP.N() > 0 {
+		out.GapMedianP = time.Duration(f.gapsP.Median() * float64(time.Second))
 	}
-	if gapsLC.N() > 0 {
-		out.GapMedianLC = time.Duration(gapsLC.Median() * float64(time.Second))
+	if f.gapsLC.N() > 0 {
+		out.GapMedianLC = time.Duration(f.gapsLC.Median() * float64(time.Second))
 	}
 	return out
 }
@@ -91,27 +113,34 @@ type Prefetch struct {
 
 // Prefetch computes the unused-lookup analysis.
 func (a *Analysis) Prefetch() Prefetch {
-	var out Prefetch
-	out.TotalLookups = len(a.DS.DNS)
-	for _, used := range a.DNSUsed {
-		if !used {
-			out.UnusedLookups++
-		}
+	return a.fold(foldReq{secs: secPrefetch}).prefetch.result(len(a.DS.DNS))
+}
+
+// prefetchFold is a house's share of Prefetch: its unused lookups, and
+// its lookups whose first use was a P connection. Classification marks
+// exactly one connection per used lookup as its first use, so counting
+// those connections counts the distinct lookups.
+type prefetchFold struct{ unused, pFirst int }
+
+func (f *prefetchFold) conn(pc *PairedConn) {
+	if pc.Class == ClassP && pc.FirstUse {
+		f.pFirst++
 	}
+}
+
+func (f *prefetchFold) merge(o *prefetchFold) {
+	f.unused += o.unused
+	f.pFirst += o.pFirst
+}
+
+func (f *prefetchFold) result(lookups int) Prefetch {
+	out := Prefetch{TotalLookups: lookups, UnusedLookups: f.unused}
 	if out.TotalLookups > 0 {
 		out.UnusedFraction = float64(out.UnusedLookups) / float64(out.TotalLookups)
 	}
-	// Count distinct lookups whose first use was a P connection.
-	pLookups := make(map[int]bool)
-	for i := range a.Paired {
-		pc := &a.Paired[i]
-		if pc.Class == ClassP && pc.FirstUse {
-			pLookups[pc.DNS] = true
-		}
-	}
-	speculative := len(pLookups) + out.UnusedLookups
+	speculative := f.pFirst + out.UnusedLookups
 	if speculative > 0 {
-		out.SpeculativeUsedFraction = float64(len(pLookups)) / float64(speculative)
+		out.SpeculativeUsedFraction = float64(f.pFirst) / float64(speculative)
 	}
 	return out
 }

@@ -1,8 +1,8 @@
 // Package parallel provides the concurrency building blocks behind the
 // analysis pipeline: a bounded worker pool with cooperative cancellation
-// (ForEach / Map), a deterministic sharder that partitions index ranges
-// by key (ShardBy), and contiguous chunking for order-preserving merges
-// (Chunks).
+// (ForEach / ForEachWorker / Map), a deterministic sharder that
+// partitions index ranges by key (ShardBy), and contiguous chunking for
+// order-preserving merges (Chunks).
 //
 // Determinism is the package's contract. ShardBy orders shards by first
 // appearance, so the same input always yields the same shard IDs; Map
@@ -32,6 +32,14 @@ func Workers(n int) int {
 // are skipped in either case. With one worker the items run in index
 // order on the calling goroutine.
 func ForEach(ctx context.Context, workers, n int, fn func(int) error) error {
+	return ForEachWorker(ctx, workers, n, func(_, i int) error { return fn(i) })
+}
+
+// ForEachWorker is ForEach that also tells fn which worker runs item i:
+// w is in [0, min(Workers(workers), n)), and one worker runs its items
+// one at a time, so per-worker state indexed by w (a scratch buffer
+// reused across items) needs no locking.
+func ForEachWorker(ctx context.Context, workers, n int, fn func(w, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -44,7 +52,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(int) error) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -78,7 +86,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(int) error) error {
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(g, i); err != nil {
 					fail(err)
 					return
 				}

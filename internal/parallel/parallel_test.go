@@ -92,6 +92,36 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// TestForEachWorkerOwnsItsIndex checks ForEachWorker's contract: worker
+// indices stay below the pool width, every item runs once, and no two
+// items run on the same worker index at the same time.
+func TestForEachWorkerOwnsItsIndex(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		var busy [8]atomic.Int32
+		var seen [300]atomic.Int32
+		err := ForEachWorker(context.Background(), workers, len(seen), func(w, i int) error {
+			if w < 0 || w >= workers {
+				t.Errorf("workers=%d: worker index %d", workers, w)
+				return nil
+			}
+			if busy[w].Add(1) != 1 {
+				t.Errorf("workers=%d: worker %d runs two items at once", workers, w)
+			}
+			seen[i].Add(1)
+			busy[w].Add(-1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range seen {
+			if n := seen[i].Load(); n != 1 {
+				t.Fatalf("workers=%d: item %d ran %d times", workers, i, n)
+			}
+		}
+	}
+}
+
 func TestMapOrdersResults(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		out, err := Map(context.Background(), workers, 50, func(i int) (int, error) {

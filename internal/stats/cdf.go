@@ -3,12 +3,14 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // ECDF is an empirical cumulative distribution function over float64
 // samples. Samples are accumulated with Add and the distribution is
-// finalized (sorted) lazily on first query.
+// finalized (sorted) lazily on first query, or up front with Finalize.
+// The zero value is an empty distribution, ready to use.
 type ECDF struct {
 	xs     []float64
 	sorted bool
@@ -36,12 +38,34 @@ func (e *ECDF) AddAll(xs []float64) {
 	}
 }
 
+// Merge appends o's samples to e, in the order o holds them. o is not
+// modified.
+func (e *ECDF) Merge(o *ECDF) {
+	if len(o.xs) == 0 {
+		return
+	}
+	e.xs = append(e.xs, o.xs...)
+	e.sorted = false
+}
+
+// Grow reserves room for n more samples, so the next n Adds (or Merges
+// totalling n) do not reallocate.
+func (e *ECDF) Grow(n int) { e.xs = slices.Grow(e.xs, n) }
+
 // N returns the number of samples.
 func (e *ECDF) N() int { return len(e.xs) }
 
+// Finalize sorts the samples now rather than at the first query. Queries
+// on a finalized ECDF only read it, so after Finalize (and until the
+// next Add) it is safe for concurrent readers, and distinct ECDFs can be
+// finalized concurrently.
+func (e *ECDF) Finalize() { e.finalize() }
+
+// finalize sorts in place (see sortFloat64s): no scratch proportional
+// to the sample count, so sorting never raises the heap.
 func (e *ECDF) finalize() {
 	if !e.sorted {
-		sort.Float64s(e.xs)
+		sortFloat64s(e.xs)
 		e.sorted = true
 	}
 }
