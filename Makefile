@@ -71,11 +71,20 @@ report-parity:
 # Bulk-scan determinism gate: a pinned simulated scan (fixed seed,
 # synthetic feed) must reproduce the golden digest of its sorted JSONL
 # stream in testdata/scan_digest.txt, byte-identically at several
-# concurrencies (the PR 8 bulk-engine invariant). Intentional model
-# changes regenerate it with -update-scan-golden. Also covered by
-# `race`, but named so the gate is visible.
+# concurrencies (the bulk engine's determinism contract), and the
+# golden hash of its dnsscan_* metrics snapshot. Intentional model
+# changes regenerate the digest with -update-scan-golden. Also run: the
+# "ms" formatter's differential test against strconv, feed lengths on
+# and around batch boundaries, and interrupted runs (feed error,
+# cancellation, output error) that must leave only whole lines. The
+# simulated scan pipelines its batches across goroutines, so the
+# determinism and interruption tests also run five times under the race
+# detector.
+SIMTESTS = TestScanGoldenDigest|TestSimMetricsGolden|TestSimDeterministicAcrossConcurrency|TestSimFeedErrorFlushesWholeLines|TestSimCancelStopsAtBatchBoundary|TestSimWriteErrorStopsRun
+
 scan:
-	$(GO) test ./internal/bulk -run='TestScanGoldenDigest|TestSimDeterministicAcrossConcurrency' -count=1
+	$(GO) test ./internal/bulk -run='^($(SIMTESTS)|TestAppendMillisMatchesStrconv)$$' -count=1
+	$(GO) test ./internal/bulk -race -run='^($(SIMTESTS))$$' -count=5
 
 # Chaos soak of the hardened DNS server under the race detector: several
 # seconds of mixed valid/garbage/panicking queries against a small queue

@@ -34,16 +34,17 @@ type flight struct {
 	subs int // joiners beyond the leader, under the coalescer lock
 }
 
-// coalescer deduplicates in-flight exchanges by key.
+// coalescer deduplicates in-flight exchanges by (name, type). Query is
+// comparable, so it keys the map as is, with no per-lookup key string.
 type coalescer struct {
 	runCtx context.Context
 	mu     sync.Mutex
-	flying map[string]*flight
+	flying map[Query]*flight
 	hits   uint64
 }
 
 func newCoalescer(runCtx context.Context) *coalescer {
-	return &coalescer{runCtx: runCtx, flying: make(map[string]*flight)}
+	return &coalescer{runCtx: runCtx, flying: make(map[Query]*flight)}
 }
 
 // do returns the outcome for key, either by leading the exchange (call
@@ -51,7 +52,7 @@ func newCoalescer(runCtx context.Context) *coalescer {
 // one. coalesced reports which happened. A subscriber whose ctx is
 // cancelled gets ctx's error; the flight itself continues for the
 // others.
-func (c *coalescer) do(ctx context.Context, key string, fn func(context.Context) (*dnswire.Message, int, error)) (res flightResult, coalesced bool, err error) {
+func (c *coalescer) do(ctx context.Context, key Query, fn func(context.Context) (*dnswire.Message, int, error)) (res flightResult, coalesced bool, err error) {
 	c.mu.Lock()
 	if fl, ok := c.flying[key]; ok {
 		fl.subs++

@@ -56,7 +56,7 @@ func TestCoalescerSharesOneExchange(t *testing.T) {
 		i := i
 		go func() {
 			defer wg.Done()
-			results[i], coalesced[i], errs[i] = co.do(context.Background(), "shared.example\x00A",
+			results[i], coalesced[i], errs[i] = co.do(context.Background(), Query{Name: "shared.example", Type: dnswire.TypeA},
 				func(runCtx context.Context) (*dnswire.Message, int, error) {
 					msg, err := g.Query(runCtx, "shared.example", dnswire.TypeA)
 					return msg, 1, err
@@ -102,7 +102,7 @@ func TestCoalescerSharesOneExchange(t *testing.T) {
 func TestCoalescerCancelDoesNotStarve(t *testing.T) {
 	g := newGateExchanger()
 	co := newCoalescer(context.Background())
-	key := "shared.example\x00A"
+	key := Query{Name: "shared.example", Type: dnswire.TypeA}
 	fn := func(runCtx context.Context) (*dnswire.Message, int, error) {
 		msg, err := g.Query(runCtx, "shared.example", dnswire.TypeA)
 		return msg, 1, err
@@ -180,7 +180,7 @@ func TestCoalescerSequentialFlightsDoNotShare(t *testing.T) {
 	var calls atomic.Int64
 	co := newCoalescer(context.Background())
 	for i := 0; i < 3; i++ {
-		_, coalesced, err := co.do(context.Background(), "k", func(context.Context) (*dnswire.Message, int, error) {
+		_, coalesced, err := co.do(context.Background(), Query{Name: "k", Type: dnswire.TypeA}, func(context.Context) (*dnswire.Message, int, error) {
 			calls.Add(1)
 			return &dnswire.Message{}, 1, nil
 		})

@@ -3,6 +3,7 @@ package bulk
 import (
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dnscontext/internal/dnswire"
@@ -134,13 +135,17 @@ type engMetrics struct {
 	coalesced *obs.Counter
 	latency   *obs.Timer
 	byStatus  *obs.CounterVec
+	// status holds byStatus's member for each status, resolved on first
+	// use, so the exposition lists only statuses that occurred and a
+	// lookup pays no label join or family lock.
+	status [numStatuses]atomic.Pointer[obs.Counter]
 }
 
-func newEngMetrics(reg *obs.Registry) engMetrics {
+func newEngMetrics(reg *obs.Registry) *engMetrics {
 	if reg == nil {
-		return engMetrics{}
+		return &engMetrics{}
 	}
-	return engMetrics{
+	return &engMetrics{
 		queries:   reg.Counter("dnsscan_queries_total", "Lookups completed by the bulk engine."),
 		inflight:  reg.Gauge("dnsscan_inflight", "Lookups currently in flight."),
 		coalesced: reg.Counter("dnsscan_coalesce_hits_total", "Lookups answered by joining another query's in-flight exchange."),
@@ -156,7 +161,13 @@ func (m *engMetrics) observe(r *Result) {
 		m.coalesced.Inc()
 	}
 	if m.byStatus != nil {
-		m.byStatus.With(r.Status.String()).Inc()
+		c := m.status[r.Status].Load()
+		if c == nil {
+			// Racing first uses resolve the same member; either store wins.
+			c = m.byStatus.With(r.Status.String())
+			m.status[r.Status].Store(c)
+		}
+		c.Inc()
 	}
 }
 
@@ -197,7 +208,10 @@ type sink struct {
 	lat     []float64
 }
 
-func (s *summarizer) newSink() *sink { return &sink{s: s} }
+// newSink returns a lane with room for capacity latency samples.
+func (s *summarizer) newSink(capacity int) *sink {
+	return &sink{s: s, lat: make([]float64, 0, capacity)}
+}
 
 func (k *sink) observe(r *Result) {
 	k.queries++

@@ -142,7 +142,7 @@ func RunLive(ctx context.Context, src Source, ex LiveExchanger, opts Options) (*
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			lane := sum.newSink()
+			lane := sum.newSink(0)
 			defer lane.flush()
 			for t := range tasks {
 				r := Result{Index: t.idx, Name: t.q.Name, Type: t.q.Type}
@@ -152,8 +152,7 @@ func RunLive(ctx context.Context, src Source, ex LiveExchanger, opts Options) (*
 					msg, err := ex.Query(ctx, t.q.Name, t.q.Type)
 					fillLive(&r, msg, err, 0, false)
 				} else {
-					key := t.q.Name + "\x00" + t.q.Type.String()
-					res, coalesced, err := co.do(ctx, key, func(runCtx context.Context) (*dnswire.Message, int, error) {
+					res, coalesced, err := co.do(ctx, t.q, func(runCtx context.Context) (*dnswire.Message, int, error) {
 						msg, err := ex.Query(runCtx, t.q.Name, t.q.Type)
 						return msg, 0, err
 					})

@@ -9,16 +9,15 @@ import (
 	"time"
 )
 
-// resultWriter serializes results as JSONL. Encoding is hand-rolled into
-// a reused buffer: names are charset-validated at ingest, so no field
-// ever needs escaping, and the encoder allocates nothing per line. The
-// writer is safe for concurrent use (the live path's workers share it);
-// the simulated path emits batches in feed order under the same lock.
+// resultWriter serializes the live path's results as JSONL, one line
+// per completion. Encoding is hand-rolled into a reused buffer (see
+// appendResult). The writer is safe for concurrent use: the live path's
+// workers share it. The simulated path encodes in its parallel phase and
+// writes whole batches itself (see simBatchBuf).
 type resultWriter struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
 	buf []byte
-	n   uint64
 	// Checkpoint coupling (live path only; both nil/zero otherwise).
 	// tracker.complete runs under mu, in the same critical section that
 	// hands the line to the buffered writer — the exactly-once invariant:
@@ -29,7 +28,7 @@ type resultWriter struct {
 	bytes   int64 // bytes accepted by w since then
 }
 
-// newResultWriter wraps w; a nil w discards results but still counts.
+// newResultWriter wraps w; a nil w discards results.
 func newResultWriter(w io.Writer) *resultWriter {
 	if w == nil {
 		w = io.Discard
@@ -43,7 +42,6 @@ func (rw *resultWriter) write(r *Result) error {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
 	rw.buf = appendResult(rw.buf[:0], r)
-	rw.n++
 	n, err := rw.w.Write(rw.buf)
 	rw.bytes += int64(n)
 	if err == nil && rw.tracker != nil {
@@ -66,21 +64,6 @@ func (rw *resultWriter) checkpointSnapshot() (watermark uint64, extras []uint64,
 	return watermark, extras, rw.base + rw.bytes, nil
 }
 
-// writeBatch emits a slice of results under one lock acquisition — the
-// simulated path's per-batch flush, preserving feed order.
-func (rw *resultWriter) writeBatch(rs []Result) error {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	for i := range rs {
-		rw.buf = appendResult(rw.buf[:0], &rs[i])
-		rw.n++
-		if _, err := rw.w.Write(rw.buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // flush drains the buffered writer.
 func (rw *resultWriter) flush() error {
 	rw.mu.Lock()
@@ -91,7 +74,10 @@ func (rw *resultWriter) flush() error {
 // appendResult appends r's JSONL line (with trailing newline) to buf.
 // Field order is fixed; default-false flags and empty collections are
 // omitted, so the encoding is a pure deterministic function of the
-// result — the property the simulated path's digest gate relies on.
+// result — the property the simulated path's digest gate relies on, and
+// what lets it encode a batch's lines in parallel. Names are
+// charset-validated at ingest, so no field ever needs escaping, and the
+// encoder allocates nothing per line.
 func appendResult(buf []byte, r *Result) []byte {
 	buf = append(buf, `{"i":`...)
 	buf = strconv.AppendUint(buf, r.Index, 10)
@@ -104,7 +90,7 @@ func appendResult(buf []byte, r *Result) []byte {
 	buf = append(buf, `","rcode":`...)
 	buf = strconv.AppendUint(buf, uint64(r.RCode), 10)
 	buf = append(buf, `,"ms":`...)
-	buf = strconv.AppendFloat(buf, float64(r.Duration.Nanoseconds())/1e6, 'f', 3, 64)
+	buf = appendMillis(buf, r.Duration)
 	buf = append(buf, `,"attempts":`...)
 	buf = strconv.AppendInt(buf, int64(r.Attempts), 10)
 	if r.Cache {
@@ -136,6 +122,32 @@ func appendResult(buf []byte, r *Result) []byte {
 	}
 	buf = append(buf, '}', '\n')
 	return buf
+}
+
+// exactMillisLimit bounds appendMillis's integer path: 2^50 ns, about
+// 13 days.
+const exactMillisLimit = 1 << 50
+
+// appendMillis appends d in milliseconds with three decimals, the bytes
+// of strconv.AppendFloat(buf, float64(d.Nanoseconds())/1e6, 'f', 3, 64),
+// which for a fixed precision always takes strconv's slow exact path.
+// The integer path rounds to the nearest microsecond instead. That is
+// exact away from a tie: ns is an integer, so unless ns ≡ 500 (mod
+// 1000) the true value ns/1e6 lies at least 1 ns (1e-6 ms) from the
+// nearest rounding boundary, while the float64 quotient is within half
+// an ulp of the true value, under 1.2e-7 ms below 2^50 ns. The float
+// therefore rounds to the same three decimals as the true value. At a
+// tie the float's own rounding error picks the side, and for negative or
+// huge values the margin argument does not hold, so those take strconv.
+func appendMillis(buf []byte, d time.Duration) []byte {
+	ns := int64(d)
+	if ns < 0 || ns >= exactMillisLimit || ns%1000 == 500 {
+		return strconv.AppendFloat(buf, float64(ns)/1e6, 'f', 3, 64)
+	}
+	us := (ns + 500) / 1000
+	buf = strconv.AppendInt(buf, us/1000, 10)
+	frac := us % 1000
+	return append(buf, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // WriteSummary renders the end-of-run summary as a human-readable block

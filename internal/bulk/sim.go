@@ -3,6 +3,7 @@ package bulk
 import (
 	"context"
 	"fmt"
+	"io"
 	"time"
 
 	"dnscontext/internal/parallel"
@@ -61,10 +62,10 @@ func (c SimConfig) withDefaults() SimConfig {
 // shard's in-flight coalescing window.
 type simShard struct {
 	rec *resolver.Recursive
-	// inflight maps a query key to its most recent wire exchange; a
+	// inflight maps a (name, type) to its most recent wire exchange; a
 	// later query whose virtual arrival falls inside the exchange's
 	// window joins it instead of re-asking (see resolveOne).
-	inflight map[string]simWindow
+	inflight map[Query]simWindow
 }
 
 // simWindow is one completed exchange's reusable span: its end in
@@ -120,7 +121,7 @@ func NewSimBackend(cfg SimConfig) (*SimBackend, error) {
 	for k := 0; k < cfg.Shards; k++ {
 		b.shards = append(b.shards, &simShard{
 			rec:      resolver.NewRecursive(prof, auth, stats.NewRNG(cfg.Seed+uint64(k)+1)),
-			inflight: make(map[string]simWindow),
+			inflight: make(map[Query]simWindow),
 		})
 	}
 	return b, nil
@@ -144,94 +145,186 @@ func (b *SimBackend) HitRate() float64 {
 
 // simBatch is the engine's unit of streaming: queries are read from the
 // source in fixed-size batches, sharded, resolved in parallel across
-// shards, and emitted in feed order before the next batch is read, so
-// memory stays bounded by the batch size while shard state (caches,
-// coalescing windows) persists across batches.
-const simBatch = 1 << 15
+// shards, encoded, and written in feed order. Two batch buffers rotate
+// through RunSim's pipeline, so memory stays bounded by twice the batch
+// size while shard state (caches, coalescing windows) persists across
+// batches.
+const simBatch = 1 << 13
+
+// simEncodeChunk is the number of consecutive lines one encoding task
+// formats into one of a batch's line buffers.
+const simEncodeChunk = 1 << 10
+
+// simBatchBuf is one batch on its way through RunSim; every array is
+// reused from batch to batch.
+type simBatchBuf struct {
+	base    uint64 // feed index of queries[0]
+	queries []Query
+	results []Result
+	// items lists, per shard, the batch indices routed to it in feed
+	// order; active lists the shards that have any.
+	items  [][]int32
+	active []int
+	// lines holds the encoded results, one buffer per simEncodeChunk
+	// consecutive indices; written in order they are the batch's stream.
+	lines [][]byte
+}
+
+func newSimBatchBuf(shards int) *simBatchBuf {
+	return &simBatchBuf{
+		queries: make([]Query, 0, simBatch),
+		results: make([]Result, simBatch),
+		items:   make([][]int32, shards),
+		lines:   make([][]byte, simBatch/simEncodeChunk),
+	}
+}
+
+// fill reads the next batch, whose first query has feed index base, and
+// routes each query to its shard by a stable hash of the name (ascending
+// index within a shard ⇒ ascending virtual arrival). It returns the
+// source's error; the queries read before it stay in the batch.
+func (bb *simBatchBuf) fill(src Source, base uint64) error {
+	bb.base = base
+	bb.queries = bb.queries[:0]
+	for len(bb.queries) < simBatch && src.Scan() {
+		bb.queries = append(bb.queries, src.Query())
+	}
+	for _, k := range bb.active {
+		bb.items[k] = bb.items[k][:0]
+	}
+	bb.active = bb.active[:0]
+	for i := range bb.queries {
+		k := int(fnv64a(bb.queries[i].Name) % uint64(len(bb.items)))
+		if len(bb.items[k]) == 0 {
+			bb.active = append(bb.active, k)
+		}
+		bb.items[k] = append(bb.items[k], int32(i))
+	}
+	return src.Err()
+}
+
+// resolve runs the batch's parallel phase: each shard resolves its
+// queries in feed order, workers parallelizing across shards; then the
+// lines are encoded, workers parallelizing across chunks of consecutive
+// indices.
+func (bb *simBatchBuf) resolve(ctx context.Context, b *SimBackend, workers int, rp resolver.RetryPolicy, noCoalesce bool) error {
+	err := parallel.ForEach(ctx, workers, len(bb.active), func(a int) error {
+		k := bb.active[a]
+		sh := b.shards[k]
+		for _, idx := range bb.items[k] {
+			b.resolveOne(sh, bb.base+uint64(idx), &bb.queries[idx], rp, noCoalesce, &bb.results[idx])
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	n := len(bb.queries)
+	return parallel.ForEach(ctx, workers, bb.chunks(), func(c int) error {
+		line := bb.lines[c][:0]
+		for i := c * simEncodeChunk; i < min((c+1)*simEncodeChunk, n); i++ {
+			line = appendResult(line, &bb.results[i])
+		}
+		bb.lines[c] = line
+		return nil
+	})
+}
+
+func (bb *simBatchBuf) chunks() int {
+	return (len(bb.queries) + simEncodeChunk - 1) / simEncodeChunk
+}
+
+// write folds the resolved batch into the metrics and a summary lane, and
+// writes its lines, both in feed order.
+func (bb *simBatchBuf) write(w io.Writer, met *engMetrics, sum *summarizer) error {
+	rs := bb.results[:len(bb.queries)]
+	lane := sum.newSink(len(rs))
+	for i := range rs {
+		met.observe(&rs[i])
+		lane.observe(&rs[i])
+	}
+	lane.flush()
+	for _, line := range bb.lines[:bb.chunks()] {
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // RunSim streams src through the simulated backend and returns the run
 // summary. Results are written to opts.Output in feed order (the stream
 // itself is byte-deterministic, not merely its sorted digest).
+//
+// The loop is a three-stage pipeline over two rotating batch buffers:
+// while batch k resolves and encodes on the workers, the calling
+// goroutine writes batch k−1 and then reads and shards batch k+1 into
+// the buffer batch k−1 vacated. Shard state is touched only by the
+// resolve stage, one batch at a time in feed order, so the pipeline
+// cannot reach the results.
+//
+// A feed error ends the run once every line before it is answered; a
+// cancelled ctx ends it at a batch boundary. Either way every answered
+// line is written whole, and the partial summary comes back with the
+// error. An output error returns no summary.
 func RunSim(ctx context.Context, src Source, b *SimBackend, opts Options) (*Summary, error) {
 	start := time.Now()
 	workers := parallel.Workers(opts.Concurrency)
 	retry := opts.retry()
 	met := newEngMetrics(opts.Metrics)
-	out := newResultWriter(opts.Output)
+	out := opts.Output
+	if out == nil {
+		out = io.Discard
+	}
 	sum := &summarizer{}
 
-	queries := make([]Query, 0, simBatch)
-	results := make([]Result, simBatch)
-	// Per-shard item lists, reused across batches.
-	items := make([][]int32, len(b.shards))
-	active := make([]int, 0, len(b.shards))
-
-	var base uint64
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		queries = queries[:0]
-		for len(queries) < simBatch && src.Scan() {
-			queries = append(queries, src.Query())
-		}
-		if err := src.Err(); err != nil {
-			return nil, err
-		}
-		if len(queries) == 0 {
+	cur, spare := newSimBatchBuf(len(b.shards)), newSimBatchBuf(len(b.shards))
+	feedErr := cur.fill(src, 0)
+	pending := false // spare holds a resolved batch not yet written
+	var runErr error
+	for len(cur.queries) > 0 {
+		if runErr = ctx.Err(); runErr != nil {
 			break
 		}
-
-		// Shard the batch: stable hash of the name, feed order within
-		// each shard (ascending index ⇒ ascending virtual arrival).
-		active = active[:0]
-		for i := range queries {
-			k := int(fnv64a(queries[i].Name) % uint64(len(b.shards)))
-			if len(items[k]) == 0 {
-				active = append(active, k)
-			}
-			items[k] = append(items[k], int32(i))
+		met.inflight.Set(int64(len(cur.queries)))
+		resolved := make(chan error, 1)
+		go func(bb *simBatchBuf) {
+			resolved <- bb.resolve(ctx, b, workers, retry, opts.NoCoalesce)
+		}(cur)
+		var writeErr error
+		if pending {
+			writeErr = spare.write(out, met, sum)
 		}
-
-		met.inflight.Set(int64(len(queries)))
-		lane := sum.newSink() // batch-local; flushed under the summarizer lock
-		err := parallel.ForEach(ctx, workers, len(active), func(a int) error {
-			k := active[a]
-			sh := b.shards[k]
-			for _, idx := range items[k] {
-				q := &queries[idx]
-				r := &results[idx]
-				b.resolveOne(sh, base+uint64(idx), q, retry, opts.NoCoalesce, r)
-			}
-			return nil
-		})
+		if feedErr == nil && writeErr == nil {
+			feedErr = spare.fill(src, cur.base+uint64(len(cur.queries)))
+		} else {
+			spare.queries = spare.queries[:0]
+		}
+		runErr = <-resolved
 		met.inflight.Set(0)
-		if err != nil {
-			return nil, err
+		if writeErr != nil {
+			return nil, writeErr
 		}
-
-		rs := results[:len(queries)]
-		for i := range rs {
-			met.observe(&rs[i])
-			lane.observe(&rs[i])
+		if runErr != nil {
+			pending = false // spare was refilled; cur is incomplete
+			break
 		}
-		lane.flush()
-		if err := out.writeBatch(rs); err != nil {
-			return nil, err
-		}
-		for _, k := range active {
-			items[k] = items[k][:0]
-		}
-		base += uint64(len(queries))
+		cur, spare, pending = spare, cur, true
 	}
-	if err := out.flush(); err != nil {
-		return nil, err
+	if pending {
+		if err := spare.write(out, met, sum); err != nil {
+			return nil, err
+		}
 	}
 	skipped := 0
 	if f, ok := src.(*Feed); ok {
 		skipped = f.Stats().Skipped
 	}
-	return sum.finish(time.Since(start), skipped), nil
+	s := sum.finish(time.Since(start), skipped)
+	if runErr != nil {
+		return s, runErr
+	}
+	return s, feedErr
 }
 
 // resolveOne resolves one query on its shard at virtual arrival time
@@ -246,9 +339,8 @@ func (b *SimBackend) resolveOne(sh *simShard, gi uint64, q *Query, rp resolver.R
 	arrival := time.Duration(gi) * b.gap
 	*r = Result{Index: gi, Name: q.Name, Type: q.Type}
 
-	key := q.Name + "\x00" + q.Type.String()
 	if !noCoalesce {
-		if w, ok := sh.inflight[key]; ok && arrival < w.end {
+		if w, ok := sh.inflight[*q]; ok && arrival < w.end {
 			r.Status = windowStatus(&w)
 			r.RCode = w.rcode
 			r.Duration = w.end - arrival
@@ -274,7 +366,7 @@ func (b *SimBackend) resolveOne(sh *simShard, gi uint64, q *Query, rp resolver.R
 		r.Status = statusOfRCode(res.RCode)
 	}
 	if !noCoalesce {
-		sh.inflight[key] = simWindow{
+		sh.inflight[*q] = simWindow{
 			end:      arrival + res.Duration,
 			answers:  res.Answers,
 			rcode:    res.RCode,
