@@ -42,7 +42,7 @@ func TestPairAllocFree(t *testing.T) {
 	if sh == nil {
 		t.Fatal("no shard with both conns and dns")
 	}
-	idx := a.buildShardIndex(sh.dns)
+	idx := buildIndex(a.DS.DNS, a.expiry, sh.dns)
 	rng := stats.NewRNG(a.Opts.Seed + uint64(shardID))
 	scratch := make([]int32, 0, 64)
 
@@ -53,7 +53,7 @@ func TestPairAllocFree(t *testing.T) {
 		t.Fatal("probe address unexpectedly indexed")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		dns, cand, s := a.pair(idx, &noMatch, rng, scratch)
+		dns, cand, s := pair(a.Opts.Pairing, idx, &noMatch, rng, scratch)
 		scratch = s
 		if dns != -1 || cand != 0 {
 			t.Fatalf("no-candidate pair = (%d, %d)", dns, cand)
@@ -78,7 +78,7 @@ func TestPairAllocFree(t *testing.T) {
 		t.Skip("trace has no single-candidate connection in the probed shard")
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		dns, _, s := a.pair(idx, &single, rng, scratch)
+		dns, _, s := pair(a.Opts.Pairing, idx, &single, rng, scratch)
 		scratch = s
 		if dns < 0 {
 			t.Fatal("single-candidate pair found nothing")
@@ -93,7 +93,7 @@ func TestPairAllocFree(t *testing.T) {
 	allocs = testing.AllocsPerRun(20, func() {
 		for _, ci := range conns {
 			conn := &a.DS.Conns[ci]
-			_, _, s := a.pair(idx, conn, rng, scratch)
+			_, _, s := pair(a.Opts.Pairing, idx, conn, rng, scratch)
 			scratch = s
 		}
 	})
@@ -117,15 +117,14 @@ func TestClassifyShardAllocBudget(t *testing.T) {
 	if best < 0 || bestConns < 100 {
 		t.Fatalf("no busy shard (best has %d conns)", bestConns)
 	}
-	var counts [numClasses]int
 	perRun := testing.AllocsPerRun(10, func() {
-		a.classifyShard(best, &counts)
+		classifyClient(&a.Opts, best, a.DS.DNS, a.expiry, a.rsym, a.DS.Conns, &a.shards[best])
 	})
 	// Index construction allocates roughly one bucket-map entry per
 	// distinct answered address plus the backing array; budget that as
 	// 0.5 per connection, far below the old one-plus per connection.
 	if budget := 64 + 0.5*float64(bestConns); perRun > budget {
-		t.Fatalf("classifyShard allocates %.0f per pass over %d conns; budget is %.0f",
+		t.Fatalf("classifyClient allocates %.0f per pass over %d conns; budget is %.0f",
 			perRun, bestConns, budget)
 	}
 }
@@ -173,15 +172,15 @@ func TestPartitionReloadAllocBudget(t *testing.T) {
 	}
 	loaded := 0
 	perRun := testing.AllocsPerRun(5, func() {
-		ld := partitionLoader{dir: run.spillDir}
+		ld := partitionLoader{dir: run.spillDir, rsyms: run.rsyms}
 		loaded = 0
 		for p := 0; p < run.parts; p++ {
-			work, err := ld.load(p, run.dnsW.counts[p], run.connW.counts[p])
+			pt, err := ld.load(p, run.dnsW.counts[p], run.connW.counts[p])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range work {
-				loaded += len(w.dns) + len(w.conns)
+			for _, sh := range pt.shards {
+				loaded += len(sh.dns) + len(sh.conns)
 			}
 		}
 	})

@@ -210,7 +210,7 @@ type Analysis struct {
 	Thresholds map[string]time.Duration
 
 	// classCounts tallies connections per class, computed once during
-	// classification so Count and Fraction are O(1).
+	// finalize so Count and Fraction are O(1).
 	classCounts [numClasses]int
 	// Symbol sidecar, built once (serially, so numbering is a function of
 	// dataset order alone) before the parallel phases. qsym/rsym/expiry
@@ -220,21 +220,18 @@ type Analysis struct {
 	qsym   []trace.Sym        // per DNS record: query-name symbol
 	rsym   []int32            // per DNS record: resolver symbol
 	expiry []time.Duration    // per DNS record: precomputed ExpiresAt()
-	// resolverAddrs maps resolver symbols back to addresses
-	// (first-appearance order); resCounts/resMins are each resolver's
-	// lookup count and minimum duration, fused into the symbol pass so
-	// deriveThresholds makes no pass of its own; thByRsym is Thresholds
-	// as a dense slice.
-	resolverAddrs []netip.Addr
-	resCounts     []int
-	resMins       []time.Duration
-	thByRsym      []time.Duration
+	// resolvers is each resolver's address and (count, min-duration)
+	// summary, indexed by resolver symbol (first-appearance order).
+	resolvers []resolverStat
 	// shards partitions the dataset by originating client in
 	// first-appearance order. Clients are houses (the monitor sees one
 	// NAT'd address per residence), so the shards also drive the
-	// per-house what-if simulations. Shard IDs seed the per-shard RNG
+	// per-house what-if simulations. Shard IDs seed the per-client RNG
 	// streams, which is why the order must be deterministic.
 	shards []clientShard
+	// shard is the AnalysisShard the run's clients were classified into
+	// (client i of a resident run is shards[i]); CollectShard returns it.
+	shard *AnalysisShard
 	// refreshOnce guards authTTL/window, the lazily derived inputs shared
 	// by every refresh-policy simulation (possibly running concurrently).
 	// authTTL is indexed by query-name symbol.
@@ -247,20 +244,17 @@ type Analysis struct {
 	// Summary-grade state. An Analysis reduced from streamed shards
 	// (AnalyzeSource over a source bigger than the memory budget, or
 	// AnalysisShard.Finalize) has no resident dataset: DS and Paired are
-	// nil, and the totals, failure stats, and per-connection digest
-	// computed during the reduce live here instead. The in-memory path
-	// fills the totals too, so accessors shared by both grades
-	// (Count/Fraction/Table2/Failures/...) read them uniformly.
+	// nil, and the totals and failure stats computed during the reduce
+	// live here instead. The in-memory path fills the totals too, so
+	// accessors shared by both grades (Count/Fraction/Table2/Failures/...)
+	// read them uniformly.
 	summary   bool
 	dnsTotal  int
 	connTotal int
 	failures  *FailureStats
-	// digestOnce guards digest, the order-independent FNV fold over
-	// every per-connection outcome (see shard.go). For a summary
-	// analysis it is set during the reduce; for a full analysis it is
-	// derived on demand from Paired.
-	digestOnce sync.Once
-	digest     uint64
+	// digest is the order-independent FNV fold over every per-connection
+	// outcome (see shard.go), set by finalize for both grades.
+	digest uint64
 }
 
 // Summary reports whether the analysis is summary-grade: reduced from
@@ -279,8 +273,8 @@ func (a *Analysis) TotalConns() int { return a.connTotal }
 // TotalDNS is the number of DNS transactions the analysis covers.
 func (a *Analysis) TotalDNS() int { return a.dnsTotal }
 
-// clientShard is one per-client slice of the dataset: the client's
-// connection and DNS record indices, each ascending (= time order).
+// clientShard is one client's slice of a pair of record arrays: its
+// connection and DNS record positions, each ascending (= time order).
 type clientShard struct {
 	client netip.Addr
 	conns  []int32
@@ -306,44 +300,44 @@ func (a *Analysis) buildSymbols(ctx context.Context) error {
 // its connection scan.
 func (a *Analysis) adoptSidecars(sc *sidecars) {
 	a.names, a.qsym, a.rsym, a.expiry = sc.names, sc.qsym, sc.rsym, sc.expiry
-	a.resolverAddrs, a.resCounts, a.resMins = sc.resolverAddrs, sc.resCounts, sc.resMins
+	a.resolvers = sc.resolvers
 }
 
-// buildShards partitions the (time-sorted) dataset by client. Pairing
+// buildShards groups two time-sorted record arrays by client: the
+// whole dataset in memory, one spill partition out of core. Pairing
 // only ever matches a connection with lookups from the same originator,
-// so the shards touch disjoint ranges of Paired and DNSUsed and can be
-// classified concurrently without locks. Grouping runs on the worker
-// pool (counting-pass sharding, see parallel.ShardByParallel) with the
-// same first-appearance shard order at every width; the only error is
-// context cancellation.
-func (a *Analysis) buildShards(ctx context.Context) error {
-	connShards, err := parallel.ShardByParallel(ctx, a.Opts.Workers, len(a.DS.Conns),
-		func(i int) netip.Addr { return a.DS.Conns[i].Orig })
+// so the clients can be classified concurrently without locks.
+// Clients come in first-appearance order — connection originators
+// first, then clients that only issued lookups, so the shards
+// partition both arrays completely. Grouping runs on the worker pool
+// (counting-pass sharding, see parallel.ShardByParallel) with the same
+// order at every width; the only error is context cancellation.
+func buildShards(ctx context.Context, workers int, dns []trace.DNSRecord, conns []trace.ConnRecord) ([]clientShard, error) {
+	connShards, err := parallel.ShardByParallel(ctx, workers, len(conns),
+		func(i int) netip.Addr { return conns[i].Orig })
 	if err != nil {
-		return err
+		return nil, err
 	}
-	dnsShards, err := parallel.ShardByParallel(ctx, a.Opts.Workers, len(a.DS.DNS),
-		func(i int) netip.Addr { return a.DS.DNS[i].Client })
+	dnsShards, err := parallel.ShardByParallel(ctx, workers, len(dns),
+		func(i int) netip.Addr { return dns[i].Client })
 	if err != nil {
-		return err
+		return nil, err
 	}
 	dnsOf := make(map[netip.Addr][]int32, len(dnsShards))
 	for _, s := range dnsShards {
 		dnsOf[s.Key] = s.Items
 	}
-	a.shards = make([]clientShard, 0, len(connShards))
+	shards := make([]clientShard, 0, len(connShards)+len(dnsShards))
 	for _, s := range connShards {
-		a.shards = append(a.shards, clientShard{client: s.Key, conns: s.Items, dns: dnsOf[s.Key]})
+		shards = append(shards, clientShard{client: s.Key, conns: s.Items, dns: dnsOf[s.Key]})
 		delete(dnsOf, s.Key)
 	}
-	// Clients that only issued lookups still get (connection-less) shards
-	// so the shard set partitions the DNS dataset completely.
 	for _, s := range dnsShards {
 		if items, ok := dnsOf[s.Key]; ok {
-			a.shards = append(a.shards, clientShard{client: s.Key, dns: items})
+			shards = append(shards, clientShard{client: s.Key, dns: items})
 		}
 	}
-	return nil
+	return shards, nil
 }
 
 // Count returns the number of connections in class c.

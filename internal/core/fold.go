@@ -133,7 +133,7 @@ type platformTable struct {
 }
 
 func (a *Analysis) platformTable(profiles []resolver.PlatformProfile) platformTable {
-	t := platformTable{of: make([]int, len(a.resolverAddrs))}
+	t := platformTable{of: make([]int, len(a.resolvers))}
 	index := make(map[resolver.PlatformID]int, len(profiles))
 	for _, p := range profiles {
 		if _, ok := index[p.ID]; !ok {
@@ -141,9 +141,9 @@ func (a *Analysis) platformTable(profiles []resolver.PlatformProfile) platformTa
 			t.ids = append(t.ids, p.ID)
 		}
 	}
-	for rs, addr := range a.resolverAddrs {
+	for rs := range a.resolvers {
 		t.of[rs] = -1
-		if id, ok := resolver.PlatformOf(addr, profiles); ok {
+		if id, ok := resolver.PlatformOf(a.resolvers[rs].addr, profiles); ok {
 			t.of[rs] = index[id]
 		}
 	}

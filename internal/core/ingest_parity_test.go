@@ -125,15 +125,14 @@ func TestParallelSymbolRemapDeterminism(t *testing.T) {
 					ref.qsym[i], ref.rsym[i], ref.expiry[i])
 			}
 		}
-		if len(got.resolverAddrs) != len(ref.resolverAddrs) {
-			t.Fatalf("workers=%d: %d resolvers, want %d", workers, len(got.resolverAddrs), len(ref.resolverAddrs))
+		if len(got.resolvers) != len(ref.resolvers) {
+			t.Fatalf("workers=%d: %d resolvers, want %d", workers, len(got.resolvers), len(ref.resolvers))
 		}
-		for rs := range ref.resolverAddrs {
-			if got.resolverAddrs[rs] != ref.resolverAddrs[rs] ||
-				got.resCounts[rs] != ref.resCounts[rs] || got.resMins[rs] != ref.resMins[rs] {
+		for rs := range ref.resolvers {
+			if got.resolvers[rs] != ref.resolvers[rs] {
 				t.Fatalf("workers=%d: resolver %d (%v n=%d min=%v), want (%v n=%d min=%v)",
-					workers, rs, got.resolverAddrs[rs], got.resCounts[rs], got.resMins[rs],
-					ref.resolverAddrs[rs], ref.resCounts[rs], ref.resMins[rs])
+					workers, rs, got.resolvers[rs].addr, got.resolvers[rs].lookups, got.resolvers[rs].minDur,
+					ref.resolvers[rs].addr, ref.resolvers[rs].lookups, ref.resolvers[rs].minDur)
 			}
 		}
 	}

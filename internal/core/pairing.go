@@ -9,84 +9,94 @@ import (
 	"dnscontext/internal/trace"
 )
 
-// pairEnt is one candidate in a shard index bucket: the DNS record's
+// pairEnt is one candidate in a client index bucket: the DNS record's
 // completion time and precomputed TTL expiry carried inline next to its
-// dataset index. The pairing scan — binary search plus backward expiry
-// sweep — reads only these entries, walking one contiguous bucket
-// instead of chasing pointers into the (much larger, scattered) record
-// array.
+// client-local position. The pairing scan — binary search plus backward
+// expiry sweep — reads only these entries, walking one contiguous
+// bucket instead of chasing pointers into the (much larger, scattered)
+// record array.
 type pairEnt struct {
 	ts     time.Duration
 	expiry time.Duration
 	idx    int32
 }
 
-// shardIndex is the DN-Hunter lookup structure for one client shard: it
-// maps each answered address to the shard's DNS records (ascending by
+// shardIndex is the DN-Hunter lookup structure for one client: it maps
+// each answered address to the client's DNS records (ascending by
 // completion time) whose answers contain it. The client is implicit —
-// every record in a shard shares one — which is exactly what lets the
-// pipeline shard the trace with no cross-shard pairing candidates.
+// every record indexed shares one — which is exactly what lets the
+// pipeline shard the trace with no cross-client pairing candidates.
 type shardIndex map[netip.Addr][]pairEnt
 
-// buildShardIndex constructs the lookup structure over one shard's DNS
-// records (indices into ds.DNS, ascending). The dataset must be
-// time-sorted.
+// buildIndex constructs the lookup structure over one client's DNS
+// records: local lists the client's records as positions in dns (and
+// expiry, its per-record sidecar), ascending, and each entry stores its
+// position within local. A record enters each distinct answered address
+// once, however often its answer section repeats the address, so a
+// bucket counts records.
 //
 // A counting pre-pass sizes every bucket exactly: all buckets are
 // carved out of one shared backing slice, so the fill pass appends
 // within capacity and the grow-by-append reallocation churn of the
 // naive construction disappears.
-func (a *Analysis) buildShardIndex(dns []int32) shardIndex {
+func buildIndex(dns []trace.DNSRecord, expiry []time.Duration, local []int32) shardIndex {
 	total := 0
 	// Distinct answered addresses are bounded by (and usually close to)
-	// the shard's record count.
-	counts := make(map[netip.Addr]int32, len(dns))
-	for _, i := range dns {
-		for _, ans := range a.DS.DNS[i].Answers {
-			counts[ans.Addr]++
-			total++
+	// the client's record count.
+	counts := make(map[netip.Addr]int32, len(local))
+	for _, i := range local {
+		ans := dns[i].Answers
+		for k := range ans {
+			if firstAnswer(ans, k) {
+				counts[ans[k].Addr]++
+				total++
+			}
 		}
 	}
 	backing := make([]pairEnt, total)
 	idx := make(shardIndex, len(counts))
 	off := int32(0)
 	for addr, c := range counts {
-		idx[addr] = backing[off:off : off+c]
+		idx[addr] = backing[off : off : off+c]
 		off += c
 	}
-	for _, i := range dns {
-		d := &a.DS.DNS[i]
-		ent := pairEnt{ts: d.TS, expiry: a.expiry[i], idx: i}
-		for _, ans := range d.Answers {
-			idx[ans.Addr] = append(idx[ans.Addr], ent)
+	for j, i := range local {
+		ans := dns[i].Answers
+		ent := pairEnt{ts: dns[i].TS, expiry: expiry[i], idx: int32(j)}
+		for k := range ans {
+			if firstAnswer(ans, k) {
+				idx[ans[k].Addr] = append(idx[ans[k].Addr], ent)
+			}
 		}
 	}
 	return idx
 }
 
-// pair finds the DN-Hunter pairing for one connection: the most recent
-// non-expired DNS lookup by the connection's originator whose answers
-// contain the destination address; if every candidate is expired, the most
-// recent one. It also reports the number of non-expired candidates (the
-// §4 ambiguity measure).
-//
-// rng is only consulted under PairRandom, which picks uniformly among the
-// non-expired candidates.
-//
-// scratch is the caller-owned backing for the fresh-candidate scan; the
-// (possibly grown) scratch is returned for reuse, so a shard's pairing
-// loop settles into zero allocations per connection.
-func (a *Analysis) pair(idx shardIndex, conn *trace.ConnRecord, rng *stats.RNG, scratch []int32) (dnsIdx int, candidates int, _ []int32) {
-	return pairConn(a.Opts.Pairing, idx, conn, rng, scratch)
+// firstAnswer reports whether ans[k] is the first answer carrying its
+// address.
+func firstAnswer(ans []trace.Answer, k int) bool {
+	for _, a := range ans[:k] {
+		if a.Addr == ans[k].Addr {
+			return false
+		}
+	}
+	return true
 }
 
-// pairConn is the policy-parameterized pairing scan shared by the
-// in-memory pipeline (where pairEnt.idx indexes the whole dataset) and
-// the streaming per-client classifier (where it indexes the client's
-// own record list). Sharing the scan — binary search, backward expiry
-// sweep, tie-breaking, RNG draw order — is what makes the two paths
-// bit-identical rather than merely similar.
-func pairConn(policy PairingPolicy, idx shardIndex, conn *trace.ConnRecord, rng *stats.RNG, scratch []int32) (dnsIdx int, candidates int, _ []int32) {
+// pair finds the DN-Hunter pairing for one connection: the most recent
+// non-expired DNS lookup by the connection's originator whose answers
+// contain the destination address; if every candidate is expired, the
+// most recent one. It returns the lookup's client-local position (-1
+// when none qualifies) and the number of non-expired candidates (the §4
+// ambiguity measure).
+//
+// rng is only consulted under PairRandom, which picks uniformly among
+// the non-expired candidates.
+//
+// scratch is the caller-owned backing for the fresh-candidate scan; the
+// (possibly grown) scratch is returned for reuse, so a client's pairing
+// loop settles into zero allocations per connection.
+func pair(policy PairingPolicy, idx shardIndex, conn *trace.ConnRecord, rng *stats.RNG, scratch []int32) (local int, candidates int, _ []int32) {
 	recs := idx[conn.Resp]
 	if len(recs) == 0 {
 		return -1, 0, scratch

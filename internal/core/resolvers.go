@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"slices"
 	"time"
 
-	"dnscontext/internal/parallel"
 	"dnscontext/internal/resolver"
 	"dnscontext/internal/stats"
 	"dnscontext/internal/trace"
@@ -15,63 +13,39 @@ import (
 // connections the paper filters out of Google's throughput curve (§7).
 const ConnectivityCheckHost = "connectivitycheck.gstatic.com"
 
-// deriveThresholds implements §5.3's per-resolver SC/R split: for every
-// resolver with at least SCRMinSamples lookups, the minimum observed
-// lookup duration approximates the network RTT; lookups not exceeding a
-// rounded-up multiple of that minimum are shared-cache hits. The paper
-// observes a 2 ms minimum for the local resolvers and uses a 5 ms
-// threshold, i.e. roughly 2.5x the minimum; we round 2.5x the minimum up
-// to the next millisecond.
-//
-// The per-resolver lookup counts and minimum durations were already
-// accumulated during the symbol pass (Analysis.resCounts/resMins — no
-// second walk of the records, no per-resolver duration slices, no
-// address-to-string conversions); the per-resolver threshold
-// computations run on the worker pool, and results land in a
-// deterministically ordered slice before the map is filled, keeping the
-// outcome identical for every worker count.
-func (a *Analysis) deriveThresholds(ctx context.Context) error {
-	nRes := len(a.resolverAddrs)
-	counts, mins := a.resCounts, a.resMins
+// deriveThresholds implements §5.3's per-resolver SC/R split for every
+// run, resident or merged: for each resolver with enough lookups, the
+// minimum observed lookup duration approximates the network RTT, and
+// lookups not exceeding a rounded-up multiple of that minimum are
+// shared-cache hits. The paper observes a 2 ms minimum for the local
+// resolvers and uses a 5 ms threshold, i.e. roughly 2.5x the minimum;
+// we round 2.5x the minimum up to the next millisecond. The inputs are
+// the associative (count, min) summaries every path accumulates, so the
+// result depends only on the whole trace's statistics. It returns the
+// derived thresholds by resolver address and, indexed like resolvers,
+// every resolver's threshold (the default for unpopular ones).
+func deriveThresholds(opts *Options, dnsTotal int64, resolvers []resolverStat) (map[string]time.Duration, []time.Duration) {
 	// The paper's gate — 1,000 lookups out of 9.2M (~0.011%) — scales
 	// with trace size so shorter captures don't push moderately popular
-	// resolvers onto the 5 ms default; Opts.SCRMinSamples caps it.
-	gate := len(a.DS.DNS) / 9200
-	if gate < 50 {
-		gate = 50
-	}
-	if gate > a.Opts.SCRMinSamples {
-		gate = a.Opts.SCRMinSamples
-	}
-	popular := make([]int32, 0, nRes)
-	for rs := 0; rs < nRes; rs++ {
-		if counts[rs] >= gate {
-			popular = append(popular, int32(rs))
+	// resolvers onto the 5 ms default; SCRMinSamples caps it.
+	gate := min(max(dnsTotal/9200, 50), int64(opts.SCRMinSamples))
+	thresholds := make(map[string]time.Duration)
+	thByRes := make([]time.Duration, len(resolvers))
+	for i := range resolvers {
+		rs := &resolvers[i]
+		thByRes[i] = opts.DefaultSCThreshold
+		if rs.lookups < gate {
+			continue
 		}
-	}
-
-	a.thByRsym = make([]time.Duration, nRes)
-	for rs := range a.thByRsym {
-		a.thByRsym[rs] = a.Opts.DefaultSCThreshold
-	}
-	ths, err := parallel.Map(ctx, a.Opts.Workers, len(popular), func(i int) (time.Duration, error) {
-		th := time.Duration(float64(mins[popular[i]]) * 2.5)
+		th := time.Duration(float64(rs.minDur) * 2.5)
 		// Round up to a whole millisecond, mirroring the paper's "small
 		// amount of rounding".
 		th = ((th + time.Millisecond - 1) / time.Millisecond) * time.Millisecond
-		if th < a.Opts.DefaultSCThreshold {
-			th = a.Opts.DefaultSCThreshold
-		}
-		return th, nil
-	})
-	if err != nil {
-		return err
+		th = max(th, opts.DefaultSCThreshold)
+		thByRes[i] = th
+		thresholds[rs.addr.String()] = th
 	}
-	for i, rs := range popular {
-		a.thByRsym[rs] = ths[i]
-		a.Thresholds[a.resolverAddrs[rs].String()] = ths[i]
-	}
-	return nil
+	return thresholds, thByRes
 }
 
 func (a *Analysis) thresholdFor(resolver string) time.Duration {

@@ -10,7 +10,6 @@ import (
 	"unsafe"
 
 	"dnscontext/internal/parallel"
-	"dnscontext/internal/stats"
 	"dnscontext/internal/trace"
 )
 
@@ -70,7 +69,8 @@ func CollectShard(ctx context.Context, src trace.Source, opts Options) (*Analysi
 		if err != nil {
 			return nil, err
 		}
-		return a.Shard(), nil
+		a.shard.failures = a.Failures()
+		return a.shard, nil
 	}
 	if d, ok := src.(*trace.DatasetSource); ok && opts.MemoryBudget <= 0 {
 		return inMemory(d.DS, nil)
@@ -308,12 +308,7 @@ func (r *streamRun) observeDNS(d *trace.DNSRecord) {
 		r.rsyms[d.Resolver] = rs
 		r.resolvers = append(r.resolvers, resolverStat{addr: d.Resolver})
 	}
-	stat := &r.resolvers[rs]
-	dur := d.Duration()
-	if stat.lookups == 0 || dur < stat.minDur {
-		stat.minDur = dur
-	}
-	stat.lookups++
+	r.resolvers[rs].add(1, d.Duration())
 	if _, ok := r.dnsRank[d.Client]; !ok {
 		r.dnsRank[d.Client] = int32(len(r.dnsOrder))
 		r.dnsOrder = append(r.dnsOrder, d.Client)
@@ -476,14 +471,6 @@ func retainedDNSBytes(d *trace.DNSRecord) int64 {
 // retainedConnBytes is the resident footprint of one connection record.
 func retainedConnBytes() int64 { return connRecordBytes }
 
-// clientWork is one client's complete record slice, ready to classify.
-type clientWork struct {
-	client netip.Addr
-	rank   int32
-	dns    []trace.DNSRecord
-	conns  []trace.ConnRecord
-}
-
 // collect classifies the spilled trace into an AnalysisShard. The
 // producer loads one partition at a time (each holds every record of
 // its clients, since partitioning hashes the client), the consumers
@@ -492,19 +479,18 @@ type clientWork struct {
 func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 	tr := r.opts.Trace
 	sp := tr.StartPhase("classify-spill")
-	// Shard ranks replicate buildShards: conn-originating clients in
-	// first-connection order, then DNS-only clients in first-lookup
-	// order. Ranks seed the per-client RNG streams, keeping PairRandom
-	// runs bit-identical to the in-memory pipeline.
-	rank := make(map[netip.Addr]int32, len(r.connOrder)+len(r.dnsOrder))
+	// Shard ranks replicate buildShards over the whole trace:
+	// conn-originating clients in first-connection order, then DNS-only
+	// clients in first-lookup order. Ranks seed the per-client RNG
+	// streams, keeping PairRandom runs bit-identical to the in-memory
+	// pipeline.
+	rank := make(map[netip.Addr]int, len(r.connOrder)+len(r.dnsOrder))
 	for i, c := range r.connOrder {
-		rank[c] = int32(i)
+		rank[c] = i
 	}
-	next := int32(len(r.connOrder))
 	for _, c := range r.dnsOrder {
 		if _, ok := rank[c]; !ok {
-			rank[c] = next
-			next++
+			rank[c] = len(rank)
 		}
 	}
 
@@ -518,25 +504,30 @@ func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 	}
 	var mu sync.Mutex
 
+	// A job is one client of a loaded partition.
+	type job struct {
+		p *partition
+		c *clientShard
+	}
 	workers := parallel.Workers(r.opts.Workers)
-	produce := func(emit func(clientWork) error) error {
-		ld := partitionLoader{dir: r.spillDir}
+	produce := func(emit func(job) error) error {
+		ld := partitionLoader{dir: r.spillDir, rsyms: r.rsyms}
 		for p := 0; p < r.parts; p++ {
-			work, err := ld.load(p, r.dnsW.counts[p], r.connW.counts[p])
+			part, err := ld.load(p, r.dnsW.counts[p], r.connW.counts[p])
 			if err != nil {
 				return err
 			}
-			for _, w := range work {
-				w.rank = rank[w.client]
-				if err := emit(w); err != nil {
+			for i := range part.shards {
+				if err := emit(job{part, &part.shards[i]}); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	}
-	consume := func(w clientWork) error {
-		c := r.classifyClient(w)
+	consume := func(j job) error {
+		p := j.p
+		c := classifyClient(&r.opts, rank[j.c.client], p.dns, p.expiry, p.rsym, p.conns, j.c)
 		mu.Lock()
 		sh.clients = append(sh.clients, c)
 		mu.Unlock()
@@ -550,74 +541,6 @@ func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 	sp.SetItems(len(sh.clients))
 	sp.End()
 	return sh, nil
-}
-
-// classifyClient pairs and classifies one client's connections against
-// its own lookups — the streaming twin of classifyShard, sharing
-// pairConn so the scan, tie-breaking, and RNG draw order are the same
-// code path. Indices in the result are client-local.
-func (r *streamRun) classifyClient(w clientWork) clientResult {
-	c := clientResult{client: w.client, nDNS: int32(len(w.dns))}
-	if len(w.conns) == 0 {
-		return c
-	}
-	expiry := make([]time.Duration, len(w.dns))
-	for i := range w.dns {
-		expiry[i] = w.dns[i].ExpiresAt()
-	}
-	idx := buildLocalIndex(w.dns, expiry)
-	rng := stats.NewRNG(r.opts.Seed + uint64(w.rank))
-	used := make([]bool, len(w.dns))
-	var fresh []int32
-	entries := make([]connEntry, len(w.conns))
-	for j := range w.conns {
-		conn := &w.conns[j]
-		e := &entries[j]
-		var l, cand int
-		l, cand, fresh = pairConn(r.opts.Pairing, idx, conn, rng, fresh)
-		if l < 0 {
-			e.localDNS, e.res = -1, -1
-			continue
-		}
-		d := &w.dns[l]
-		e.localDNS = int32(l)
-		e.gap = conn.TS - d.TS
-		e.candidates = int32(cand)
-		e.firstUse = !used[l]
-		used[l] = true
-		e.usedExpired = conn.TS >= expiry[l]
-		e.lookupDur = d.Duration()
-		e.res = r.rsyms[d.Resolver]
-	}
-	c.entries = entries
-	return c
-}
-
-// buildLocalIndex is buildShardIndex over a client-local record slice:
-// pairEnt indices address the slice itself rather than a dataset.
-func buildLocalIndex(dns []trace.DNSRecord, expiry []time.Duration) shardIndex {
-	total := 0
-	counts := make(map[netip.Addr]int32, len(dns))
-	for i := range dns {
-		for _, ans := range dns[i].Answers {
-			counts[ans.Addr]++
-			total++
-		}
-	}
-	backing := make([]pairEnt, total)
-	idx := make(shardIndex, len(counts))
-	off := int32(0)
-	for addr, n := range counts {
-		idx[addr] = backing[off : off : off+n]
-		off += n
-	}
-	for i := range dns {
-		ent := pairEnt{ts: dns[i].TS, expiry: expiry[i], idx: int32(i)}
-		for _, ans := range dns[i].Answers {
-			idx[ans.Addr] = append(idx[ans.Addr], ent)
-		}
-	}
-	return idx
 }
 
 // publishMetrics records the streaming run's counters.

@@ -41,22 +41,17 @@ type sidecars struct {
 	qsym   []trace.Sym        // per record: query-name symbol
 	rsym   []int32            // per record: resolver symbol
 	expiry []time.Duration    // per record: precomputed ExpiresAt()
-	// resolverAddrs maps resolver symbols back to addresses in
-	// first-appearance order; resCounts/resMins are each resolver's
-	// lookup count and minimum observed duration — deriveThresholds'
-	// inputs, accumulated in the same pass instead of a separate walk.
-	resolverAddrs []netip.Addr
-	resCounts     []int
-	resMins       []time.Duration
+	// resolvers maps resolver symbols back to addresses in
+	// first-appearance order, with each resolver's lookup count and
+	// minimum observed duration — deriveThresholds' inputs, accumulated
+	// in the same pass instead of a separate walk.
+	resolvers []resolverStat
 }
 
 // addResolver assigns the next resolver symbol.
 func (sc *sidecars) addResolver(addr netip.Addr) int32 {
-	rs := int32(len(sc.resolverAddrs))
-	sc.resolverAddrs = append(sc.resolverAddrs, addr)
-	sc.resCounts = append(sc.resCounts, 0)
-	sc.resMins = append(sc.resMins, 0)
-	return rs
+	sc.resolvers = append(sc.resolvers, resolverStat{addr: addr})
+	return int32(len(sc.resolvers) - 1)
 }
 
 // buildSidecars builds the sidecar bundle for dns. The result is a pure
@@ -99,11 +94,7 @@ func (sc *sidecars) buildSerial(dns []trace.DNSRecord) {
 			rsyms[d.Resolver] = rs
 		}
 		sc.rsym[i] = rs
-		dur := d.Duration()
-		if sc.resCounts[rs] == 0 || dur < sc.resMins[rs] {
-			sc.resMins[rs] = dur
-		}
-		sc.resCounts[rs]++
+		sc.resolvers[rs].add(1, d.Duration())
 	}
 }
 
@@ -111,9 +102,7 @@ func (sc *sidecars) buildSerial(dns []trace.DNSRecord) {
 // of records.
 type symChunk struct {
 	names     *trace.SymbolTable
-	resAddrs  []netip.Addr
-	resCounts []int
-	resMins   []time.Duration
+	resolvers []resolverStat
 }
 
 // buildParallel is the chunked build: a parallel local pass, a serial
@@ -136,18 +125,12 @@ func (sc *sidecars) buildParallel(ctx context.Context, workers int, dns []trace.
 			sc.expiry[i] = d.ExpiresAt()
 			rs, ok := rsyms[d.Resolver]
 			if !ok {
-				rs = int32(len(ch.resAddrs))
+				rs = int32(len(ch.resolvers))
 				rsyms[d.Resolver] = rs
-				ch.resAddrs = append(ch.resAddrs, d.Resolver)
-				ch.resCounts = append(ch.resCounts, 0)
-				ch.resMins = append(ch.resMins, 0)
+				ch.resolvers = append(ch.resolvers, resolverStat{addr: d.Resolver})
 			}
 			sc.rsym[i] = rs
-			dur := d.Duration()
-			if ch.resCounts[rs] == 0 || dur < ch.resMins[rs] {
-				ch.resMins[rs] = dur
-			}
-			ch.resCounts[rs]++
+			ch.resolvers[rs].add(1, d.Duration())
 		}
 		return nil
 	})
@@ -170,18 +153,16 @@ func (sc *sidecars) buildParallel(ctx context.Context, workers int, dns []trace.
 			qm[j] = sc.names.Intern(ch.names.Name(trace.Sym(j)))
 		}
 		qremap[c] = qm
-		rm := make([]int32, len(ch.resAddrs))
-		for j, addr := range ch.resAddrs {
-			g, ok := grsyms[addr]
+		rm := make([]int32, len(ch.resolvers))
+		for j := range ch.resolvers {
+			cr := &ch.resolvers[j]
+			g, ok := grsyms[cr.addr]
 			if !ok {
-				g = sc.addResolver(addr)
-				grsyms[addr] = g
+				g = sc.addResolver(cr.addr)
+				grsyms[cr.addr] = g
 			}
 			rm[j] = g
-			if sc.resCounts[g] == 0 || ch.resMins[j] < sc.resMins[g] {
-				sc.resMins[g] = ch.resMins[j]
-			}
-			sc.resCounts[g] += ch.resCounts[j]
+			sc.resolvers[g].add(cr.lookups, cr.minDur)
 		}
 		rremap[c] = rm
 	}

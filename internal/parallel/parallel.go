@@ -357,16 +357,6 @@ type Shard[K comparable] struct {
 	Items []int32
 }
 
-// ShardBy partitions the indices [0, n) by key(i). Shards are ordered by
-// the first appearance of their key, and each shard's Items are
-// ascending, so the result — and therefore any shard-ID-derived state
-// such as per-shard RNG streams — is a deterministic function of the
-// input alone.
-//
-// A counting pass sizes every shard before any Items are stored: the
-// member slices are carved from one n-element backing array, so the
-// whole partition costs one map, one count slice, and one backing
-// allocation instead of per-shard append-growth.
 // minShardByChunk is the fewest items per counting-pass chunk worth a
 // goroutine in ShardByParallel; below it the serial ShardBy wins on
 // constant factors.
@@ -481,6 +471,16 @@ func ShardByParallel[K comparable](ctx context.Context, workers, n int, key func
 	return shards, nil
 }
 
+// ShardBy partitions the indices [0, n) by key(i). Shards are ordered by
+// the first appearance of their key, and each shard's Items are
+// ascending, so the result — and therefore any shard-ID-derived state
+// such as per-shard RNG streams — is a deterministic function of the
+// input alone.
+//
+// A counting pass sizes every shard before any Items are stored: the
+// member slices are carved from one n-element backing array, so the
+// whole partition costs one map, one count slice, and one backing
+// allocation instead of per-shard append-growth.
 func ShardBy[K comparable](n int, key func(int) K) []Shard[K] {
 	if n <= 0 {
 		return nil
