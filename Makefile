@@ -19,14 +19,18 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzReadDNSJSON \
 	./internal/trace:FuzzReadConnsJSON \
 	./internal/core:FuzzSpillFrames \
+	./internal/core:FuzzShardPayload \
 	./internal/bulk:FuzzFeed
 
 .PHONY: check vet build test race obs-determinism stream-parity transport-matrix report-parity scan soak chaos scaling-gate bench bench-all bench-compare scan-bench profile fuzz cover
 
 check: vet build race obs-determinism stream-parity transport-matrix report-parity scan soak chaos
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needs to rewrite:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -45,10 +49,13 @@ obs-determinism:
 
 # Stream-vs-in-memory parity: a forced-spill streaming run and a
 # multi-process shard merge must be digest-identical to the in-memory
-# pipeline (the PR 6 out-of-core invariant). Also covered by `race`, but
-# named so the gate is visible.
+# pipeline (the PR 6 out-of-core invariant). Both paths share one
+# classify loop, so the reference classifier — the paper's definitions,
+# scanning every lookup of the client per connection — checks the
+# classification itself, and the resume tests check the shard-format
+# checkpoints. Also covered by `race`, but named so the gate is visible.
 stream-parity:
-	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory' -count=1
+	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory|TestReference|TestCrashResumeDeterminism|TestResume' -count=1
 
 # Transport matrix: the default (Do53) transport must reproduce the
 # pre-transport golden hashes bit for bit, and every transport's trace
@@ -109,7 +116,8 @@ chaos:
 		-run='^TestChaosSoak$$|^TestResumeAfterKill$$' -count=1 -timeout=10m -v
 
 # Short-budget coverage-guided fuzzing of the trace codecs, the spill
-# frame decoder, and the bulk feed reader. Go allows one -fuzz target per invocation, so loop over
+# frame decoder, the analysis shard decoder (shard files and
+# checkpoints), and the bulk feed reader. Go allows one -fuzz target per invocation, so loop over
 # package:function pairs.
 fuzz:
 	@for pt in $(FUZZ_TARGETS); do \

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 	"time"
@@ -229,6 +230,46 @@ func TestRandomPairingPolicy(t *testing.T) {
 	}
 	if !seen["x.com"] || !seen["y.com"] {
 		t.Fatalf("random pairing never chose both candidates: %v", seen)
+	}
+}
+
+// TestRepeatedAnswerCountsOneCandidate: a lookup whose answer section
+// lists an address twice is one candidate for a connection to that
+// address, not two, in memory and out of core — Candidates counts
+// records — and under PairRandom it takes one share of the draw.
+func TestRepeatedAnswerCountsOneCandidate(t *testing.T) {
+	web := netip.MustParseAddr("198.51.100.7")
+	twice := mkDNS(houseA, resLoc, 10*time.Second, 3*time.Millisecond, "a.com", web, time.Hour)
+	twice.Answers = append(twice.Answers, twice.Answers[0])
+	ds := &trace.Dataset{
+		DNS: []trace.DNSRecord{
+			twice,
+			mkDNS(houseA, resLoc, 11*time.Second, 3*time.Millisecond, "b.com", web, time.Hour),
+		},
+		Conns: []trace.ConnRecord{
+			mkConn(houseA, web, 10*time.Second+5*time.Millisecond, time.Second, 443),
+			mkConn(houseA, web, 12*time.Second, time.Second, 443),
+		},
+	}
+	want := []int{1, 2}
+	for _, pairing := range []PairingPolicy{PairMostRecent, PairRandom} {
+		opts := testOptions()
+		opts.Pairing = pairing
+		a := analyzeCopy(ds, opts)
+		o := opts
+		o.MemoryBudget = 1
+		sh, err := CollectShard(context.Background(), trace.NewDatasetSource(copyDataset(ds)), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, n := range want {
+			if got := a.Paired[ci].Candidates; got != n {
+				t.Errorf("pairing=%v conn %d: Candidates = %d, want %d", pairing, ci, got, n)
+			}
+			if got := sh.clients[0].entries[ci].candidates; got != int32(n) {
+				t.Errorf("pairing=%v conn %d spilled: candidates = %d, want %d", pairing, ci, got, n)
+			}
+		}
 	}
 }
 

@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"net/netip"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
+	"dnscontext/internal/checkpoint"
 	"dnscontext/internal/trace"
 )
 
@@ -167,5 +170,53 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	a, err := AnalyzeContext(context.Background(), copyDataset(ds), o)
 	if err != nil || a == nil {
 		t.Fatalf("missing checkpoint: (%v, %v), want fresh run", a, err)
+	}
+}
+
+// TestResumeRejectsForeignSnapshot: a snapshot whose fingerprint and
+// options match but whose clients do not — one the dataset never saw,
+// or one with a different number of connections — is a mismatch, and
+// a file in the version-1 checkpoint format is refused by version.
+func TestResumeRejectsForeignSnapshot(t *testing.T) {
+	ds := determinismTrace(t)
+	opts := DefaultOptions()
+	opts.SCRMinSamples = 50
+	ref := analyzeCopy(ds, opts)
+	busiest := 0
+	for i := range ref.shard.clients {
+		if len(ref.shard.clients[i].entries) > len(ref.shard.clients[busiest].entries) {
+			busiest = i
+		}
+	}
+	forge := map[string]func(c *clientResult){
+		"unknown client": func(c *clientResult) { c.client = netip.MustParseAddr("192.0.2.99") },
+		"short client":   func(c *clientResult) { c.entries = c.entries[1:] },
+	}
+	for name, mutate := range forge {
+		snap := *ref.shard
+		snap.clients = []clientResult{snap.clients[busiest]}
+		mutate(&snap.clients[0])
+		path := filepath.Join(t.TempDir(), "analysis.ckpt")
+		payload := binary.LittleEndian.AppendUint64(nil, ref.fingerprint())
+		if err := checkpoint.Save(path, ckVersion, append(payload, snap.encode()...)); err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		o.Checkpoint = &Checkpoint{Path: path, Resume: true}
+		if _, err := AnalyzeContext(context.Background(), copyDataset(ds), o); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("%s: err = %v, want ErrCheckpointMismatch", name, err)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "analysis.ckpt")
+	if err := checkpoint.Save(path, 1, []byte("version 1 payload")); err != nil {
+		t.Fatal(err)
+	}
+	o := opts
+	o.Checkpoint = &Checkpoint{Path: path, Resume: true}
+	_, err := AnalyzeContext(context.Background(), copyDataset(ds), o)
+	var verr *checkpoint.VersionError
+	if !errors.As(err, &verr) || verr.Got != 1 {
+		t.Fatalf("version-1 checkpoint: err = %v, want *checkpoint.VersionError for version 1", err)
 	}
 }

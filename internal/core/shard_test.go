@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"dnscontext/internal/trace"
 )
@@ -184,4 +186,108 @@ func TestShardEncodingCanonical(t *testing.T) {
 	if !bytes.Equal(abc.encode(), cba.encode()) {
 		t.Error("merge order changed the canonical encoding")
 	}
+}
+
+// smallShard is a hand-built shard: one IPv4 resolver and two clients,
+// the first with a paired and an unpaired connection.
+func smallShard() *AnalysisShard {
+	return &AnalysisShard{
+		opts:      DefaultOptions().withDefaults(),
+		dnsTotal:  3,
+		connTotal: 2,
+		resolvers: []resolverStat{{addr: resLoc, lookups: 3, minDur: 3 * time.Millisecond}},
+		clients: []clientResult{
+			{client: houseA, nDNS: 2, entries: []connEntry{
+				{localDNS: 1, gap: 5 * time.Millisecond, candidates: 1, firstUse: true, lookupDur: 4 * time.Millisecond, res: 0},
+				{localDNS: -1, res: -1},
+			}},
+			{client: houseB, nDNS: 1},
+		},
+	}
+}
+
+// Offsets into smallShard's encoding: options, totals and failures take
+// 113 bytes, then the resolver count, one 21-byte IPv4 resolver, the
+// client count, and the first client's 5-byte address and lookup count
+// before its entry count.
+const (
+	smallConnTotalOff = 8 + 8 + 8 + 8 + 1 + 8 + 8 + 8 + 8
+	smallResCountOff  = smallConnTotalOff + 8 + 5*8
+	smallClientsOff   = smallResCountOff + 4 + 21
+	smallEntriesOff   = smallClientsOff + 4 + 5 + 4
+)
+
+// TestShardDecodeBoundsCounts: a count the payload's remaining bytes
+// cannot hold fails decoding instead of sizing an allocation (a 117-byte
+// payload claiming 2^32-1 resolvers used to exhaust memory).
+func TestShardDecodeBoundsCounts(t *testing.T) {
+	put32 := func(b []byte, off int, v uint32) []byte {
+		b = append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(b[off:], v)
+		return b
+	}
+	payload := smallShard().encode()
+	if _, err := decodeShardPayload(payload); err != nil {
+		t.Fatal(err)
+	}
+	huge := put32(put32(payload, smallConnTotalOff, 0xffffffff), smallConnTotalOff+4, 0x7fffffff)
+	cases := map[string][]byte{
+		"resolvers": put32(payload, smallResCountOff, 0xffffffff)[:smallResCountOff+4],
+		"clients":   put32(payload, smallClientsOff, 0xffffffff)[:smallClientsOff+4],
+		"entries":   put32(huge, smallEntriesOff, 0x7fffffff)[:smallEntriesOff+4],
+	}
+	for name, b := range cases {
+		if _, err := decodeShardPayload(b); err == nil {
+			t.Errorf("%s: a count beyond the payload decoded", name)
+		}
+	}
+}
+
+// TestShardDecodeRejectsBadEntries: every entry the decoder accepts
+// must finalize and re-encode safely, so a paired entry naming a
+// resolver or lookup outside its tables, and a client listed twice,
+// are errors.
+func TestShardDecodeRejectsBadEntries(t *testing.T) {
+	cases := map[string]func(s *AnalysisShard){
+		"resolver symbol -1":  func(s *AnalysisShard) { s.clients[0].entries[0].res = -1 },
+		"lookup 2 of 2":       func(s *AnalysisShard) { s.clients[0].entries[0].localDNS = 2 },
+		"lookup -2":           func(s *AnalysisShard) { s.clients[0].entries[0].localDNS = -2 },
+		"client listed twice": func(s *AnalysisShard) { s.clients[1].client = s.clients[0].client },
+	}
+	for name, mutate := range cases {
+		s := smallShard()
+		mutate(s)
+		if _, err := decodeShardPayload(s.encode()); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// FuzzShardPayload: decoding arbitrary bytes never panics, a decoded
+// shard finalizes, and re-encoding is stable: the encoding of a decoded
+// encoding is the encoding itself.
+func FuzzShardPayload(f *testing.F) {
+	opts := DefaultOptions()
+	opts.SCRMinSamples = 50
+	real, err := CollectShard(context.Background(), trace.NewDatasetSource(referenceEdgeTrace()), opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real.encode())
+	f.Add(smallShard().encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := decodeShardPayload(b)
+		if err != nil {
+			return
+		}
+		s.Finalize()
+		enc := s.encode()
+		again, err := decodeShardPayload(enc)
+		if err != nil {
+			t.Fatalf("decoding an encoding failed: %v", err)
+		}
+		if !bytes.Equal(again.encode(), enc) {
+			t.Fatal("re-encoding a decoded encoding changed its bytes")
+		}
+	})
 }
