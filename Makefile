@@ -1,10 +1,11 @@
 # Development targets for the dnscontext repository. `make check` is the
 # tier-1 gate: vet, build, the full test suite under the race detector
-# (the parallel analysis pipeline makes -race non-optional), and the
+# (the parallel analysis pipeline makes -race non-optional), the
 # observability determinism proof (seeded runs must stay bit-identical
-# with metrics/tracing on or off). `make fuzz` (short budget) and
-# `make cover` are the deeper, slower companions — run them before
-# touching the trace codecs or the classifier.
+# with metrics/tracing on or off), and one pass of every Go benchmark.
+# `make fuzz` (short budget) and `make cover` are the deeper, slower
+# companions — run them before touching the trace codecs or the
+# classifier. Speed is measured by `bash bench/run.sh` (bench/README.md).
 
 GO ?= go
 
@@ -22,9 +23,9 @@ FUZZ_TARGETS := \
 	./internal/core:FuzzShardPayload \
 	./internal/bulk:FuzzFeed
 
-.PHONY: check vet build test race obs-determinism stream-parity transport-matrix report-parity scan soak chaos scaling-gate bench bench-all bench-compare scan-bench profile fuzz cover
+.PHONY: check vet build test race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke scaling-gate bench-all profile fuzz cover
 
-check: vet build race obs-determinism stream-parity transport-matrix report-parity scan soak chaos
+check: vet build race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke
 
 # vet also fails on any file gofmt would rewrite.
 vet:
@@ -131,45 +132,22 @@ cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Machine-readable benchmark record: the headline benchmarks rendered as
-# JSON (name, ns/op, allocs/op, and custom metrics like speedup_x, qps,
-# and latency percentiles) into BENCH_PR10.json via cmd/benchjson, with
-# delta columns against the PR 9 record when it exists.
-BENCH_BASELINE ?= BENCH_PR9.json
-BENCH_OUT ?= BENCH_PR10.json
+# One pass of every Go benchmark — the paper-reproduction tables and
+# figures, the fault and transport sweeps, and the analysis and scan
+# benchmarks that `make profile` and the scaling gate build on — so a
+# benchmark that no longer runs fails the check. One sample cannot judge
+# a speedup, so the scaling floor is off here; `make scaling-gate`
+# enforces it.
+bench-smoke:
+	DNSCTX_SPEEDUP_FLOOR=0 $(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Scaling gate: BenchmarkAnalyzeParallel measures the 4-worker speedup
 # over its own 1-worker baseline and b.Fatal()s if it falls below the
 # pinned floor (2.5x, override via DNSCTX_SPEEDUP_FLOOR) — on machines
 # with >=4 CPUs. Below 4 CPUs the gate logs a loud SKIP and still
-# records the measurement. Deliberately NOT piped into benchjson: a
-# pipe would mask the test binary's exit status and a parallelism
-# regression would sail through.
+# reports the measurement.
 scaling-gate:
 	$(GO) test -bench='BenchmarkAnalyzeParallel$$' -run='^$$' -benchtime=3x .
-
-bench: scaling-gate
-	$(GO) test -bench='BenchmarkAnalyzeParallel$$|BenchmarkFaultLossSweep$$|BenchmarkAnalyzeStream$$|BenchmarkTransportLookup$$|BenchmarkTransportWhatIf$$|BenchmarkBulkScanSim$$|BenchmarkBulkScanLive$$|BenchmarkBulkScanChaos' \
-		-benchmem -benchtime=3x -run='^$$' ./... | \
-		$(GO) run ./cmd/benchjson $(if $(wildcard $(BENCH_BASELINE)),-baseline $(BENCH_BASELINE)) > $(BENCH_OUT)
-	@cat $(BENCH_OUT)
-
-# Bulk-scan throughput record: the ≥1M-lookup simulated scan, the live
-# loopback scan, and the scan-under-2%-loss cell (fixed ladder vs
-# adaptive+hedging through the chaos proxy), each once, into
-# $(BENCH_OUT) with qps, p50/p99 latency, and timeout rate as custom
-# metrics (deltas against $(BENCH_BASELINE) where the benchmark existed
-# there).
-scan-bench:
-	$(GO) test ./internal/bulk -bench='BenchmarkBulkScanSim$$|BenchmarkBulkScanLive$$|BenchmarkBulkScanChaos' \
-		-benchmem -benchtime=1x -run='^$$' | \
-		$(GO) run ./cmd/benchjson $(if $(wildcard $(BENCH_BASELINE)),-baseline $(BENCH_BASELINE)) > $(BENCH_OUT)
-	@cat $(BENCH_OUT)
-
-# Diff the current benchmark record against the baseline without
-# re-running anything: reads both JSON files and prints the delta table.
-bench-compare:
-	$(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -compare $(BENCH_OUT) > /dev/null
 
 # Full paper reproduction: every table and figure as bench metrics.
 bench-all:

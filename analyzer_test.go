@@ -1,12 +1,13 @@
 package dnscontext_test
 
-// Tests for the Analyzer API: functional options, equivalence with the
-// legacy Analyze entry point, worker-count determinism through the
-// public facade, and context cancellation.
+// Tests for the Analyzer API: functional options, worker-count
+// determinism through the public facade, checkpoint handling, and
+// context cancellation.
 
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -26,44 +27,71 @@ func generateTiny(t *testing.T, seed uint64) *dnscontext.Dataset {
 func TestAnalyzerOptionsApply(t *testing.T) {
 	an := dnscontext.NewAnalyzer(
 		dnscontext.WithBlockThreshold(42*time.Millisecond),
-		dnscontext.WithKneeThreshold(7*time.Millisecond),
 		dnscontext.WithSCRMinSamples(123),
-		dnscontext.WithDefaultSCThreshold(9*time.Millisecond),
-		dnscontext.WithPairing(dnscontext.PairRandom),
-		dnscontext.WithSeed(99),
 		dnscontext.WithWorkers(3),
-		dnscontext.WithInsignificance(30*time.Millisecond, 0.02),
 	)
-	got := an.Options()
+	got := an.Analyze(generateTiny(t, 11)).Opts
 	want := dnscontext.DefaultOptions()
 	want.BlockThreshold = 42 * time.Millisecond
-	want.KneeThreshold = 7 * time.Millisecond
 	want.SCRMinSamples = 123
+	want.Workers = 3
+	if got != want {
+		t.Fatalf("Analysis.Opts = %+v, want %+v", got, want)
+	}
+
+	// WithOptions seeds the whole struct, fields without an option of
+	// their own included; later options still win.
+	want.KneeThreshold = 7 * time.Millisecond
 	want.DefaultSCThreshold = 9 * time.Millisecond
 	want.Pairing = dnscontext.PairRandom
 	want.Seed = 99
-	want.Workers = 3
 	want.InsignificantAbs = 30 * time.Millisecond
 	want.InsignificantRel = 0.02
-	if got != want {
-		t.Fatalf("Options() = %+v, want %+v", got, want)
-	}
-
-	// WithOptions seeds the whole struct; later options still win.
 	an = dnscontext.NewAnalyzer(dnscontext.WithOptions(want), dnscontext.WithWorkers(5))
-	if an.Options().Workers != 5 || an.Options().BlockThreshold != want.BlockThreshold {
-		t.Fatalf("WithOptions composition broken: %+v", an.Options())
+	got = an.Analyze(generateTiny(t, 11)).Opts
+	want.Workers = 5
+	if got != want {
+		t.Fatalf("WithOptions composition broken: Analysis.Opts = %+v, want %+v", got, want)
 	}
 }
 
-func TestAnalyzerMatchesLegacyAnalyze(t *testing.T) {
-	opts := dnscontext.DefaultOptions()
-	opts.SCRMinSamples = 100
+// TestAnalyzeIgnoresCheckpoint: Analyze has no error to return, so it
+// runs without the options' checkpoint rather than fail on one that
+// does not match the run or cannot be written. AnalyzeContext is the
+// checkpointed entry point and returns those errors.
+func TestAnalyzeIgnoresCheckpoint(t *testing.T) {
+	want := dnscontext.NewAnalyzer().Analyze(generateTiny(t, 11)).Digest()
 
-	a := dnscontext.NewAnalyzer(dnscontext.WithSCRMinSamples(100)).Analyze(generateTiny(t, 11))
-	b := dnscontext.Analyze(generateTiny(t, 11), opts)
-	if !reflect.DeepEqual(a.Paired, b.Paired) || !reflect.DeepEqual(a.Thresholds, b.Thresholds) {
-		t.Fatal("Analyzer.Analyze and legacy Analyze disagree on the same trace")
+	// A snapshot of another trace, written after every client.
+	stale := filepath.Join(t.TempDir(), "other.ckpt")
+	opts := dnscontext.DefaultOptions()
+	opts.Checkpoint = &dnscontext.AnalysisCheckpoint{Path: stale, Interval: 1}
+	_, err := dnscontext.NewAnalyzer(dnscontext.WithOptions(opts)).
+		AnalyzeContext(context.Background(), generateTiny(t, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		ck   *dnscontext.AnalysisCheckpoint
+	}{
+		{"mismatched", &dnscontext.AnalysisCheckpoint{Path: stale, Resume: true}},
+		{"unwritable", &dnscontext.AnalysisCheckpoint{
+			Path: filepath.Join(t.TempDir(), "missing", "run.ckpt"), Interval: 1}},
+	} {
+		opts.Checkpoint = c.ck
+		got := dnscontext.NewAnalyzer(dnscontext.WithOptions(opts)).Analyze(generateTiny(t, 11)).Digest()
+		if got != want {
+			t.Errorf("%s checkpoint: Analyze digest %#016x, want %#016x", c.name, got, want)
+		}
+	}
+
+	opts.Checkpoint = &dnscontext.AnalysisCheckpoint{Path: stale, Resume: true}
+	_, err = dnscontext.NewAnalyzer(dnscontext.WithOptions(opts)).
+		AnalyzeContext(context.Background(), generateTiny(t, 11))
+	if !errors.Is(err, dnscontext.ErrCheckpointMismatch) {
+		t.Fatalf("AnalyzeContext with a mismatched checkpoint: err = %v, want ErrCheckpointMismatch", err)
 	}
 }
 
@@ -95,7 +123,7 @@ func TestAnalyzerContextCancellation(t *testing.T) {
 		t.Fatalf("cancelled AnalyzeContext = (%v, %v), want (nil, context.Canceled)", a, err)
 	}
 
-	a, err = dnscontext.AnalyzeContext(context.Background(), ds, dnscontext.DefaultOptions())
+	a, err = dnscontext.NewAnalyzer().AnalyzeContext(context.Background(), ds)
 	if err != nil || a == nil {
 		t.Fatalf("AnalyzeContext = (%v, %v)", a, err)
 	}

@@ -1,12 +1,15 @@
 package dnscontext
 
-// BenchmarkAnalyzeStream is the PR 6 out-of-core record: the analyzer
-// fed from on-disk TSV partitions, whole-trace ingestion versus a
-// memory budget ~1/16th of the trace's resident footprint (so the spill
-// path carries >90% of the records). Each variant reports throughput
-// and a sampled peak_heap_bytes — the pair BENCH_PR6.json tracks. The
-// streamed run trades throughput for a peak heap that scales with the
-// budget instead of the trace; both produce the identical digest.
+// BenchmarkAnalyzeStream measures the out-of-core analyzer: fed from
+// on-disk TSV partitions, whole-trace ingestion versus a memory budget
+// ~1/16th of the trace's resident footprint (so the spill path carries
+// >90% of the records). Each variant reports throughput and a sampled
+// peak_heap_bytes. The streamed run trades throughput for a peak heap
+// that scales with the budget instead of the trace; both produce the
+// identical digest. The report-tsv and report-spill workloads of
+// `bash bench/run.sh` time the same two paths end to end; this
+// benchmark is where their CPU and allocation profiles come from
+// (`go test -bench=AnalyzeStream -cpuprofile=…`).
 
 import (
 	"context"
@@ -69,8 +72,8 @@ func streamBenchTrace(b *testing.B) (dir string, records int, resident int64, di
 		}
 		// The digest both variants must reproduce, computed from the
 		// serialized trace (TSV timestamps are microsecond-grained).
-		a, err := AnalyzeSource(context.Background(),
-			NewDirSource(s.dir, StrictPolicy()), DefaultOptions())
+		a, err := NewAnalyzer().AnalyzeSource(context.Background(),
+			NewDirSource(s.dir, StrictPolicy()))
 		if err != nil {
 			s.err = err
 			return

@@ -49,7 +49,7 @@ func benchAnalysis(b *testing.B) (*Analysis, *Dataset, *Ecosystem) {
 		}
 		benchState.ds = ds
 		benchState.eco = eco
-		benchState.analysis = Analyze(ds, DefaultOptions())
+		benchState.analysis = NewAnalyzer().Analyze(ds)
 	})
 	return benchState.analysis, benchState.ds, benchState.eco
 }
@@ -61,10 +61,11 @@ func pct(x float64) float64 { return 100 * x }
 // R 15.7 (%).
 func BenchmarkTable2Classification(b *testing.B) {
 	_, ds, _ := benchAnalysis(b)
+	an := NewAnalyzer()
 	var a *Analysis
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a = Analyze(ds, DefaultOptions())
+		a = an.Analyze(ds)
 	}
 	b.StopTimer()
 	b.ReportMetric(pct(a.Fraction(ClassN)), "N_pct")
@@ -306,9 +307,9 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 }
 
 // scalingFloorDefault is the pinned 4-worker speedup floor the gate
-// enforces on capable hardware; DNSCTX_SPEEDUP_FLOOR overrides it
-// (e.g. to re-pin after an intentional trade-off, with the change
-// recorded in BENCH_*.json).
+// enforces on capable hardware; DNSCTX_SPEEDUP_FLOOR overrides it (to
+// re-pin after an intentional trade-off, recorded in CHANGES.md, or set
+// to 0 by `make bench-smoke`, whose single sample cannot judge scaling).
 const scalingFloorDefault = 2.5
 
 // checkScalingFloor fails the benchmark when parallel scaling regresses
@@ -353,9 +354,10 @@ func BenchmarkAblationBlockingThreshold(b *testing.B) {
 		b.Run(th.String(), func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.BlockThreshold = th
+			an := NewAnalyzer(WithOptions(opts))
 			var a *Analysis
 			for i := 0; i < b.N; i++ {
-				a = Analyze(ds, opts)
+				a = an.Analyze(ds)
 			}
 			b.ReportMetric(pct(a.BlockedFraction()), "blocked_pct")
 		})
@@ -373,9 +375,10 @@ func BenchmarkAblationSCRThreshold(b *testing.B) {
 			opts.DefaultSCThreshold = th
 			// Disable per-resolver thresholds so the sweep value governs.
 			opts.SCRMinSamples = 1 << 30
+			an := NewAnalyzer(WithOptions(opts))
 			var a *Analysis
 			for i := 0; i < b.N; i++ {
-				a = Analyze(ds, opts)
+				a = an.Analyze(ds)
 			}
 			b.ReportMetric(pct(a.SharedCacheHitRate()), "sc_of_blocked_pct")
 		})
@@ -393,9 +396,10 @@ func BenchmarkAblationPairingPolicy(b *testing.B) {
 		b.Run(policy.name, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.Pairing = policy.p
+			an := NewAnalyzer(WithOptions(opts))
 			var a *Analysis
 			for i := 0; i < b.N; i++ {
-				a = Analyze(ds, opts)
+				a = an.Analyze(ds)
 			}
 			b.ReportMetric(pct(a.Fraction(ClassLC)), "LC_pct")
 		})
@@ -470,7 +474,7 @@ func BenchmarkExtensionEncryptedDNS(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				a = Analyze(ds, DefaultOptions())
+				a = NewAnalyzer().Analyze(ds)
 			}
 			b.ReportMetric(pct(a.Fraction(ClassN)), "N_pct")
 		})
@@ -533,7 +537,7 @@ func BenchmarkFaultLossSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a = Analyze(ds, DefaultOptions())
+		a = NewAnalyzer().Analyze(ds)
 	}
 	b.StopTimer()
 	fs := a.Failures()

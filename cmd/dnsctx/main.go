@@ -29,9 +29,11 @@ import (
 	"io"
 	"io/fs"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -82,7 +84,6 @@ func main() {
 		traceDir  = flag.String("trace-dir", "", "directory of time-partitioned trace files (*.dns.tsv / *.conn.tsv) to stream (with -stream)")
 		memBudget = flag.String("memory-budget", "", "resident-record budget before spilling to disk, e.g. 256m or 2g; empty = unlimited (with -stream)")
 		spillDir  = flag.String("spill-dir", "", "directory for spill partitions; empty = fresh temp dir (with -stream)")
-		ingestW   = flag.Int("ingest-workers", 0, "goroutines parsing the TSV input; 0 = match the analysis pool, negative = serial scanner (with -stream)")
 		shardOut  = flag.String("shard-out", "", "also write the mergeable analysis shard to this file (with -stream or -merge)")
 		merge     = flag.Bool("merge", false, "merge shard files (the remaining arguments) and report the reduced analysis")
 
@@ -138,9 +139,6 @@ func main() {
 		}
 		if *spillDir != "" {
 			usageErr("-spill-dir requires -stream")
-		}
-		if *ingestW != 0 {
-			usageErr("-ingest-workers requires -stream (the in-memory readers parse on one goroutine)")
 		}
 		if *shardOut != "" && !*merge {
 			usageErr("-shard-out requires -stream or -merge")
@@ -275,17 +273,17 @@ func main() {
 	}
 	opts.MemoryBudget = budget
 	opts.SpillDir = *spillDir
-	opts.IngestWorkers = *ingestW
+	an := dnscontext.NewAnalyzer(dnscontext.WithOptions(opts))
 
 	var a *dnscontext.Analysis
 	switch {
 	case *merge:
 		a, err = runMerge(flag.Args(), *shardOut)
 	case *stream:
-		a, err = runStream(opts, *traceDir, *dnsIn, *connIn, *shardOut,
-			*quarantine, *quarMaxErrs, *quarMaxRate, reg)
+		a, err = runStream(an, *traceDir, *dnsIn, *connIn, *shardOut,
+			*quarantine, *quarMaxErrs, *quarMaxRate)
 	default:
-		a, err = dnscontext.AnalyzeContext(context.Background(), ds, opts)
+		a, err = an.AnalyzeContext(context.Background(), ds)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -398,8 +396,8 @@ func runMerge(paths []string, shardOut string) (*dnscontext.Analysis, error) {
 // phase's mergeable shard is persisted before finalizing, so the same
 // invocation both contributes to a multi-process merge and reports its
 // own slice.
-func runStream(opts dnscontext.Options, traceDir, dnsIn, connIn, shardOut string,
-	quarantine bool, quarMaxErrs int, quarMaxRate float64, reg *dnscontext.MetricsRegistry) (*dnscontext.Analysis, error) {
+func runStream(an *dnscontext.Analyzer, traceDir, dnsIn, connIn, shardOut string,
+	quarantine bool, quarMaxErrs int, quarMaxRate float64) (*dnscontext.Analysis, error) {
 	policy := dnscontext.StrictPolicy()
 	if quarantine {
 		policy = dnscontext.QuarantineBudget(quarMaxErrs, quarMaxRate)
@@ -423,7 +421,6 @@ func runStream(opts dnscontext.Options, traceDir, dnsIn, connIn, shardOut string
 		defer cf.Close()
 		src = dnscontext.NewScannerSource(df, cf, policy)
 	}
-	an := dnscontext.NewAnalyzer(dnscontext.WithOptions(opts))
 	if shardOut == "" {
 		return an.AnalyzeSource(context.Background(), src)
 	}
@@ -439,22 +436,24 @@ func runStream(opts dnscontext.Options, traceDir, dnsIn, connIn, shardOut string
 }
 
 // parseBytes parses a byte count with an optional k/m/g suffix
-// (binary multiples); empty means 0 (unlimited).
+// (binary multiples); empty means 0 (unlimited). The count must be a
+// whole decimal number with nothing after the suffix, and the product
+// must fit in an int64.
 func parseBytes(s string) (int64, error) {
 	if s == "" {
 		return 0, nil
 	}
-	mult := int64(1)
+	num, mult := s, int64(1)
 	switch s[len(s)-1] {
 	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<10
 	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<20
 	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<30
 	}
-	var n int64
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 0 {
+	n, err := strconv.ParseInt(num, 10, 64)
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("want a nonnegative byte count like 512k, 256m, or 2g, got %q", s)
 	}
 	return n * mult, nil

@@ -30,8 +30,7 @@
 // The analysis pipeline shards the trace by originating house and runs
 // on a bounded worker pool; the result is bit-identical for every worker
 // count. Every entry point is a thin wrapper over one context-aware
-// core path (Analyzer.AnalyzeContext); the legacy form
-// Analyze(ds, Options) remains for compatibility.
+// core path (Analyzer.AnalyzeContext).
 //
 // # Traces bigger than RAM
 //
@@ -156,12 +155,6 @@ func WriteTransportTable(w io.Writer, rows []TransportRow, blockThreshold time.D
 	return core.WriteTransportTable(w, rows, blockThreshold)
 }
 
-// Retry policy presets: the resolv.conf-style default, the aggressive
-// Android/Bionic ladder, and single-shot IoT firmware.
-func DefaultRetryPolicy() RetryPolicy { return resolver.DefaultRetryPolicy() }
-func AndroidRetryPolicy() RetryPolicy { return resolver.AndroidRetryPolicy() }
-func IoTRetryPolicy() RetryPolicy     { return resolver.IoTRetryPolicy() }
-
 // Resolver platform identifiers.
 const (
 	PlatformLocal      = resolver.PlatformLocal
@@ -277,7 +270,10 @@ func NewAnalyzer(opts ...AnalyzerOption) *Analyzer {
 
 // WithOptions replaces the Analyzer's entire option set; later
 // AnalyzerOptions still apply on top. It bridges code that already
-// assembles an Options struct into the Analyzer API.
+// assembles an Options struct into the Analyzer API, and it is how the
+// fields without an option of their own are set: the pairing policy and
+// seed, the knee and default SC/R thresholds, the insignificance
+// criteria, the metrics registry and the checkpoint.
 func WithOptions(o Options) AnalyzerOption { return func(an *Analyzer) { an.opts = o } }
 
 // WithBlockThreshold sets the gap separating blocked from non-blocked
@@ -286,32 +282,10 @@ func WithBlockThreshold(d time.Duration) AnalyzerOption {
 	return func(an *Analyzer) { an.opts.BlockThreshold = d }
 }
 
-// WithKneeThreshold sets the visual knee reported alongside Figure 1
-// (paper: 20 ms).
-func WithKneeThreshold(d time.Duration) AnalyzerOption {
-	return func(an *Analyzer) { an.opts.KneeThreshold = d }
-}
-
 // WithSCRMinSamples caps the per-resolver sample gate for deriving SC/R
 // duration thresholds (paper: 1000).
 func WithSCRMinSamples(n int) AnalyzerOption {
 	return func(an *Analyzer) { an.opts.SCRMinSamples = n }
-}
-
-// WithDefaultSCThreshold sets the SC/R threshold applied to unpopular
-// resolvers (paper: 5 ms).
-func WithDefaultSCThreshold(d time.Duration) AnalyzerOption {
-	return func(an *Analyzer) { an.opts.DefaultSCThreshold = d }
-}
-
-// WithPairing selects the pairing policy (PairMostRecent or PairRandom).
-func WithPairing(p PairingPolicy) AnalyzerOption {
-	return func(an *Analyzer) { an.opts.Pairing = p }
-}
-
-// WithSeed seeds the per-shard RNG streams behind PairRandom.
-func WithSeed(seed uint64) AnalyzerOption {
-	return func(an *Analyzer) { an.opts.Seed = seed }
 }
 
 // WithWorkers bounds the analysis worker pool; 0 (the default) uses
@@ -319,29 +293,6 @@ func WithSeed(seed uint64) AnalyzerOption {
 func WithWorkers(n int) AnalyzerOption {
 	return func(an *Analyzer) { an.opts.Workers = n }
 }
-
-// WithIngestWorkers bounds the goroutines AnalyzeSource uses to parse a
-// streaming TSV source (ScannerSource/DirSource): positive selects that
-// many, 0 (the default) inherits the Workers pool width, and negative
-// forces the serial scanner. Like WithWorkers it never changes results
-// — records, quarantine decisions, and errors replay in exact serial
-// order — only wall-clock time.
-func WithIngestWorkers(n int) AnalyzerOption {
-	return func(an *Analyzer) { an.opts.IngestWorkers = n }
-}
-
-// WithInsignificance sets §6's two independent "insignificant DNS cost"
-// criteria: absolute lookup time and fractional contribution (paper:
-// 20 ms and 1%).
-func WithInsignificance(abs time.Duration, rel float64) AnalyzerOption {
-	return func(an *Analyzer) {
-		an.opts.InsignificantAbs = abs
-		an.opts.InsignificantRel = rel
-	}
-}
-
-// Options returns the Analyzer's resolved option set.
-func (an *Analyzer) Options() Options { return an.opts }
 
 // AnalyzeContext is the core analysis path every other entry point
 // wraps: cooperative cancellation via ctx (the worker pool checks it
@@ -356,17 +307,10 @@ func (an *Analyzer) AnalyzeContext(ctx context.Context, ds *Dataset) (*Analysis,
 	return core.AnalyzeContext(ctx, ds, an.opts)
 }
 
-// Analyze is AnalyzeContext without cancellation: a thin wrapper
-// binding context.Background.
-func (an *Analyzer) Analyze(ds *Dataset) *Analysis {
-	a, err := an.AnalyzeContext(context.Background(), ds)
-	if err != nil {
-		// Unreachable: the only failure mode is context cancellation and
-		// Background never cancels.
-		panic(err)
-	}
-	return a
-}
+// Analyze is AnalyzeContext without cancellation or checkpointing: it
+// ignores Options.Checkpoint, so it has no error to return. Use
+// AnalyzeContext to snapshot or resume a run.
+func (an *Analyzer) Analyze(ds *Dataset) *Analysis { return core.Analyze(ds, an.opts) }
 
 // AnalyzeSource streams src through the pipeline in bounded memory;
 // see the package comment's "Traces bigger than RAM" and
@@ -384,27 +328,6 @@ func (an *Analyzer) AnalyzeSource(ctx context.Context, src Source) (*Analysis, e
 // and MergeShards + Finalize reduce them to one Analysis.
 func (an *Analyzer) CollectShard(ctx context.Context, src Source) (*AnalysisShard, error) {
 	return core.CollectShard(ctx, src, an.opts)
-}
-
-// Analyze runs DN-Hunter pairing, the blocking heuristic, and the
-// N/LC/P/SC/R classification over ds: a thin non-cancellable wrapper
-// over the Analyzer core path.
-//
-// Deprecated: use NewAnalyzer(WithOptions(opts)).Analyze(ds), or
-// Analyzer.AnalyzeContext for cancellation. Kept for compatibility.
-func Analyze(ds *Dataset, opts Options) *Analysis {
-	return NewAnalyzer(WithOptions(opts)).Analyze(ds)
-}
-
-// AnalyzeContext is the package-level form of Analyzer.AnalyzeContext,
-// a thin wrapper for callers that assemble an Options struct directly.
-func AnalyzeContext(ctx context.Context, ds *Dataset, opts Options) (*Analysis, error) {
-	return NewAnalyzer(WithOptions(opts)).AnalyzeContext(ctx, ds)
-}
-
-// AnalyzeSource is the package-level form of Analyzer.AnalyzeSource.
-func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Analysis, error) {
-	return NewAnalyzer(WithOptions(opts)).AnalyzeSource(ctx, src)
 }
 
 // Observability types: the internal/obs subsystem. A registry collects
@@ -438,12 +361,6 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 // mounts net/http/pprof under /debug/pprof/.
 func ServeMetrics(addr string, reg *MetricsRegistry, withPprof bool) (*MetricsServer, error) {
 	return obs.Serve(addr, reg, withPprof)
-}
-
-// WithMetrics directs the analyzer to publish its tallies into reg after
-// each run. Observation never influences results.
-func WithMetrics(reg *MetricsRegistry) AnalyzerOption {
-	return func(an *Analyzer) { an.opts.Metrics = reg }
 }
 
 // WithTracer records each run's phase timeline and shard distribution
@@ -511,10 +428,6 @@ func NewConnScanner(r io.Reader, policy ErrorPolicy) *ConnScanner {
 
 // StrictPolicy returns the fail-fast policy matching ReadDNS/ReadConns.
 func StrictPolicy() ErrorPolicy { return trace.Strict() }
-
-// QuarantineAll returns the policy that quarantines every malformed line
-// with no budget.
-func QuarantineAll() ErrorPolicy { return trace.QuarantineAll() }
 
 // QuarantineBudget returns a quarantining policy tripping after
 // maxErrors quarantined records (negative = unlimited) or when the error
@@ -601,13 +514,6 @@ func WithSpillDir(dir string) AnalyzerOption {
 	return func(an *Analyzer) { an.opts.SpillDir = dir }
 }
 
-// WithSpillParts sets the number of hash partitions records spill into
-// (per stream); 0 means the default (32). Each partition must fit in
-// memory during the classify phase.
-func WithSpillParts(n int) AnalyzerOption {
-	return func(an *Analyzer) { an.opts.SpillParts = n }
-}
-
 // Checkpoint/resume: AnalysisCheckpoint configures periodic snapshots of
 // completed analysis shards (see Options.Checkpoint); a resumed run
 // replays the snapshot and classifies only the remaining shards, with a
@@ -617,11 +523,3 @@ type AnalysisCheckpoint = core.Checkpoint
 // ErrCheckpointMismatch is matched (via errors.Is) when a checkpoint was
 // written for a different dataset or different analysis options.
 var ErrCheckpointMismatch = core.ErrCheckpointMismatch
-
-// WithCheckpoint directs AnalyzeContext to snapshot completed shards
-// into ck.Path and, when ck.Resume is set, to replay an existing
-// snapshot before classifying. Checkpointing never influences the
-// result, only whether shards are recomputed or replayed.
-func WithCheckpoint(ck *AnalysisCheckpoint) AnalyzerOption {
-	return func(an *Analyzer) { an.opts.Checkpoint = ck }
-}

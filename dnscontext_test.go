@@ -28,9 +28,7 @@ func TestPublicAPIGenerateAnalyzeReport(t *testing.T) {
 	if len(ds.DNS) == 0 || len(ds.Conns) == 0 {
 		t.Fatal("empty trace")
 	}
-	opts := dnscontext.DefaultOptions()
-	opts.SCRMinSamples = 50
-	a := dnscontext.Analyze(ds, opts)
+	a := dnscontext.NewAnalyzer(dnscontext.WithSCRMinSamples(50)).Analyze(ds)
 
 	total := 0.0
 	for _, c := range []dnscontext.Class{dnscontext.ClassN, dnscontext.ClassLC,
@@ -76,10 +74,9 @@ func TestPublicAPITSVRoundTrip(t *testing.T) {
 	}
 
 	// An analysis over the round-tripped trace must classify identically.
-	opts := dnscontext.DefaultOptions()
-	opts.SCRMinSamples = 50
-	a := dnscontext.Analyze(ds, opts)
-	b := dnscontext.Analyze(&dnscontext.Dataset{DNS: dns, Conns: conns}, opts)
+	an := dnscontext.NewAnalyzer(dnscontext.WithSCRMinSamples(50))
+	a := an.Analyze(ds)
+	b := an.Analyze(&dnscontext.Dataset{DNS: dns, Conns: conns})
 	for _, c := range []dnscontext.Class{dnscontext.ClassN, dnscontext.ClassLC,
 		dnscontext.ClassP, dnscontext.ClassSC, dnscontext.ClassR} {
 		if a.Count(c) != b.Count(c) {
@@ -114,7 +111,7 @@ func TestPublicAPIRefreshPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+	a := dnscontext.NewAnalyzer().Analyze(ds)
 	rows := a.CompareRefreshPolicies(10*time.Second,
 		dnscontext.PolicyPopular(2, time.Hour),
 		dnscontext.PolicyIdleBounded(30*time.Minute),

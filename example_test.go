@@ -11,9 +11,9 @@ import (
 	"dnscontext"
 )
 
-// ExampleAnalyze shows the core loop: synthesize a window, classify every
-// connection, and read Table 2.
-func ExampleAnalyze() {
+// ExampleAnalyzer_Analyze shows the core loop: synthesize a window,
+// classify every connection, and read Table 2.
+func ExampleAnalyzer_Analyze() {
 	cfg := dnscontext.SmallGeneratorConfig(7)
 	cfg.Houses = 4
 	cfg.Duration = time.Hour
@@ -23,7 +23,7 @@ func ExampleAnalyze() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+	a := dnscontext.NewAnalyzer().Analyze(ds)
 
 	total := a.Fraction(dnscontext.ClassN) + a.Fraction(dnscontext.ClassLC) +
 		a.Fraction(dnscontext.ClassP) + a.Fraction(dnscontext.ClassSC) +
@@ -47,7 +47,7 @@ func ExampleAnalysis_CompareRefreshPolicies() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+	a := dnscontext.NewAnalyzer().Analyze(ds)
 
 	rows := a.CompareRefreshPolicies(10*time.Second,
 		dnscontext.PolicyIdleBounded(30*time.Minute))
@@ -123,8 +123,7 @@ func ExampleAnalyzer_AnalyzeSource() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref := dnscontext.Analyze(&dnscontext.Dataset{DNS: refDNS, Conns: refConns},
-		dnscontext.DefaultOptions())
+	ref := dnscontext.NewAnalyzer().Analyze(&dnscontext.Dataset{DNS: refDNS, Conns: refConns})
 
 	src := dnscontext.NewScannerSource(&dnsTSV, &connTSV, dnscontext.StrictPolicy())
 
@@ -153,7 +152,8 @@ func ExampleMergeShards() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+	an := dnscontext.NewAnalyzer()
+	ref := an.Analyze(ds)
 
 	// Split by client: a client's records must not straddle collectors.
 	var slices [2]dnscontext.Dataset
@@ -167,7 +167,6 @@ func ExampleMergeShards() {
 		slices[s].Conns = append(slices[s].Conns, c)
 	}
 
-	an := dnscontext.NewAnalyzer()
 	var shards []*dnscontext.AnalysisShard
 	for i := range slices {
 		sh, err := an.CollectShard(context.Background(), dnscontext.NewDatasetSource(&slices[i]))

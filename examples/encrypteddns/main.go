@@ -31,9 +31,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts := dnscontext.DefaultOptions()
-		opts.SCRMinSamples = 100
-		a := dnscontext.Analyze(ds, opts)
+		a := dnscontext.NewAnalyzer(dnscontext.WithSCRMinSamples(100)).Analyze(ds)
 
 		nd := a.NoDNS()
 		paired := 0

@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+	a := dnscontext.NewAnalyzer().Analyze(ds)
 	rp := a.ResolverPerformance(eco.Profiles)
 
 	fmt.Println("Is any resolver platform 'the best'? (paper §7: no clear winner)")

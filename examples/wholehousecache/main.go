@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+	a := dnscontext.NewAnalyzer().Analyze(ds)
 
 	wh := a.WholeHouse()
 	fmt.Println("=== A whole-house cache (paper §8) ===")

@@ -419,34 +419,3 @@ func TestSimFeedSkipAccounting(t *testing.T) {
 		t.Fatalf("queries %d skipped %d, want 20 and 1", sum.Queries, sum.SkippedLines)
 	}
 }
-
-func BenchmarkBulkScanSim(b *testing.B) {
-	const n = 1_000_000
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sum *Summary
-	for i := 0; i < b.N; i++ {
-		// A fresh backend per iteration: shard caches and coalescing
-		// windows are keyed to the virtual clock, which restarts with
-		// every run. Setup stays off the clock.
-		b.StopTimer()
-		be, err := NewSimBackend(SimConfig{Shards: 64, Seed: 1, ArrivalQPS: 50000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := NewSyntheticSource(be.Zones(), SyntheticConfig{N: n, Seed: 2, MissFraction: 0.01})
-		b.StartTimer()
-		sum, err = RunSim(context.Background(), src, be, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(sum.QPS, "qps")
-	b.ReportMetric(sum.LatP50, "p50_ms")
-	b.ReportMetric(sum.LatP99, "p99_ms")
-	b.ReportMetric(float64(sum.Coalesced), "coalesced")
-	if sum.Queries != n {
-		b.Fatalf("queries = %d, want %d", sum.Queries, n)
-	}
-}

@@ -162,7 +162,7 @@ func TestPartitionReloadAllocBudget(t *testing.T) {
 	ds := reloadTrace(20000)
 	opts := DefaultOptions().withDefaults()
 	opts.MemoryBudget = 1 // spill from the first record
-	run := newStreamRun(opts)
+	run := &streamRun{opts: opts}
 	defer run.cleanup()
 	if err := run.ingest(context.Background(), trace.NewDatasetSource(ds)); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestPartitionReloadAllocBudget(t *testing.T) {
 	perRun := testing.AllocsPerRun(5, func() {
 		ld := partitionLoader{dir: run.spillDir, rsyms: run.rsyms}
 		loaded = 0
-		for p := 0; p < run.parts; p++ {
+		for p := 0; p < spillParts; p++ {
 			pt, err := ld.load(p, run.dnsW.counts[p], run.connW.counts[p])
 			if err != nil {
 				t.Fatal(err)
@@ -187,8 +187,8 @@ func TestPartitionReloadAllocBudget(t *testing.T) {
 	if int64(loaded) != run.spilledRecords {
 		t.Fatalf("reload yields %d records, %d were spilled", loaded, run.spilledRecords)
 	}
-	if budget := 64*float64(run.parts) + 0.05*float64(loaded); perRun > budget {
+	if budget := 64*float64(spillParts) + 0.05*float64(loaded); perRun > budget {
 		t.Fatalf("reloading %d partitions allocates %.0f for %d records; budget is %.0f (64/partition + 0.05/record)",
-			run.parts, perRun, loaded, budget)
+			spillParts, perRun, loaded, budget)
 	}
 }

@@ -14,13 +14,16 @@ import (
 
 // Analyze runs the full pipeline over ds: DN-Hunter pairing, the blocking
 // heuristic, per-resolver SC/R thresholds, and Table 2 classification.
-// The dataset is time-sorted in place. It is the non-cancellable
-// compatibility form of AnalyzeContext.
+// The dataset is time-sorted in place. It is AnalyzeContext without
+// cancellation or checkpointing: opts.Checkpoint is ignored, because a
+// snapshot that cannot be written or does not match the run is an error
+// only AnalyzeContext can return.
 func Analyze(ds *trace.Dataset, opts Options) *Analysis {
+	opts.Checkpoint = nil
 	a, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
-		// Unreachable: the only failure mode is context cancellation and
-		// Background never cancels.
+		// Unreachable: without a checkpoint the only failure mode is
+		// context cancellation, and Background never cancels.
 		panic(err)
 	}
 	return a

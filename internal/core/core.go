@@ -92,18 +92,11 @@ type Options struct {
 	// Workers bounds the analysis worker pool. Zero (the default) uses
 	// GOMAXPROCS. The result is bit-identical for every worker count:
 	// work is sharded by originating client and each shard carries its
-	// own RNG stream seeded from Seed and the shard ID.
+	// own RNG stream seeded from Seed and the shard ID. AnalyzeSource
+	// also parses a streaming TSV source on this many goroutines (one
+	// selects the serial scanner); the chunked scan replays records,
+	// quarantine decisions, and errors in exact serial order.
 	Workers int
-	// IngestWorkers bounds the goroutines AnalyzeSource uses to parse a
-	// streaming source's TSV input (sources that support it: see
-	// trace.ScannerSource.SetIngestWorkers). Positive values select that
-	// many parse workers; zero (the default) inherits the resolved
-	// Workers pool width; negative forces the serial scanner. Like
-	// Workers, the setting never changes results — the chunked scan
-	// replays records, quarantine decisions, and errors in exact serial
-	// order — only wall-clock time. Ignored by Analyze/AnalyzeContext,
-	// which do not parse input.
-	IngestWorkers int
 	// Metrics, when non-nil, receives analyzer counters (connections per
 	// class, shard count). Observation never feeds back into the pipeline,
 	// so seeded runs are bit-identical with or without a registry.
@@ -129,11 +122,6 @@ type Options struct {
 	// memory budget trips. Empty means a fresh directory under the OS
 	// temp dir, removed when the analysis finishes.
 	SpillDir string
-	// SpillParts is the number of hash partitions records spill into
-	// (per stream). Zero means the default (32). Each partition must
-	// fit in memory during the classify phase, so a trace N bytes over
-	// budget wants SpillParts comfortably above N/budget.
-	SpillParts int
 }
 
 // DefaultOptions returns the paper's parameters.

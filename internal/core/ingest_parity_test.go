@@ -14,11 +14,12 @@ import (
 // TestParallelIngestGoldenParity is the tentpole determinism gate for
 // the chunked-ingest + prep-overlap path: AnalyzeSource over a TSV
 // ScannerSource must produce bit-identical golden hashes and Digest at
-// every (Workers, IngestWorkers) combination, under both pairing
-// policies, with parallel ingest on and off. The reference is one
-// serial in-memory analysis of the same parsed records (the TSV format
-// rounds timestamps to microseconds, so the reference must come from
-// the roundtripped dataset, not the generator's).
+// every Workers count, under both pairing policies. Ingest parses on
+// the Workers pool width, so Workers 1 runs the serial scanner and 2
+// and 8 the chunked parallel scan. The reference is one serial
+// in-memory analysis of the same parsed records (the TSV format rounds
+// timestamps to microseconds, so the reference must come from the
+// roundtripped dataset, not the generator's).
 func TestParallelIngestGoldenParity(t *testing.T) {
 	cfg := households.SmallConfig(7)
 	cfg.Houses = 8
@@ -55,29 +56,26 @@ func TestParallelIngestGoldenParity(t *testing.T) {
 		wantReport, wantPaired, wantCheckpoint := hashAnalysis(t, ref, eco.Profiles)
 
 		for _, workers := range []int{1, 2, 8} {
-			for _, ingest := range []int{-1, 2, 8} {
-				o := opts
-				o.Workers = workers
-				o.IngestWorkers = ingest
-				src := trace.NewScannerSource(
-					strings.NewReader(dnsTSV), strings.NewReader(connTSV), trace.Strict())
-				a, err := AnalyzeSource(context.Background(), src, o)
-				if err != nil {
-					t.Fatalf("pairing=%v workers=%d ingest=%d: %v", pairing, workers, ingest, err)
-				}
-				if a.Summary() {
-					t.Fatalf("pairing=%v workers=%d ingest=%d: unbudgeted scanner source returned a summary analysis",
-						pairing, workers, ingest)
-				}
-				report, paired, checkpoint := hashAnalysis(t, a, eco.Profiles)
-				if report != wantReport || paired != wantPaired || checkpoint != wantCheckpoint {
-					t.Errorf("pairing=%v workers=%d ingest=%d: hashes (%#016x %#016x %#016x), want (%#016x %#016x %#016x)",
-						pairing, workers, ingest, report, paired, checkpoint, wantReport, wantPaired, wantCheckpoint)
-				}
-				if a.Digest() != ref.Digest() {
-					t.Errorf("pairing=%v workers=%d ingest=%d: digest %#016x, want %#016x",
-						pairing, workers, ingest, a.Digest(), ref.Digest())
-				}
+			o := opts
+			o.Workers = workers
+			src := trace.NewScannerSource(
+				strings.NewReader(dnsTSV), strings.NewReader(connTSV), trace.Strict())
+			a, err := AnalyzeSource(context.Background(), src, o)
+			if err != nil {
+				t.Fatalf("pairing=%v workers=%d: %v", pairing, workers, err)
+			}
+			if a.Summary() {
+				t.Fatalf("pairing=%v workers=%d: unbudgeted scanner source returned a summary analysis",
+					pairing, workers)
+			}
+			report, paired, checkpoint := hashAnalysis(t, a, eco.Profiles)
+			if report != wantReport || paired != wantPaired || checkpoint != wantCheckpoint {
+				t.Errorf("pairing=%v workers=%d: hashes (%#016x %#016x %#016x), want (%#016x %#016x %#016x)",
+					pairing, workers, report, paired, checkpoint, wantReport, wantPaired, wantCheckpoint)
+			}
+			if a.Digest() != ref.Digest() {
+				t.Errorf("pairing=%v workers=%d: digest %#016x, want %#016x",
+					pairing, workers, a.Digest(), ref.Digest())
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 
 // Spill layer for the out-of-core analyzer. When AnalyzeSource's memory
 // budget trips, records stop accumulating in RAM and are hashed by
-// client into partition files — hash(client) % SpillParts, one file per
+// client into partition files — hash(client) % spillParts, one file per
 // (stream, partition) — in arrival (= time) order. Because pairing is
 // strictly per-client, each partition is a self-contained slice of the
 // trace: the classify phase loads one partition at a time, so peak
@@ -26,8 +26,10 @@ import (
 // within one run; durability and versioning live in the checkpoint
 // envelope that shard files use, not here.
 
-// defaultSpillParts is the partition count when Options.SpillParts is 0.
-const defaultSpillParts = 32
+// spillParts is the number of hash partitions each stream spills into.
+// Each partition must fit in memory during the classify phase, so a
+// trace N bytes over budget wants spillParts comfortably above N/budget.
+const spillParts = 32
 
 // spillWriter owns one stream's partition files.
 type spillWriter struct {
@@ -46,13 +48,13 @@ type spillCount struct {
 	frames, answers int
 }
 
-func newSpillWriter(dir, stream string, parts int) (*spillWriter, error) {
+func newSpillWriter(dir, stream string) (*spillWriter, error) {
 	w := &spillWriter{
-		files:  make([]*os.File, parts),
-		bufs:   make([]*bufio.Writer, parts),
-		counts: make([]spillCount, parts),
+		files:  make([]*os.File, spillParts),
+		bufs:   make([]*bufio.Writer, spillParts),
+		counts: make([]spillCount, spillParts),
 	}
-	for p := 0; p < parts; p++ {
+	for p := 0; p < spillParts; p++ {
 		f, err := os.Create(spillPath(dir, stream, p))
 		if err != nil {
 			w.close()
@@ -86,14 +88,14 @@ func (w *spillWriter) close() {
 // partitionOf assigns a client to a spill partition: FNV-64a over the
 // canonical 16-byte address form, mod the partition count. Stable
 // across processes, so distributed collectors partition identically.
-func partitionOf(client netip.Addr, parts int) int {
+func partitionOf(client netip.Addr) int {
 	b := client.As16()
 	h := uint64(0xcbf29ce484222325)
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= 0x100000001b3
 	}
-	return int(h % uint64(parts))
+	return int(h % spillParts)
 }
 
 // Record frames. Addresses are u8 length + raw bytes; strings and
@@ -161,8 +163,8 @@ func appendConnFrame(b []byte, c *trace.ConnRecord) []byte {
 	return b
 }
 
-func (w *spillWriter) writeDNS(d *trace.DNSRecord, parts int) error {
-	p := partitionOf(d.Client, parts)
+func (w *spillWriter) writeDNS(d *trace.DNSRecord) error {
+	p := partitionOf(d.Client)
 	w.counts[p].frames++
 	w.counts[p].answers += len(d.Answers)
 	w.scratch = appendDNSFrame(w.scratch[:0], d)
@@ -170,8 +172,8 @@ func (w *spillWriter) writeDNS(d *trace.DNSRecord, parts int) error {
 	return err
 }
 
-func (w *spillWriter) writeConn(c *trace.ConnRecord, parts int) error {
-	p := partitionOf(c.Orig, parts)
+func (w *spillWriter) writeConn(c *trace.ConnRecord) error {
+	p := partitionOf(c.Orig)
 	w.counts[p].frames++
 	w.scratch = appendConnFrame(w.scratch[:0], c)
 	_, err := w.bufs[p].Write(w.scratch)
@@ -179,7 +181,7 @@ func (w *spillWriter) writeConn(c *trace.ConnRecord, parts int) error {
 }
 
 // Partition reload. A partition must fit in memory anyway (see
-// Options.SpillParts), so the loader reads each file whole into a
+// spillParts), so the loader reads each file whole into a
 // buffer it reuses and decodes it in one pass: the writer's frame and
 // answer counts size the record array and the answer arena exactly,
 // query names are interned per partition, and no field allocates.

@@ -33,7 +33,7 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts Options) (*Analys
 		return AnalyzeContext(ctx, d.DS, opts)
 	}
 	applyIngestWorkers(src, opts)
-	run := newStreamRun(opts)
+	run := &streamRun{opts: opts}
 	defer run.cleanup()
 	if err := run.ingest(ctx, src); err != nil {
 		return nil, analysisAborted(err)
@@ -76,7 +76,7 @@ func CollectShard(ctx context.Context, src trace.Source, opts Options) (*Analysi
 		return inMemory(d.DS, nil)
 	}
 	applyIngestWorkers(src, opts)
-	run := newStreamRun(opts)
+	run := &streamRun{opts: opts}
 	defer run.cleanup()
 	if err := run.ingest(ctx, src); err != nil {
 		return nil, analysisAborted(err)
@@ -96,28 +96,17 @@ func CollectShard(ctx context.Context, src trace.Source, opts Options) (*Analysi
 // parsing out over several goroutines (trace.ScannerSource, DirSource).
 type ingestTunable interface{ SetIngestWorkers(int) }
 
-// applyIngestWorkers resolves Options.IngestWorkers — positive: that
-// many; zero: inherit the Workers pool width; negative: serial — and
-// applies it to sources that support parallel parsing.
+// applyIngestWorkers parses sources that support it on the resolved
+// Workers pool width; a width of one keeps the serial scanner.
 func applyIngestWorkers(src trace.Source, opts Options) {
-	tun, ok := src.(ingestTunable)
-	if !ok {
-		return
-	}
-	switch {
-	case opts.IngestWorkers > 0:
-		tun.SetIngestWorkers(opts.IngestWorkers)
-	case opts.IngestWorkers < 0:
-		tun.SetIngestWorkers(1)
-	default:
+	if tun, ok := src.(ingestTunable); ok {
 		tun.SetIngestWorkers(parallel.Workers(opts.Workers))
 	}
 }
 
 // streamRun is the state of one out-of-core ingest + classify pass.
 type streamRun struct {
-	opts  Options
-	parts int
+	opts Options
 
 	// Resident mode: records retained until the budget trips, charged
 	// with their blocks' unused capacity.
@@ -156,14 +145,6 @@ type streamRun struct {
 	prepCh chan *sidecars
 }
 
-func newStreamRun(opts Options) *streamRun {
-	parts := opts.SpillParts
-	if parts <= 0 {
-		parts = defaultSpillParts
-	}
-	return &streamRun{opts: opts, parts: parts}
-}
-
 func (r *streamRun) cleanup() {
 	if r.dnsW != nil {
 		r.dnsW.close()
@@ -177,7 +158,7 @@ func (r *streamRun) cleanup() {
 		} else {
 			// A caller-provided spill dir is theirs; only the scratch
 			// partitions this run created are removed.
-			for p := 0; p < r.parts; p++ {
+			for p := 0; p < spillParts; p++ {
 				os.Remove(spillPath(r.spillDir, "dns", p))
 				os.Remove(spillPath(r.spillDir, "conn", p))
 			}
@@ -209,7 +190,7 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 		if r.spilled {
 			r.observeDNS(d)
 			r.spilledRecords++
-			return r.dnsW.writeDNS(d, r.parts)
+			return r.dnsW.writeDNS(d)
 		}
 		// The record's slot was charged as slack when its block opened.
 		opened := r.dns.push(d)
@@ -256,7 +237,7 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 		if r.spilled {
 			r.observeConn(c)
 			r.spilledRecords++
-			return r.connW.writeConn(c, r.parts)
+			return r.connW.writeConn(c)
 		}
 		opened := r.conns.push(c)
 		return r.account(retainedConnBytes() + int64(opened-1)*connRecordBytes)
@@ -354,10 +335,10 @@ func (r *streamRun) trip() error {
 	}
 	r.spillDir = dir
 	var err error
-	if r.dnsW, err = newSpillWriter(dir, "dns", r.parts); err != nil {
+	if r.dnsW, err = newSpillWriter(dir, "dns"); err != nil {
 		return err
 	}
-	if r.connW, err = newSpillWriter(dir, "conn", r.parts); err != nil {
+	if r.connW, err = newSpillWriter(dir, "conn"); err != nil {
 		return err
 	}
 	r.rsyms = make(map[netip.Addr]int32)
@@ -365,14 +346,14 @@ func (r *streamRun) trip() error {
 	r.dnsRank = make(map[netip.Addr]int32)
 	err = r.dns.each(func(d *trace.DNSRecord) error {
 		r.observeDNS(d)
-		return r.dnsW.writeDNS(d, r.parts)
+		return r.dnsW.writeDNS(d)
 	})
 	if err != nil {
 		return err
 	}
 	err = r.conns.each(func(c *trace.ConnRecord) error {
 		r.observeConn(c)
-		return r.connW.writeConn(c, r.parts)
+		return r.connW.writeConn(c)
 	})
 	if err != nil {
 		return err
@@ -512,7 +493,7 @@ func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 	workers := parallel.Workers(r.opts.Workers)
 	produce := func(emit func(job) error) error {
 		ld := partitionLoader{dir: r.spillDir, rsyms: r.rsyms}
-		for p := 0; p < r.parts; p++ {
+		for p := 0; p < spillParts; p++ {
 			part, err := ld.load(p, r.dnsW.counts[p], r.connW.counts[p])
 			if err != nil {
 				return err
@@ -554,5 +535,5 @@ func (r *streamRun) publishMetrics() {
 		Add(uint64(r.spilledRecords))
 	reg.Counter("dnsctx_stream_spill_partitions_total",
 		"Spill partitions (per stream) the out-of-core classify phase consumed.").
-		Add(uint64(r.parts))
+		Add(spillParts)
 }

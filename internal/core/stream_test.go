@@ -122,7 +122,7 @@ func TestStreamTripPointParity(t *testing.T) {
 		for _, frac := range []float64{0.25, 0.5, 0.75, 0.95} {
 			o := opts.withDefaults()
 			o.MemoryBudget = int64(frac * float64(total))
-			run := newStreamRun(o)
+			run := &streamRun{opts: o}
 			src := &tripProbe{Source: trace.NewDatasetSource(ds), run: run}
 			err := run.ingest(context.Background(), src)
 			var sh *AnalysisShard
@@ -196,7 +196,7 @@ func TestStreamBoundedResidency(t *testing.T) {
 		t.Fatalf("test trace too small: %d bytes retained vs budget %d; want >=10x", traceBytes, opts.MemoryBudget)
 	}
 
-	run := newStreamRun(opts)
+	run := &streamRun{opts: opts}
 	defer run.cleanup()
 	if err := run.ingest(context.Background(), trace.NewDatasetSource(ds)); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package resolver
 
 import (
-	"strings"
 	"time"
 
 	"dnscontext/internal/netsim"
@@ -66,16 +65,6 @@ func (a *Authority) Resolve(host string, r *stats.RNG) AuthResult {
 		answers[i] = trace.Answer{Addr: addr, TTL: n.TTL}
 	}
 	return AuthResult{Delay: delay, Answers: answers}
-}
-
-// TLDOf returns the last label of host ("com" for "www.example.com"),
-// used by zone-level accounting.
-func TLDOf(host string) string {
-	host = strings.TrimSuffix(host, ".")
-	if i := strings.LastIndexByte(host, '.'); i >= 0 {
-		return host[i+1:]
-	}
-	return host
 }
 
 // Zones returns the namespace backing this authority.

@@ -21,7 +21,7 @@ type Cache struct {
 	entries  map[string]*list.Element
 	lru      *list.List // front = most recently used
 
-	hits, misses, expired, evictions uint64
+	hits, misses, expired uint64
 
 	// evictCtr mirrors the eviction count into the observability layer
 	// when the owning platform is instrumented; nil is a no-op.
@@ -55,10 +55,6 @@ func (c *Cache) Stats() (hits, misses, expired uint64) {
 	return c.hits, c.misses, c.expired
 }
 
-// Evictions returns the number of entries displaced by LRU capacity
-// pressure (expiry removals are not evictions).
-func (c *Cache) Evictions() uint64 { return c.evictions }
-
 // Observe mirrors future evictions into ctr (nil detaches).
 func (c *Cache) Observe(ctr *obs.Counter) { c.evictCtr = ctr }
 
@@ -89,7 +85,6 @@ func (c *Cache) Put(now time.Duration, host string, answers []trace.Answer, rcod
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).host)
-		c.evictions++
 		c.evictCtr.Inc()
 	}
 }

@@ -76,14 +76,6 @@ type PlatformProfile struct {
 	Stream StreamConfig
 }
 
-// WithTransport returns a copy of the profile switched to the given
-// transport kind and stream configuration.
-func (p PlatformProfile) WithTransport(kind TransportKind, cfg StreamConfig) PlatformProfile {
-	p.Transport = kind
-	p.Stream = cfg
-	return p
-}
-
 // DefaultProfiles returns the calibrated platform set. RTTs follow the
 // paper's observations: Local ≈2 ms, Cloudflare ≈9 ms (the "mode just
 // under 10 msec"), Google and OpenDNS ≈20 ms.

@@ -247,15 +247,3 @@ func (rr *Recursive) externallyWarm(host string) ([]trace.Answer, bool) {
 	}
 	return answers, true
 }
-
-// WarmFraction reports the fraction of partitions currently holding host
-// unexpired — a calibration/diagnostic hook.
-func (rr *Recursive) WarmFraction(now time.Duration, host string) float64 {
-	warm := 0
-	for _, p := range rr.parts {
-		if _, ok := p.Peek(now, host); ok {
-			warm++
-		}
-	}
-	return float64(warm) / float64(len(rr.parts))
-}

@@ -148,15 +148,6 @@ func TestAuthorityNXDomain(t *testing.T) {
 	}
 }
 
-func TestTLDOf(t *testing.T) {
-	cases := map[string]string{"www.example.com": "com", "example.io.": "io", "localhost": "localhost"}
-	for in, want := range cases {
-		if got := TLDOf(in); got != want {
-			t.Errorf("TLDOf(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestRecursiveColdThenWarm(t *testing.T) {
 	zones, auth := newEcosystem(t)
 	prof := DefaultProfiles()[int(PlatformCloudflare)]
@@ -316,25 +307,6 @@ func TestStubCapacity(t *testing.T) {
 	}
 	if _, ok := s.Get(3*time.Second, "a.com"); ok {
 		t.Fatal("oldest entry survived eviction")
-	}
-}
-
-func TestForwarder(t *testing.T) {
-	f := NewForwarder(100)
-	if _, ok := f.Get(0, "a.com"); ok {
-		t.Fatal("hit on empty forwarder")
-	}
-	f.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 60*time.Second)})
-	if got, ok := f.Get(30*time.Second, "a.com"); !ok || got[0].TTL != 30*time.Second {
-		t.Fatalf("forwarder get = %v %v", got, ok)
-	}
-	if _, ok := f.Get(61*time.Second, "a.com"); ok {
-		t.Fatal("forwarder violated TTL")
-	}
-	f.Put(0, "nx.com", nil)
-	hits, misses, _ := f.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("stats %d/%d", hits, misses)
 	}
 }
 

@@ -157,31 +157,3 @@ func (s *Stub) GetStale(now time.Duration, host string) (StubLookup, bool) {
 	}
 	return s.Get(now, host)
 }
-
-// Forwarder is a whole-house caching forwarder: a TTL-honoring cache
-// shared by every device in a house. It is the mechanism evaluated in §8.
-type Forwarder struct {
-	cache *Cache
-}
-
-// NewForwarder returns a whole-house forwarder cache.
-func NewForwarder(capacity int) *Forwarder {
-	return &Forwarder{cache: NewCache(capacity)}
-}
-
-// Get returns cached answers with decremented TTLs.
-func (f *Forwarder) Get(now time.Duration, host string) ([]trace.Answer, bool) {
-	answers, _, ok := f.cache.Get(now, host)
-	return answers, ok
-}
-
-// Put stores a response observed by any device in the house.
-func (f *Forwarder) Put(now time.Duration, host string, answers []trace.Answer) {
-	if len(answers) == 0 {
-		return
-	}
-	f.cache.Put(now, host, answers, 0, 0)
-}
-
-// Stats exposes the underlying cache counters.
-func (f *Forwarder) Stats() (hits, misses, expired uint64) { return f.cache.Stats() }

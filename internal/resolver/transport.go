@@ -151,12 +151,6 @@ type ConnState struct {
 	sessionUntil time.Duration
 }
 
-// Live reports whether the connection can carry an exchange at virtual
-// time t without a new handshake.
-func (cs *ConnState) Live(t time.Duration) bool {
-	return cs != nil && cs.stream.LiveAt(t)
-}
-
 // Transport is the seam between a Recursive platform and the wire: it
 // runs one lookup's full failure ladder (retransmits for datagrams,
 // reconnects for streams) against the platform's link, fault profile,

@@ -172,31 +172,3 @@ func (e *ECDF) Points(max int) []Point {
 type Point struct {
 	X, Y float64
 }
-
-// Summary holds the standard quantile summary reported for figures.
-type Summary struct {
-	N                       int
-	Min, P10, P25, Median   float64
-	P75, P90, P95, P99, Max float64
-	Mean                    float64
-}
-
-// Summarize computes the standard quantile summary.
-func (e *ECDF) Summarize() Summary {
-	if len(e.xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(e.xs),
-		Min:    e.Min(),
-		P10:    e.Quantile(0.10),
-		P25:    e.Quantile(0.25),
-		Median: e.Median(),
-		P75:    e.Quantile(0.75),
-		P90:    e.Quantile(0.90),
-		P95:    e.Quantile(0.95),
-		P99:    e.Quantile(0.99),
-		Max:    e.Max(),
-		Mean:   e.Mean(),
-	}
-}

@@ -146,27 +146,6 @@ func TestECDFAddAfterQuery(t *testing.T) {
 	}
 }
 
-func TestECDFSummarize(t *testing.T) {
-	e := NewECDF(0)
-	for i := 1; i <= 100; i++ {
-		e.Add(float64(i))
-	}
-	s := e.Summarize()
-	if s.N != 100 || s.Min != 1 || s.Max != 100 {
-		t.Fatalf("summary basics wrong: %+v", s)
-	}
-	if s.Median < 50 || s.Median > 51 {
-		t.Fatalf("median %g", s.Median)
-	}
-	if math.Abs(s.Mean-50.5) > 1e-9 {
-		t.Fatalf("mean %g", s.Mean)
-	}
-	var zero ECDF
-	if got := zero.Summarize(); got.N != 0 {
-		t.Fatalf("empty summary N=%d", got.N)
-	}
-}
-
 func TestECDFPoints(t *testing.T) {
 	e := NewECDF(0)
 	for i := 0; i < 50; i++ {
@@ -208,21 +187,6 @@ func TestLogHistogramInvalid(t *testing.T) {
 		}
 	}()
 	NewLogHistogram(0, 4, 6)
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("a")
-	c.AddN("b", 3)
-	if c.Count("a") != 1 || c.Count("b") != 3 || c.Total() != 4 {
-		t.Fatalf("counter state wrong: a=%d b=%d total=%d", c.Count("a"), c.Count("b"), c.Total())
-	}
-	if c.Fraction("b") != 0.75 {
-		t.Fatalf("fraction %g", c.Fraction("b"))
-	}
-	if NewCounter().Fraction("x") != 0 {
-		t.Fatal("empty counter fraction should be 0")
-	}
 }
 
 func TestRenderCDFs(t *testing.T) {

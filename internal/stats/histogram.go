@@ -101,38 +101,3 @@ func (h *LogHistogram) String() string {
 	}
 	return b.String()
 }
-
-// Counter tallies labeled events; a tiny convenience for classification
-// breakdowns.
-type Counter struct {
-	counts map[string]uint64
-	total  uint64
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter {
-	return &Counter{counts: make(map[string]uint64)}
-}
-
-// Inc increments label by one.
-func (c *Counter) Inc(label string) { c.AddN(label, 1) }
-
-// AddN increments label by n.
-func (c *Counter) AddN(label string, n uint64) {
-	c.counts[label] += n
-	c.total += n
-}
-
-// Count returns the tally for label.
-func (c *Counter) Count(label string) uint64 { return c.counts[label] }
-
-// Total returns the sum of all tallies.
-func (c *Counter) Total() uint64 { return c.total }
-
-// Fraction returns Count(label)/Total, or 0 when empty.
-func (c *Counter) Fraction(label string) float64 {
-	if c.total == 0 {
-		return 0
-	}
-	return float64(c.counts[label]) / float64(c.total)
-}

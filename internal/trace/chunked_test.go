@@ -290,7 +290,7 @@ func TestChunkedConnParity(t *testing.T) {
 	}
 }
 
-// TestScannerSourceIngestWorkers drives the public knob: a
+// TestScannerSourceIngestWorkers drives the SetIngestWorkers seam: a
 // ScannerSource with parallel ingest must stream exactly the records a
 // serial source does, DNS and conns both.
 func TestScannerSourceIngestWorkers(t *testing.T) {
@@ -327,7 +327,7 @@ func TestScannerSourceIngestWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(wantDNS, gotDNS) || !reflect.DeepEqual(wantConns, gotConns) {
-			t.Fatalf("ingest-workers=%d: stream mismatch", w)
+			t.Fatalf("SetIngestWorkers(%d): stream mismatch", w)
 		}
 	}
 }

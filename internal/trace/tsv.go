@@ -74,13 +74,6 @@ func WriteDNS(w io.Writer, recs []DNSRecord) error {
 	return bw.Flush()
 }
 
-// parseDNSLine parses one data line of the DNS TSV format. It is the
-// standalone-string form of parseDNSLineBytes, for callers without a
-// scanner's reusable parse state.
-func parseDNSLine(lineNo int, line string) (DNSRecord, error) {
-	return parseDNSLineBytes(lineNo, []byte(line), newParseState())
-}
-
 // parseDNSLineBytes parses one data line in place: fields are located
 // by index in the scanner's line buffer, numbers and addresses parse
 // without materializing per-field strings, the query name is interned
@@ -208,12 +201,6 @@ func WriteConns(w io.Writer, recs []ConnRecord) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// parseConnLine parses one data line of the connection TSV format. It
-// is the standalone-string form of parseConnLineBytes.
-func parseConnLine(lineNo int, line string) (ConnRecord, error) {
-	return parseConnLineBytes(lineNo, []byte(line), newParseState())
 }
 
 // parseConnLineBytes parses one data line in place; see
