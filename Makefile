@@ -54,9 +54,13 @@ obs-determinism:
 # classify loop, so the reference classifier — the paper's definitions,
 # scanning every lookup of the client per connection — checks the
 # classification itself, and the resume tests check the shard-format
-# checkpoints. Also covered by `race`, but named so the gate is visible.
+# checkpoints. Every path converts its records once into the one
+# pointer-free record store: the layout, round-trip and store-equality
+# tests pin it, the zone tests check that spill frames and shard files
+# keep IPv6 zones, and the pinned fingerprint keeps old snapshots
+# resumable. Also covered by `race`, but named so the gate is visible.
 stream-parity:
-	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory|TestReference|TestCrashResumeDeterminism|TestResume' -count=1
+	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory|TestReference|TestCrashResumeDeterminism|TestResume|TestResidentRecordsPointerFree|TestStoreRoundTrip|TestStoreSameFromDatasetAndStream|KeepsAddressZones|TestCheckpointFingerprintPinned' -count=1
 
 # Transport matrix: the default (Do53) transport must reproduce the
 # pre-transport golden hashes bit for bit, and every transport's trace
@@ -153,18 +157,23 @@ scaling-gate:
 bench-all:
 	$(GO) test -bench=. -benchmem -run='^$$'
 
-# CPU and allocation profiles of the single-worker pipeline, plus the
-# top-function summaries. This is the workflow behind the ISSUE 5
-# optimizations (DESIGN.md §7e): profile, indict a function, fix it,
-# re-profile, and gate the win with an AllocsPerRun test.
+# CPU and allocation profiles of the report-tsv path — AnalyzeSource
+# over on-disk TSV partitions, unbudgeted (BenchmarkAnalyzeStream/
+# inmemory) — plus the top-function summaries: CPU, allocated objects,
+# and allocated bytes, where copies of every record show. This is the
+# workflow behind the allocation work (DESIGN.md §7e): profile, indict a
+# function, fix it, re-profile, and gate the win with an allocation
+# test.
 PROFILE_DIR ?= profiles
 
 profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -bench='BenchmarkAnalyzeParallel/workers=1$$' -run='^$$' -benchtime=3x \
+	$(GO) test -bench='BenchmarkAnalyzeStream/inmemory$$' -run='^$$' -benchtime=3x \
 		-cpuprofile=$(PROFILE_DIR)/cpu.out -memprofile=$(PROFILE_DIR)/mem.out \
 		-o $(PROFILE_DIR)/bench.test
 	@echo '--- top CPU ---'
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.out
 	@echo '--- top allocations (alloc_objects) ---'
 	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_objects $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/mem.out
+	@echo '--- top allocations (alloc_space) ---'
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/mem.out

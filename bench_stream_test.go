@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,19 +87,24 @@ func streamBenchTrace(b *testing.B) (dir string, records int, resident int64, di
 	return s.dir, s.records, s.resident, s.digest
 }
 
-// residentBytes mirrors the analyzer's internal retained-bytes
-// accounting closely enough to size a budget that forces spilling.
+// residentBytes mirrors the analyzer's retained-bytes accounting — 56 B
+// per DNS record, 16 B per answer and 48 B per connection in the record
+// store's compact form, table entries left out — closely enough to
+// size a budget that forces spilling.
 func residentBytes(ds *Dataset) int64 {
 	var n int64
 	for i := range ds.DNS {
-		n += 120 + int64(len(ds.DNS[i].Query)) + 24*int64(len(ds.DNS[i].Answers))
+		n += 56 + 16*int64(len(ds.DNS[i].Answers))
 	}
-	n += 80 * int64(len(ds.Conns))
+	n += 48 * int64(len(ds.Conns))
 	return n
 }
 
-// heapSampler polls the runtime heap while a benchmark body runs and
-// records the high-water mark.
+// heapSampler polls the live heap objects' bytes while a benchmark
+// body runs and records the high-water mark. It reads the same
+// runtime/metrics sample as the repository benchmark's peak_heap_mb
+// (bench/host.go), which unlike runtime.ReadMemStats does not stop the
+// world.
 type heapSampler struct {
 	stop chan struct{}
 	done chan struct{}
@@ -109,13 +115,13 @@ func startHeapSampler() *heapSampler {
 	s := &heapSampler{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
-		var ms runtime.MemStats
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 		tick := time.NewTicker(2 * time.Millisecond)
 		defer tick.Stop()
 		for {
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > s.peak.Load() {
-				s.peak.Store(ms.HeapAlloc)
+			metrics.Read(sample)
+			if v := sample[0].Value.Uint64(); v > s.peak.Load() {
+				s.peak.Store(v)
 			}
 			select {
 			case <-s.stop:

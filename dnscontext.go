@@ -317,7 +317,9 @@ func (an *Analyzer) Analyze(ds *Dataset) *Analysis { return core.Analyze(ds, an.
 // Analysis.Summary for what a spilled (summary-grade) result carries.
 // Without a memory budget the whole source is ingested and the
 // in-memory pipeline runs; classification results are bit-identical
-// either way.
+// either way. The analysis keeps the streamed records in its own
+// compact form only, so its DS is nil; Paired and DNSUsed index the
+// streams' record order.
 func (an *Analyzer) AnalyzeSource(ctx context.Context, src Source) (*Analysis, error) {
 	return core.AnalyzeSource(ctx, src, an.opts)
 }
@@ -497,9 +499,9 @@ func WriteAnalysisShard(path string, s *AnalysisShard) error { return core.Write
 // ReadAnalysisShard loads a shard written by WriteAnalysisShard.
 func ReadAnalysisShard(path string) (*AnalysisShard, error) { return core.ReadShardFile(path) }
 
-// WithMemoryBudget bounds how many bytes of trace records AnalyzeSource
-// keeps resident before spilling to disk; 0 (the default) means
-// unlimited. Spilling never changes classification results, only peak
+// WithMemoryBudget bounds how many bytes of records AnalyzeSource keeps
+// resident before spilling to disk, counted in the analysis' compact
+// record form; 0 (the default) means unlimited. Spilling never changes classification results, only peak
 // memory — and whether the returned Analysis is summary-grade (see
 // Analysis.Summary). Ignored by Analyze/AnalyzeContext, which by
 // definition already hold the dataset.

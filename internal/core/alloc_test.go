@@ -30,26 +30,26 @@ func TestPairAllocFree(t *testing.T) {
 	a := allocAnalysis(t)
 
 	// Find a shard with connections and build its index once.
-	var sh *clientShard
-	var shardID int
-	for s := range a.shards {
-		if len(a.shards[s].conns) > 0 && len(a.shards[s].dns) > 0 {
-			sh = &a.shards[s]
+	st := a.st
+	var conns, dns []int32
+	shardID := -1
+	for s := range a.shards.list {
+		if conns, dns = a.shards.records(s); len(conns) > 0 && len(dns) > 0 {
 			shardID = s
 			break
 		}
 	}
-	if sh == nil {
+	if shardID < 0 {
 		t.Fatal("no shard with both conns and dns")
 	}
-	idx := buildIndex(a.DS.DNS, a.expiry, sh.dns)
+	idx := buildIndex(st, dns)
 	rng := stats.NewRNG(a.Opts.Seed + uint64(shardID))
 	scratch := make([]int32, 0, 64)
 
-	// No-candidate path: an address no DNS record ever answered.
-	noMatch := a.DS.Conns[sh.conns[0]]
-	noMatch.Resp = netip.MustParseAddr("203.0.113.253")
-	if _, ok := idx[noMatch.Resp]; ok {
+	// No-candidate path: an address symbol no DNS record ever answered.
+	noMatch := st.conns[conns[0]]
+	noMatch.resp = int32(len(st.addrs))
+	if _, ok := idx[noMatch.resp]; ok {
 		t.Fatal("probe address unexpectedly indexed")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -65,11 +65,11 @@ func TestPairAllocFree(t *testing.T) {
 
 	// Single-candidate path: a connection whose destination resolves to
 	// a one-entry bucket.
-	var single trace.ConnRecord
+	var single connRec
 	found := false
-	for _, ci := range sh.conns {
-		conn := a.DS.Conns[ci]
-		if recs := idx[conn.Resp]; len(recs) == 1 && recs[0].ts <= conn.TS {
+	for _, ci := range conns {
+		conn := st.conns[ci]
+		if recs := idx[conn.resp]; len(recs) == 1 && recs[0].ts <= conn.ts {
 			single, found = conn, true
 			break
 		}
@@ -89,11 +89,9 @@ func TestPairAllocFree(t *testing.T) {
 	}
 
 	// General path with warmed scratch: still allocation-free.
-	conns := sh.conns
 	allocs = testing.AllocsPerRun(20, func() {
 		for _, ci := range conns {
-			conn := &a.DS.Conns[ci]
-			_, _, s := pair(a.Opts.Pairing, idx, conn, rng, scratch)
+			_, _, s := pair(a.Opts.Pairing, idx, &st.conns[ci], rng, scratch)
 			scratch = s
 		}
 	})
@@ -109,16 +107,16 @@ func TestClassifyShardAllocBudget(t *testing.T) {
 	a := allocAnalysis(t)
 	// Pick the busiest shard so per-connection costs dominate fixed ones.
 	best, bestConns := -1, 0
-	for s := range a.shards {
-		if n := len(a.shards[s].conns); n > bestConns {
-			best, bestConns = s, n
+	for s := range a.shards.list {
+		if conns, _ := a.shards.records(s); len(conns) > bestConns {
+			best, bestConns = s, len(conns)
 		}
 	}
 	if best < 0 || bestConns < 100 {
 		t.Fatalf("no busy shard (best has %d conns)", bestConns)
 	}
 	perRun := testing.AllocsPerRun(10, func() {
-		classifyClient(&a.Opts, best, a.DS.DNS, a.expiry, a.rsym, a.DS.Conns, &a.shards[best])
+		classifyClient(&a.Opts, best, a.st, &a.shards, best)
 	})
 	// Index construction allocates roughly one bucket-map entry per
 	// distinct answered address plus the backing array; budget that as
@@ -154,10 +152,10 @@ func reloadTrace(n int) *trace.Dataset {
 
 // TestPartitionReloadAllocBudget gates the spill reload: reading every
 // partition back and grouping it by client may cost a fixed setup per
-// partition (files, record arrays, answer arena, name table, and the
-// names themselves) but at most 0.05 allocations per spilled record
-// beyond it, where per-field decoding and per-client appends cost
-// several.
+// partition (files, record and answer arrays, address and name tables,
+// and the names themselves) but at most 0.05 allocations per spilled
+// record beyond it, where per-field decoding and per-client appends
+// cost several.
 func TestPartitionReloadAllocBudget(t *testing.T) {
 	ds := reloadTrace(20000)
 	opts := DefaultOptions().withDefaults()
@@ -172,16 +170,14 @@ func TestPartitionReloadAllocBudget(t *testing.T) {
 	}
 	loaded := 0
 	perRun := testing.AllocsPerRun(5, func() {
-		ld := partitionLoader{dir: run.spillDir, rsyms: run.rsyms}
+		ld := partitionLoader{dir: run.spillDir, resolvers: run.resolvers}
 		loaded = 0
 		for p := 0; p < spillParts; p++ {
 			pt, err := ld.load(p, run.dnsW.counts[p], run.connW.counts[p])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sh := range pt.shards {
-				loaded += len(sh.dns) + len(sh.conns)
-			}
+			loaded += len(pt.shards.conns) + len(pt.shards.dns)
 		}
 	})
 	if int64(loaded) != run.spilledRecords {

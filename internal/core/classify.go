@@ -33,100 +33,85 @@ func Analyze(ds *trace.Dataset, opts Options) *Analysis {
 // pool checks ctx between shards. A cancelled run returns a nil Analysis
 // and an error wrapping the context's error — never a partial result.
 //
-// The pipeline partitions connections by originating client (the paper's
-// pairing, §4, keys on the originator, so shards share no state), runs
-// pairing + blocking + classification for the shards on a bounded worker
-// pool, and merges per-shard tallies in shard order. Each shard draws
-// from its own RNG stream seeded from Opts.Seed and the shard ID, so the
-// result is bit-identical for every Workers value and GOMAXPROCS.
+// The dataset is time-sorted in place and converted once, in parallel,
+// into the analysis' record store (store.go); Analysis.DS keeps the
+// dataset. The pipeline then partitions connections by originating
+// client (the paper's pairing, §4, keys on the originator, so shards
+// share no state), runs pairing + blocking + classification for the
+// shards on a bounded worker pool, and merges per-shard tallies in
+// shard order. Each shard draws from its own RNG stream seeded from
+// Opts.Seed and the shard ID, so the result is bit-identical for every
+// Workers value and GOMAXPROCS.
 func AnalyzeContext(ctx context.Context, ds *trace.Dataset, opts Options) (*Analysis, error) {
-	return analyze(ctx, ds, opts, nil)
+	opts = opts.withDefaults()
+	tr := opts.Trace
+	sp := tr.StartPhase("sort")
+	ds.SortByTime()
+	sp.SetItems(len(ds.Conns) + len(ds.DNS))
+	sp = tr.StartPhase("intern")
+	st, err := buildStore(ctx, opts.Workers, ds)
+	sp.SetItems(len(ds.Conns) + len(ds.DNS))
+	if err != nil {
+		sp.End()
+		return nil, analysisAborted(err)
+	}
+	a, err := analyze(ctx, st, opts)
+	if err != nil {
+		return nil, err
+	}
+	a.DS = ds
+	return a, nil
 }
 
-// analyze is the pipeline behind AnalyzeContext. prep, when non-nil, is
-// a symbol sidecar a streaming ingest built concurrently with its
-// connection scan; it is only valid when built over ds.DNS in an order
-// SortByTime preserves (the ingest verifies nondecreasing TS, so the
-// stable sort's early-out leaves the records untouched) — the length
-// check guards against anything else.
+// analyze is the pipeline every resident run shares, over a record
+// store its entry point built: AnalyzeContext from a dataset, the
+// unbudgeted AnalyzeSource and CollectShard from a stream.
 //
 // The resident run is the unbudgeted case of the shard pipeline: every
 // client is classified into an AnalysisShard (a.shard) by the same loop
 // the out-of-core path runs per spill partition, and the shard is
 // finalized through the same path as a merged one, which here also
 // fills Paired and DNSUsed from the client-local pairing facts.
-func analyze(ctx context.Context, ds *trace.Dataset, opts Options, prep *sidecars) (*Analysis, error) {
-	opts = opts.withDefaults()
+func analyze(ctx context.Context, st *recordStore, opts Options) (*Analysis, error) {
 	tr := opts.Trace
 	tr.SetWorkers(parallel.Workers(opts.Workers))
-
-	sp := tr.StartPhase("sort")
-	ds.SortByTime()
-	sp.SetItems(len(ds.Conns) + len(ds.DNS))
-	a := &Analysis{
-		Opts:      opts,
-		DS:        ds,
-		Paired:    make([]PairedConn, len(ds.Conns)),
-		DNSUsed:   make([]bool, len(ds.DNS)),
-		connTotal: len(ds.Conns),
-		dnsTotal:  len(ds.DNS),
-	}
-
-	// Phase overlap: shard building reads only the sorted dataset, while
-	// the symbol build feeds the threshold derivation — so sharding runs
-	// concurrently with intern+thresholds and joins before classify. The
-	// overlapped stages write disjoint Analysis fields, and neither reads
-	// the other's output, so the result is the same as running them in
-	// sequence.
-	shardSp := tr.StartConcurrent("shard")
-	shardDone := make(chan error, 1)
-	go func() {
-		var err error
-		pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "shard"), func(context.Context) {
-			a.shards, err = buildShards(ctx, opts.Workers, ds.DNS, ds.Conns)
-		})
-		shardSp.SetItems(len(a.shards))
-		shardSp.End()
-		shardDone <- err
-	}()
-
-	sp = tr.StartPhase("intern")
-	if prep != nil && len(prep.qsym) == len(ds.DNS) {
-		a.adoptSidecars(prep)
-	} else if err := a.buildSymbols(ctx); err != nil {
-		<-shardDone
+	sp := tr.StartPhase("shard")
+	a := &Analysis{Opts: opts, st: st, connTotal: len(st.conns), dnsTotal: len(st.dns)}
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "shard"), func(context.Context) {
+		a.shards, err = buildShards(ctx, opts.Workers, st)
+	})
+	sp.SetItems(len(a.shards.list))
+	if err != nil {
+		sp.End()
 		return nil, analysisAborted(err)
 	}
-	sp.SetItems(len(ds.DNS))
 	sp = tr.StartPhase("thresholds")
 	var thByRes []time.Duration
-	a.Thresholds, thByRes = deriveThresholds(&opts, int64(len(ds.DNS)), a.resolvers)
+	a.Thresholds, thByRes = deriveThresholds(&opts, int64(len(st.dns)), st.resolvers)
 	sp.SetItems(len(a.Thresholds))
-	if err := <-shardDone; err != nil {
-		return nil, analysisAborted(err)
-	}
 
 	sp = tr.StartPhase("classify")
-	sp.SetItems(len(a.Paired))
+	sp.SetItems(len(st.conns))
 	shard := &AnalysisShard{
 		opts:      opts,
-		dnsTotal:  int64(len(ds.DNS)),
-		connTotal: int64(len(ds.Conns)),
-		resolvers: a.resolvers,
-		clients:   make([]clientResult, len(a.shards)),
+		dnsTotal:  int64(len(st.dns)),
+		connTotal: int64(len(st.conns)),
+		resolvers: st.resolvers,
+		clients:   make([]clientResult, len(a.shards.list)),
 	}
 	var ck *ckRun
 	if opts.Checkpoint != nil && opts.Checkpoint.Path != "" {
 		ck = newCkRun(a, shard, opts.Checkpoint)
 		if opts.Checkpoint.Resume {
 			if err := ck.restore(); err != nil {
+				sp.End()
 				return nil, analysisAborted(err)
 			}
 		}
 	}
-	var err error
 	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "classify"), func(context.Context) {
-		err = parallel.ForEach(ctx, opts.Workers, len(a.shards), func(s int) error {
+		err = parallel.ForEach(ctx, opts.Workers, len(a.shards.list), func(s int) error {
 			if ck != nil && ck.isRestored(s) {
 				return nil
 			}
@@ -134,9 +119,10 @@ func analyze(ctx context.Context, ds *trace.Dataset, opts Options, prep *sidecar
 			if tr != nil {
 				t0 = time.Now()
 			}
-			shard.clients[s] = classifyClient(&opts, s, ds.DNS, a.expiry, a.rsym, ds.Conns, &a.shards[s])
+			shard.clients[s] = classifyClient(&opts, s, st, &a.shards, s)
 			if tr != nil {
-				tr.ShardDone(len(a.shards[s].conns), time.Since(t0))
+				sh := &a.shards.list[s]
+				tr.ShardDone(int(sh.conn1-sh.conn0), time.Since(t0))
 			}
 			if ck != nil {
 				return ck.complete(s)
@@ -145,9 +131,11 @@ func analyze(ctx context.Context, ds *trace.Dataset, opts Options, prep *sidecar
 		})
 	})
 	if err != nil {
+		sp.End()
 		return nil, analysisAborted(err)
 	}
 	sp = tr.StartPhase("merge")
+	a.Paired, a.DNSUsed = make([]PairedConn, len(st.conns)), make([]bool, len(st.dns))
 	a.finalize(shard, thByRes)
 	sp.SetItems(len(shard.clients))
 	sp.End()
@@ -169,7 +157,7 @@ func (a *Analysis) publishMetrics(reg *obs.Registry) {
 	}
 	reg.Counter("dnsctx_analyzer_shards_total",
 		"Per-client shards the pipeline partitioned the dataset into.").
-		Add(uint64(len(a.shards)))
+		Add(uint64(len(a.shards.list)))
 	reg.Counter("dnsctx_analyzer_dns_records_total",
 		"DNS records in the analyzed dataset.").Add(uint64(a.dnsTotal))
 }
@@ -179,31 +167,30 @@ func analysisAborted(err error) error {
 }
 
 // classifyClient pairs one client's connections with its own lookups
-// and records each connection's pairing facts. dns and conns hold the
-// records (the whole dataset in memory, one spill partition out of
-// core), expiry and rsym are dns's per-record sidecars, and sh lists
-// the client's records in each, ascending (= time order). Connections
-// are processed in start-time order so "first use of a lookup" stays
-// well defined; across clients there is nothing to order, because a
-// DNS record can only pair with its own client's connections. rank
-// seeds the client's RNG stream, so it must be the client's position
-// in the whole trace's shard order for PairRandom results to match at
-// every representation. Entries index lookups within sh.dns.
-func classifyClient(opts *Options, rank int, dns []trace.DNSRecord, expiry []time.Duration,
-	rsym []int32, conns []trace.ConnRecord, sh *clientShard) clientResult {
-	c := clientResult{client: sh.client, nDNS: int32(len(sh.dns))}
-	if len(sh.conns) == 0 {
+// and records each connection's pairing facts. st holds the records
+// (the whole trace in memory, one spill partition out of core) and s
+// is the client's shard in set. Connections are processed in
+// start-time order so "first use of a lookup" stays well defined;
+// across clients there is nothing to order, because a DNS record can
+// only pair with its own client's connections. rank seeds the client's
+// RNG stream, so it must be the client's position in the whole trace's
+// shard order for PairRandom results to match at every representation.
+// Entries index lookups within the client's DNS records.
+func classifyClient(opts *Options, rank int, st *recordStore, set *shardSet, s int) clientResult {
+	conns, dns := set.records(s)
+	c := clientResult{client: st.addrs[set.list[s].client], nDNS: int32(len(dns))}
+	if len(conns) == 0 {
 		return c
 	}
-	idx := buildIndex(dns, expiry, sh.dns)
+	idx := buildIndex(st, dns)
 	rng := stats.NewRNG(opts.Seed + uint64(rank))
-	used := make([]bool, len(sh.dns))
+	used := make([]bool, len(dns))
 	// fresh is the pairing scan's scratch, reused across the client's
 	// connections so steady-state pairing allocates nothing.
 	var fresh []int32
-	c.entries = make([]connEntry, len(sh.conns))
-	for j, ci := range sh.conns {
-		conn := &conns[ci]
+	c.entries = make([]connEntry, len(conns))
+	for j, ci := range conns {
+		conn := &st.conns[ci]
 		e := &c.entries[j]
 		var l, cand int
 		l, cand, fresh = pair(opts.Pairing, idx, conn, rng, fresh)
@@ -211,16 +198,15 @@ func classifyClient(opts *Options, rank int, dns []trace.DNSRecord, expiry []tim
 			e.localDNS, e.res = -1, -1
 			continue
 		}
-		di := sh.dns[l]
-		d := &dns[di]
+		d := &st.dns[dns[l]]
 		e.localDNS = int32(l)
-		e.gap = conn.TS - d.TS
+		e.gap = conn.ts - d.ts
 		e.candidates = int32(cand)
 		e.firstUse = !used[l]
 		used[l] = true
-		e.usedExpired = conn.TS >= expiry[di]
-		e.lookupDur = d.Duration()
-		e.res = rsym[di]
+		e.usedExpired = conn.ts >= d.expiry
+		e.lookupDur = d.duration()
+		e.res = d.res
 	}
 	return c
 }

@@ -10,7 +10,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"net/netip"
 	"sync"
 	"time"
 
@@ -109,14 +108,16 @@ type Options struct {
 	// type in resume.go). Like Metrics/Trace it never influences the
 	// result, only whether work is recomputed or replayed.
 	Checkpoint *Checkpoint
-	// MemoryBudget bounds how many bytes of trace records AnalyzeSource
-	// keeps resident before spilling to disk. Zero (the default) means
-	// unlimited: the whole source is ingested in memory and the full
-	// in-memory pipeline runs. A nonzero budget never changes the
-	// analysis result, only whether it is computed in core or out of
-	// core — and whether the returned Analysis carries the dataset
-	// (see Analysis.Summary). Ignored by Analyze/AnalyzeContext, which
-	// by definition already hold the dataset.
+	// MemoryBudget bounds how many bytes of records AnalyzeSource keeps
+	// resident before spilling to disk, counted in the record store's
+	// compact form (store.go) with the table entries they add. Zero
+	// (the default) means unlimited: the whole source is ingested in
+	// memory and the full in-memory pipeline runs. A nonzero budget
+	// never changes the analysis result, only whether it is computed
+	// in core or out of core — and whether the returned Analysis
+	// carries the records (see Analysis.Summary). Ignored by
+	// Analyze/AnalyzeContext, which by definition already hold the
+	// dataset.
 	MemoryBudget int64
 	// SpillDir is where AnalyzeSource puts spill partitions when the
 	// memory budget trips. Empty means a fresh directory under the OS
@@ -188,10 +189,17 @@ type PairedConn struct {
 // table/figure computations need.
 type Analysis struct {
 	Opts Options
-	DS   *trace.Dataset
-	// Paired has one entry per connection, in dataset order.
+	// DS is the dataset handed to Analyze or AnalyzeContext, time-sorted
+	// in place. An analysis of a Source converts the streamed records
+	// straight into its record store and holds no trace records, so its
+	// DS is nil — whether it is full (an unbudgeted AnalyzeSource) or
+	// summary-grade. Every method reads the record store, never DS.
+	DS *trace.Dataset
+	// Paired has one entry per connection, in dataset (for a Source,
+	// stream) order.
 	Paired []PairedConn
-	// DNSUsed marks DNS records used by at least one connection.
+	// DNSUsed marks DNS records used by at least one connection, in the
+	// same order as the DNS records.
 	DNSUsed []bool
 	// Thresholds maps resolver address (as string) to the SC/R duration
 	// threshold derived for it.
@@ -200,25 +208,18 @@ type Analysis struct {
 	// classCounts tallies connections per class, computed once during
 	// finalize so Count and Fraction are O(1).
 	classCounts [numClasses]int
-	// Symbol sidecar, built once (serially, so numbering is a function of
-	// dataset order alone) before the parallel phases. qsym/rsym/expiry
-	// are indexed by DNS record position and turn the hot paths'
-	// string-keyed maps and repeated MinTTL scans into slice lookups.
-	names  *trace.SymbolTable // query-name symbols
-	qsym   []trace.Sym        // per DNS record: query-name symbol
-	rsym   []int32            // per DNS record: resolver symbol
-	expiry []time.Duration    // per DNS record: precomputed ExpiresAt()
-	// resolvers is each resolver's address and (count, min-duration)
-	// summary, indexed by resolver symbol (first-appearance order).
-	resolvers []resolverStat
-	// shards partitions the dataset by originating client in
+	// st is every record of the trace in its resident form, converted
+	// once at the entry point (store.go); nil when summary-grade.
+	st *recordStore
+	// shards partitions the store by originating client in
 	// first-appearance order. Clients are houses (the monitor sees one
 	// NAT'd address per residence), so the shards also drive the
 	// per-house what-if simulations. Shard IDs seed the per-client RNG
 	// streams, which is why the order must be deterministic.
-	shards []clientShard
+	shards shardSet
 	// shard is the AnalysisShard the run's clients were classified into
-	// (client i of a resident run is shards[i]); CollectShard returns it.
+	// (client i of a resident run is shards.list[i]); CollectShard
+	// returns it.
 	shard *AnalysisShard
 	// refreshOnce guards authTTL/window, the lazily derived inputs shared
 	// by every refresh-policy simulation (possibly running concurrently).
@@ -231,11 +232,11 @@ type Analysis struct {
 
 	// Summary-grade state. An Analysis reduced from streamed shards
 	// (AnalyzeSource over a source bigger than the memory budget, or
-	// AnalysisShard.Finalize) has no resident dataset: DS and Paired are
-	// nil, and the totals and failure stats computed during the reduce
-	// live here instead. The in-memory path fills the totals too, so
-	// accessors shared by both grades (Count/Fraction/Table2/Failures/...)
-	// read them uniformly.
+	// AnalysisShard.Finalize) has no resident records: st, DS and Paired
+	// are nil, and the totals and failure stats computed during the
+	// reduce live here instead. The resident path fills the totals too,
+	// so accessors shared by both grades (Count/Fraction/Table2/
+	// Failures/...) read them uniformly.
 	summary   bool
 	dnsTotal  int
 	connTotal int
@@ -246,7 +247,7 @@ type Analysis struct {
 }
 
 // Summary reports whether the analysis is summary-grade: reduced from
-// streamed shards without a resident dataset. Classification totals
+// streamed shards without resident records. Classification totals
 // (Count, Fraction, Table2, BlockedFraction, SharedCacheHitRate),
 // Thresholds, Failures, Digest, and WriteSummary are available either
 // way; the table/figure computations that walk the raw records (Report's
@@ -261,71 +262,83 @@ func (a *Analysis) TotalConns() int { return a.connTotal }
 // TotalDNS is the number of DNS transactions the analysis covers.
 func (a *Analysis) TotalDNS() int { return a.dnsTotal }
 
-// clientShard is one client's slice of a pair of record arrays: its
-// connection and DNS record positions, each ascending (= time order).
+// clientShard is one client's share of a record store: its address
+// symbol and the windows of its shard set's position lists that hold
+// its connection and DNS record positions, each ascending (= time
+// order).
 type clientShard struct {
-	client netip.Addr
-	conns  []int32
-	dns    []int32
+	client       int32
+	conn0, conn1 int32
+	dns0, dns1   int32
 }
 
-// buildSymbols fills the symbol sidecar: query names intern to dense
-// symbols, resolvers number in first-appearance order, and each record's
-// TTL expiry is computed once instead of on every pairing probe. Large
-// inputs build in parallel chunks (see symbols.go); the numbering is a
-// function of dataset order alone either way.
-func (a *Analysis) buildSymbols(ctx context.Context) error {
-	sc, err := buildSidecars(ctx, a.Opts.Workers, a.DS.DNS)
-	if err != nil {
-		return err
-	}
-	a.adoptSidecars(sc)
-	return nil
+// shardSet groups a store's records by client.
+type shardSet struct {
+	list       []clientShard
+	conns, dns []int32 // record positions, client after client
 }
 
-// adoptSidecars installs a prebuilt sidecar bundle — either from this
-// run's buildSymbols or one a streaming ingest built concurrently with
-// its connection scan.
-func (a *Analysis) adoptSidecars(sc *sidecars) {
-	a.names, a.qsym, a.rsym, a.expiry = sc.names, sc.qsym, sc.rsym, sc.expiry
-	a.resolvers = sc.resolvers
+// records returns client s's connection and DNS record positions.
+func (set *shardSet) records(s int) (conns, dns []int32) {
+	sh := &set.list[s]
+	return set.conns[sh.conn0:sh.conn1], set.dns[sh.dns0:sh.dns1]
 }
 
-// buildShards groups two time-sorted record arrays by client: the
-// whole dataset in memory, one spill partition out of core. Pairing
-// only ever matches a connection with lookups from the same originator,
-// so the clients can be classified concurrently without locks.
-// Clients come in first-appearance order — connection originators
-// first, then clients that only issued lookups, so the shards
-// partition both arrays completely. Grouping runs on the worker pool
-// (counting-pass sharding, see parallel.ShardByParallel) with the same
-// order at every width; the only error is context cancellation.
-func buildShards(ctx context.Context, workers int, dns []trace.DNSRecord, conns []trace.ConnRecord) ([]clientShard, error) {
-	connShards, err := parallel.ShardByParallel(ctx, workers, len(conns),
-		func(i int) netip.Addr { return conns[i].Orig })
+// buildShards groups a store's records by client: the whole trace in
+// memory, one spill partition out of core. Pairing only ever matches a
+// connection with lookups from the same originator, so the clients can
+// be classified concurrently without locks. Clients come in
+// first-appearance order — connection originators first, then clients
+// that only issued lookups, so the shards partition both record arrays
+// completely. Grouping runs on the worker pool (counting-pass sharding,
+// see parallel.ShardByParallel) with the same order at every width; the
+// only error is context cancellation.
+func buildShards(ctx context.Context, workers int, st *recordStore) (shardSet, error) {
+	connShards, err := parallel.ShardByParallel(ctx, workers, len(st.conns),
+		func(i int) int32 { return st.conns[i].orig })
 	if err != nil {
-		return nil, err
+		return shardSet{}, err
 	}
-	dnsShards, err := parallel.ShardByParallel(ctx, workers, len(dns),
-		func(i int) netip.Addr { return dns[i].Client })
+	dnsShards, err := parallel.ShardByParallel(ctx, workers, len(st.dns),
+		func(i int) int32 { return st.dns[i].client })
 	if err != nil {
-		return nil, err
+		return shardSet{}, err
 	}
-	dnsOf := make(map[netip.Addr][]int32, len(dnsShards))
-	for _, s := range dnsShards {
-		dnsOf[s.Key] = s.Items
+	// dnsOf is each client's DNS shard, -1 for none or already placed.
+	dnsOf := make([]int32, len(st.addrs))
+	for i := range dnsOf {
+		dnsOf[i] = -1
 	}
-	shards := make([]clientShard, 0, len(connShards)+len(dnsShards))
+	for p, s := range dnsShards {
+		dnsOf[s.Key] = int32(p)
+	}
+	set := shardSet{
+		list:  make([]clientShard, 0, len(connShards)+len(dnsShards)),
+		conns: make([]int32, 0, len(st.conns)),
+		dns:   make([]int32, 0, len(st.dns)),
+	}
+	add := func(client int32, conns, dns []int32) {
+		set.list = append(set.list, clientShard{
+			client: client,
+			conn0:  int32(len(set.conns)), conn1: int32(len(set.conns) + len(conns)),
+			dns0: int32(len(set.dns)), dns1: int32(len(set.dns) + len(dns)),
+		})
+		set.conns = append(set.conns, conns...)
+		set.dns = append(set.dns, dns...)
+	}
 	for _, s := range connShards {
-		shards = append(shards, clientShard{client: s.Key, conns: s.Items, dns: dnsOf[s.Key]})
-		delete(dnsOf, s.Key)
+		var dns []int32
+		if p := dnsOf[s.Key]; p >= 0 {
+			dns, dnsOf[s.Key] = dnsShards[p].Items, -1
+		}
+		add(s.Key, s.Items, dns)
 	}
 	for _, s := range dnsShards {
-		if items, ok := dnsOf[s.Key]; ok {
-			shards = append(shards, clientShard{client: s.Key, dns: items})
+		if dnsOf[s.Key] >= 0 {
+			add(s.Key, nil, s.Items)
 		}
 	}
-	return shards, nil
+	return set, nil
 }
 
 // Count returns the number of connections in class c.

@@ -38,19 +38,19 @@ type datasetFold struct {
 	window          time.Duration // latest record timestamp
 }
 
-func (f *datasetFold) dns(d *trace.DNSRecord) {
-	if len(d.Answers) == 0 {
+func (f *datasetFold) dns(d *dnsRec) {
+	if d.nAns == 0 {
 		f.answerless++
 	}
-	f.window = max(f.window, d.TS)
+	f.window = max(f.window, d.ts)
 }
 
-func (f *datasetFold) conn(c *trace.ConnRecord) {
-	if c.Proto == trace.TCP {
+func (f *datasetFold) conn(c *connRec) {
+	if c.proto == trace.TCP {
 		f.tcp++
 	}
-	f.bytes += c.TotalBytes()
-	f.window = max(f.window, c.TS)
+	f.bytes += c.origBytes + c.respBytes
+	f.window = max(f.window, c.ts)
 }
 
 func (f *datasetFold) merge(o *datasetFold) {
@@ -63,8 +63,8 @@ func (f *datasetFold) merge(o *datasetFold) {
 func (h *houseFold) datasetStats(a *Analysis) DatasetStats {
 	f := &h.dataset
 	s := DatasetStats{
-		DNSTransactions: len(a.DS.DNS),
-		Connections:     len(a.DS.Conns),
+		DNSTransactions: a.dnsTotal,
+		Connections:     a.connTotal,
 		Houses:          h.houses, // every client is a house
 		Window:          f.window,
 		TotalBytes:      f.bytes,

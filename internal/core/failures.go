@@ -1,7 +1,5 @@
 package core
 
-import "dnscontext/internal/trace"
-
 // FailureStats summarizes the failure-path activity visible in the DNS
 // dataset: retransmissions, SERVFAIL giveups, and truncation-driven TCP
 // fallbacks. In a fault-free trace every field except Lookups is zero.
@@ -63,16 +61,16 @@ func (a *Analysis) Failures() FailureStats {
 }
 
 // add tallies one DNS transaction.
-func (f *FailureStats) add(d *trace.DNSRecord) {
+func (f *FailureStats) add(d *dnsRec) {
 	f.Lookups++
 	if failureRecord(d) {
 		f.ServFails++
 	}
-	if d.Retries > 0 {
+	if d.retries > 0 {
 		f.Retried++
-		f.TotalRetries += int(d.Retries)
+		f.TotalRetries += int(d.retries)
 	}
-	if d.TC {
+	if d.tc {
 		f.TCPFallbacks++
 	}
 }
@@ -86,6 +84,6 @@ func (f FailureStats) HasFailures() bool {
 // failureRecord reports whether DNS record d is a failed transaction for
 // pairing purposes (a SERVFAIL carries no addresses, so it can never pair
 // anyway; the predicate exists for clarity at call sites).
-func failureRecord(d *trace.DNSRecord) bool {
-	return d.RCode == 2 && len(d.Answers) == 0
+func failureRecord(d *dnsRec) bool {
+	return d.rcode == 2 && d.nAns == 0
 }

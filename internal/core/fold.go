@@ -133,7 +133,7 @@ type platformTable struct {
 }
 
 func (a *Analysis) platformTable(profiles []resolver.PlatformProfile) platformTable {
-	t := platformTable{of: make([]int, len(a.resolvers))}
+	t := platformTable{of: make([]int, len(a.st.resolvers))}
 	index := make(map[resolver.PlatformID]int, len(profiles))
 	for _, p := range profiles {
 		if _, ok := index[p.ID]; !ok {
@@ -141,9 +141,9 @@ func (a *Analysis) platformTable(profiles []resolver.PlatformProfile) platformTa
 			t.ids = append(t.ids, p.ID)
 		}
 	}
-	for rs := range a.resolvers {
+	for rs := range a.st.resolvers {
 		t.of[rs] = -1
-		if id, ok := resolver.PlatformOf(a.resolvers[rs].addr, profiles); ok {
+		if id, ok := resolver.PlatformOf(a.st.resolvers[rs].addr, profiles); ok {
 			t.of[rs] = index[id]
 		}
 	}
@@ -167,8 +167,8 @@ func (a *Analysis) fold(req foldReq) *houseFold {
 	if req.secs.has(secTable1 | secPerHouse | secResolvers) {
 		f.plats = a.platformTable(req.profiles)
 	}
-	if req.secs.has(secResolvers) && a.names != nil {
-		f.ccSym = a.names.Lookup(ConnectivityCheckHost)
+	if req.secs.has(secResolvers) {
+		f.ccSym = a.st.names.Lookup(ConnectivityCheckHost)
 	}
 	if req.secs.has(secRefresh) {
 		f.authTTL, f.window = a.refreshInputs()
@@ -178,12 +178,12 @@ func (a *Analysis) fold(req foldReq) *houseFold {
 		scratch = make([]*whatIfScratch, parallel.Workers(a.Opts.Workers))
 	}
 	// Neither the context nor a house can fail, so the pool returns nil.
-	parts := make([]houseFold, len(a.shards))
+	parts := make([]houseFold, len(a.shards.list))
 	parallel.ForEachWorker(context.Background(), a.Opts.Workers, len(parts), func(w, s int) error {
 		var scr *whatIfScratch
 		if scratch != nil {
 			if scratch[w] == nil {
-				scratch[w] = newWhatIfScratch(a.names.Len())
+				scratch[w] = newWhatIfScratch(a.st.names.Len())
 			}
 			scr = scratch[w]
 		}
@@ -231,22 +231,23 @@ func (a *Analysis) fold(req foldReq) *houseFold {
 // when the fold runs no what-if).
 func (f *folder) house(s int, scr *whatIfScratch) (h houseFold) {
 	a, on := f.a, f.req.secs // on: a register copy for the record loops
-	sh := &a.shards[s]
+	st := a.st
+	conns, dns := a.shards.records(s)
 	h.houses = 1
-	if len(sh.dns) > 0 {
+	if len(dns) > 0 {
 		h.dnsHouses = 1
 	}
 	if f.plats.ids != nil {
 		h.platforms = make([]platformFold, len(f.plats.ids))
 	}
 
-	for _, di := range sh.dns {
-		d := &a.DS.DNS[di]
+	for _, di := range dns {
+		d := &st.dns[di]
 		if on.has(secDataset) {
 			h.dataset.dns(d)
 		}
 		if on.has(secTable1 | secPerHouse) {
-			if p := f.plats.of[a.rsym[di]]; p >= 0 {
+			if p := f.plats.of[d.res]; p >= 0 {
 				h.platforms[p].lookups++
 			}
 		}
@@ -262,11 +263,11 @@ func (f *folder) house(s int, scr *whatIfScratch) (h houseFold) {
 	// the sizes of the curves that take one sample per connection of a
 	// class, reserved up front so they grow once.
 	var classes [numClasses]int
-	for _, ci := range sh.conns {
+	for _, ci := range conns {
 		classes[a.Paired[ci].Class]++
 	}
 	if on.has(secFigure1) {
-		h.figure1.gaps.Grow(len(sh.conns) - classes[ClassN])
+		h.figure1.gaps.Grow(len(conns) - classes[ClassN])
 	}
 	if on.has(secTTL) {
 		h.ttl.reserve(&classes)
@@ -275,8 +276,8 @@ func (f *folder) house(s int, scr *whatIfScratch) (h houseFold) {
 		h.figure2.reserve(&classes)
 	}
 
-	for _, ci := range sh.conns {
-		pc, c := &a.Paired[ci], &a.DS.Conns[ci]
+	for _, ci := range conns {
+		pc, c := &a.Paired[ci], &st.conns[ci]
 		if on.has(secDataset) {
 			h.dataset.conn(c)
 		}
@@ -284,7 +285,7 @@ func (f *folder) house(s int, scr *whatIfScratch) (h houseFold) {
 			h.noDNS.conn(pc, c)
 		}
 		if on.has(secTTL) {
-			h.ttl.conn(pc, c, a.expiry)
+			h.ttl.conn(pc, c, st.dns)
 		}
 		if on.has(secPrefetch) {
 			h.prefetch.conn(pc)
@@ -307,9 +308,10 @@ func (f *folder) house(s int, scr *whatIfScratch) (h houseFold) {
 		if on.has(secTolerable) {
 			h.tolerable.conn(pc, a.Opts.BlockThreshold, f.req.extra)
 		}
+		d := &st.dns[pc.DNS]
 		p := -1
 		if on.has(secTable1 | secResolvers) {
-			p = f.plats.of[a.rsym[pc.DNS]]
+			p = f.plats.of[d.res]
 		}
 		if on.has(secTable1) && p >= 0 {
 			h.platforms[p].conn(c)
@@ -317,22 +319,23 @@ func (f *folder) house(s int, scr *whatIfScratch) (h houseFold) {
 		if pc.Class != ClassSC && pc.Class != ClassR {
 			continue
 		}
-		lookup := a.DS.DNS[pc.DNS].Duration()
+		lookup := d.duration()
 		if on.has(secFigure2) {
-			h.figure2.conn(pc.Class, lookup, c.Duration)
+			h.figure2.conn(pc.Class, lookup, c.dur)
 		}
 		if on.has(secSignificance) {
-			h.sig.conn(lookup, c.Duration, &a.Opts)
+			h.sig.conn(lookup, c.dur, &a.Opts)
 		}
 		if on.has(secResolvers) && p >= 0 {
-			tput := c.ThroughputBps()
+			tput := c.throughputBps()
 			h.platforms[p].blocked(pc.Class, lookup, tput)
-			h.resolvers.conn(f.plats.ids[p], a.qsym[pc.DNS] == f.ccSym, tput)
+			h.resolvers.conn(f.plats.ids[p], d.name == f.ccSym, tput)
 		}
 	}
 
 	if on.has(secPerHouse) {
-		h.perHouse = []HouseSummary{houseSummary(sh, classes, h.platforms, f.plats.ids)}
+		h.perHouse = []HouseSummary{houseSummary(st.addrs[a.shards.list[s].client], len(conns), len(dns),
+			classes, h.platforms, f.plats.ids)}
 	}
 	if on.has(secWholeHouse) {
 		h.whole = a.wholeHouseShard(s, scr)

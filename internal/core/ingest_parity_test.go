@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -82,8 +84,9 @@ func TestParallelIngestGoldenParity(t *testing.T) {
 }
 
 // TestParallelSymbolRemapDeterminism pins the chunk-local-to-global
-// symbol remap directly: buildSidecars must hand back the same tables,
-// numbering, and fused resolver stats at every worker count, including
+// symbol remap of the record store build directly: the chunked
+// conversion must produce the serial conversion's records, tables,
+// numbering and fused resolver stats at every worker count, including
 // widths that force many small chunks.
 func TestParallelSymbolRemapDeterminism(t *testing.T) {
 	ds := determinismTrace(t)
@@ -91,47 +94,41 @@ func TestParallelSymbolRemapDeterminism(t *testing.T) {
 	if len(ds.DNS) < 100 {
 		t.Fatalf("trace too small: %d DNS records", len(ds.DNS))
 	}
-	ref, err := buildSidecars(context.Background(), 1, ds.DNS)
+	ref, err := buildStoreChunked(context.Background(), 1, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		// Drop the size floor out of the way by calling the parallel
-		// build directly.
-		got := &sidecars{
-			names:  trace.NewSymbolTable(),
-			qsym:   make([]trace.Sym, len(ds.DNS)),
-			rsym:   make([]int32, len(ds.DNS)),
-			expiry: make([]time.Duration, len(ds.DNS)),
-		}
-		if err := got.buildParallel(context.Background(), workers, ds.DNS); err != nil {
+		// Call the chunked build directly, below its size floor.
+		got, err := buildStoreChunked(context.Background(), workers, ds)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got.names.Len() != ref.names.Len() {
-			t.Fatalf("workers=%d: %d names, want %d", workers, got.names.Len(), ref.names.Len())
+		checkStoresEqual(t, fmt.Sprintf("workers=%d", workers), got, ref)
+	}
+}
+
+// checkStoresEqual fails unless two record stores hold the same
+// records, answers and connections under the same numbering.
+func checkStoresEqual(t *testing.T, label string, got, want *recordStore) {
+	t.Helper()
+	if !slices.Equal(got.addrs, want.addrs) {
+		t.Fatalf("%s: %d addresses, want %d, or a different numbering", label, len(got.addrs), len(want.addrs))
+	}
+	if got.names.Len() != want.names.Len() {
+		t.Fatalf("%s: %d names, want %d", label, got.names.Len(), want.names.Len())
+	}
+	for s := 0; s < want.names.Len(); s++ {
+		if got.names.Name(trace.Sym(s)) != want.names.Name(trace.Sym(s)) {
+			t.Fatalf("%s: name symbol %d = %q, want %q",
+				label, s, got.names.Name(trace.Sym(s)), want.names.Name(trace.Sym(s)))
 		}
-		for s := 0; s < ref.names.Len(); s++ {
-			if got.names.Name(trace.Sym(s)) != ref.names.Name(trace.Sym(s)) {
-				t.Fatalf("workers=%d: symbol %d = %q, want %q",
-					workers, s, got.names.Name(trace.Sym(s)), ref.names.Name(trace.Sym(s)))
-			}
-		}
-		for i := range ref.qsym {
-			if got.qsym[i] != ref.qsym[i] || got.rsym[i] != ref.rsym[i] || got.expiry[i] != ref.expiry[i] {
-				t.Fatalf("workers=%d: record %d sidecar (%d %d %v), want (%d %d %v)",
-					workers, i, got.qsym[i], got.rsym[i], got.expiry[i],
-					ref.qsym[i], ref.rsym[i], ref.expiry[i])
-			}
-		}
-		if len(got.resolvers) != len(ref.resolvers) {
-			t.Fatalf("workers=%d: %d resolvers, want %d", workers, len(got.resolvers), len(ref.resolvers))
-		}
-		for rs := range ref.resolvers {
-			if got.resolvers[rs] != ref.resolvers[rs] {
-				t.Fatalf("workers=%d: resolver %d (%v n=%d min=%v), want (%v n=%d min=%v)",
-					workers, rs, got.resolvers[rs].addr, got.resolvers[rs].lookups, got.resolvers[rs].minDur,
-					ref.resolvers[rs].addr, ref.resolvers[rs].lookups, ref.resolvers[rs].minDur)
-			}
-		}
+	}
+	if !slices.Equal(got.resolvers, want.resolvers) {
+		t.Fatalf("%s: resolvers %+v, want %+v", label, got.resolvers, want.resolvers)
+	}
+	if !slices.Equal(got.dns, want.dns) || !slices.Equal(got.answers, want.answers) || !slices.Equal(got.conns, want.conns) {
+		t.Fatalf("%s: %d/%d/%d records, answers, connections, want %d/%d/%d, or different values",
+			label, len(got.dns), len(got.answers), len(got.conns), len(want.dns), len(want.answers), len(want.conns))
 	}
 }

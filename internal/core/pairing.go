@@ -1,12 +1,10 @@
 package core
 
 import (
-	"net/netip"
 	"sort"
 	"time"
 
 	"dnscontext/internal/stats"
-	"dnscontext/internal/trace"
 )
 
 // pairEnt is one candidate in a client index bucket: the DNS record's
@@ -22,33 +20,32 @@ type pairEnt struct {
 }
 
 // shardIndex is the DN-Hunter lookup structure for one client: it maps
-// each answered address to the client's DNS records (ascending by
-// completion time) whose answers contain it. The client is implicit —
-// every record indexed shares one — which is exactly what lets the
+// each answered address symbol to the client's DNS records (ascending
+// by completion time) whose answers contain it. The client is implicit
+// — every record indexed shares one — which is exactly what lets the
 // pipeline shard the trace with no cross-client pairing candidates.
-type shardIndex map[netip.Addr][]pairEnt
+type shardIndex map[int32][]pairEnt
 
 // buildIndex constructs the lookup structure over one client's DNS
-// records: local lists the client's records as positions in dns (and
-// expiry, its per-record sidecar), ascending, and each entry stores its
-// position within local. A record enters each distinct answered address
-// once, however often its answer section repeats the address, so a
-// bucket counts records.
+// records: local lists the client's records as positions in st.dns,
+// ascending, and each entry stores its position within local. A record
+// enters each distinct answered address once, however often its answer
+// section repeats the address, so a bucket counts records.
 //
 // A counting pre-pass sizes every bucket exactly: all buckets are
 // carved out of one shared backing slice, so the fill pass appends
 // within capacity and the grow-by-append reallocation churn of the
 // naive construction disappears.
-func buildIndex(dns []trace.DNSRecord, expiry []time.Duration, local []int32) shardIndex {
+func buildIndex(st *recordStore, local []int32) shardIndex {
 	total := 0
 	// Distinct answered addresses are bounded by (and usually close to)
 	// the client's record count.
-	counts := make(map[netip.Addr]int32, len(local))
+	counts := make(map[int32]int32, len(local))
 	for _, i := range local {
-		ans := dns[i].Answers
+		ans := st.answersOf(&st.dns[i])
 		for k := range ans {
 			if firstAnswer(ans, k) {
-				counts[ans[k].Addr]++
+				counts[ans[k].addr]++
 				total++
 			}
 		}
@@ -61,11 +58,12 @@ func buildIndex(dns []trace.DNSRecord, expiry []time.Duration, local []int32) sh
 		off += c
 	}
 	for j, i := range local {
-		ans := dns[i].Answers
-		ent := pairEnt{ts: dns[i].TS, expiry: expiry[i], idx: int32(j)}
+		d := &st.dns[i]
+		ans := st.answersOf(d)
+		ent := pairEnt{ts: d.ts, expiry: d.expiry, idx: int32(j)}
 		for k := range ans {
 			if firstAnswer(ans, k) {
-				idx[ans[k].Addr] = append(idx[ans[k].Addr], ent)
+				idx[ans[k].addr] = append(idx[ans[k].addr], ent)
 			}
 		}
 	}
@@ -74,9 +72,9 @@ func buildIndex(dns []trace.DNSRecord, expiry []time.Duration, local []int32) sh
 
 // firstAnswer reports whether ans[k] is the first answer carrying its
 // address.
-func firstAnswer(ans []trace.Answer, k int) bool {
+func firstAnswer(ans []answerRec, k int) bool {
 	for _, a := range ans[:k] {
-		if a.Addr == ans[k].Addr {
+		if a.addr == ans[k].addr {
 			return false
 		}
 	}
@@ -96,8 +94,8 @@ func firstAnswer(ans []trace.Answer, k int) bool {
 // scratch is the caller-owned backing for the fresh-candidate scan; the
 // (possibly grown) scratch is returned for reuse, so a client's pairing
 // loop settles into zero allocations per connection.
-func pair(policy PairingPolicy, idx shardIndex, conn *trace.ConnRecord, rng *stats.RNG, scratch []int32) (local int, candidates int, _ []int32) {
-	recs := idx[conn.Resp]
+func pair(policy PairingPolicy, idx shardIndex, conn *connRec, rng *stats.RNG, scratch []int32) (local int, candidates int, _ []int32) {
+	recs := idx[conn.resp]
 	if len(recs) == 0 {
 		return -1, 0, scratch
 	}
@@ -105,7 +103,7 @@ func pair(policy PairingPolicy, idx shardIndex, conn *trace.ConnRecord, rng *sta
 	// connection start. The completion times ride in the bucket entries,
 	// so the search never leaves the bucket's contiguous memory.
 	hi := sort.Search(len(recs), func(i int) bool {
-		return recs[i].ts > conn.TS
+		return recs[i].ts > conn.ts
 	})
 	if hi == 0 {
 		return -1, 0, scratch
@@ -116,7 +114,7 @@ func pair(policy PairingPolicy, idx shardIndex, conn *trace.ConnRecord, rng *sta
 	// against the expiry carried in each entry.
 	fresh := scratch[:0]
 	for i := len(cand) - 1; i >= 0; i-- {
-		if conn.TS < cand[i].expiry {
+		if conn.ts < cand[i].expiry {
 			fresh = append(fresh, cand[i].idx)
 			continue
 		}

@@ -50,14 +50,15 @@ func (a *Analysis) PerHouse(profiles []resolver.PlatformProfile) []HouseSummary 
 	return a.fold(foldReq{secs: secPerHouse, profiles: profiles}).perHouse
 }
 
-// houseSummary is shard sh's HouseSummary, from its per-class connection
-// counts and its per-platform lookup counts.
-func houseSummary(sh *clientShard, classes [numClasses]int, plats []platformFold, ids []resolver.PlatformID) HouseSummary {
+// houseSummary is the HouseSummary of the client at addr with the given
+// record counts, per-class connection counts and per-platform lookup
+// counts.
+func houseSummary(addr netip.Addr, conns, dns int, classes [numClasses]int, plats []platformFold, ids []resolver.PlatformID) HouseSummary {
 	h := HouseSummary{
-		House:           trace.HouseOf(sh.client),
-		Addr:            sh.client,
-		Conns:           len(sh.conns),
-		DNS:             len(sh.dns),
+		House:           trace.HouseOf(addr),
+		Addr:            addr,
+		Conns:           conns,
+		DNS:             dns,
 		ClassCounts:     classes,
 		PlatformLookups: make(map[resolver.PlatformID]int),
 	}

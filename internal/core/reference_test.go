@@ -3,7 +3,7 @@ package core
 // A reference classifier for the paper's method, written straight from
 // its definitions (§3 pairing, §4 ambiguity, §5 blocking and the §5.3
 // per-resolver SC/R split) with none of the pipeline's machinery: no
-// shards, symbol tables, pairing indexes or sidecars. For every
+// shards, symbol tables, pairing indexes or record store. For every
 // connection it scans every DNS record of the same client. The tests
 // compare its verdict with Analysis.Paired connection by connection, so
 // a change that keeps the pipeline's own paths in agreement with each

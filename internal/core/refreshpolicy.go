@@ -107,16 +107,16 @@ func (f *refreshFold) policy(k int, window time.Duration) CachePolicy {
 // never hashes.
 func (a *Analysis) simulateShardCache(shardID int, floor time.Duration, pol RefreshPolicy,
 	authTTL []time.Duration, window time.Duration, scr *whatIfScratch) (out cacheShardTally) {
-	sh := &a.shards[shardID]
+	conns, _ := a.shards.records(shardID)
 	scr.begin()
-	for _, ci := range sh.conns {
+	for _, ci := range conns {
 		pc := &a.Paired[ci]
 		if pc.Class == ClassN {
 			continue
 		}
-		name := a.qsym[pc.DNS]
+		name := a.st.dns[pc.DNS].name
 		ttl := authTTL[name]
-		now := a.DS.Conns[ci].TS
+		now := a.st.conns[ci].ts
 		st := scr.entry(name)
 
 		if st.alive && now >= st.expiresAt {
@@ -182,17 +182,18 @@ func refreshesUntil(pol RefreshPolicy, floor time.Duration, st *nameState, ttl, 
 // cached; concurrent simulations share the result.
 func (a *Analysis) refreshInputs() ([]time.Duration, time.Duration) {
 	a.refreshOnce.Do(func() {
-		a.authTTL = make([]time.Duration, a.names.Len())
-		for i := range a.DS.DNS {
-			ts := a.DS.DNS[i].TS
-			// expiry is TS + MinTTL, precomputed per record.
-			if t := a.expiry[i] - ts; t > a.authTTL[a.qsym[i]] {
-				a.authTTL[a.qsym[i]] = t
+		st := a.st
+		a.authTTL = make([]time.Duration, st.names.Len())
+		for i := range st.dns {
+			d := &st.dns[i]
+			// expiry is ts + the smallest answer TTL.
+			if t := d.expiry - d.ts; t > a.authTTL[d.name] {
+				a.authTTL[d.name] = t
 			}
-			a.window = max(a.window, ts)
+			a.window = max(a.window, d.ts)
 		}
-		for i := range a.DS.Conns {
-			a.window = max(a.window, a.DS.Conns[i].TS)
+		for i := range st.conns {
+			a.window = max(a.window, st.conns[i].ts)
 		}
 	})
 	return a.authTTL, a.window

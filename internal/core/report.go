@@ -15,7 +15,7 @@ import (
 // summary-grade analysis (no resident dataset) renders WriteSummary
 // instead, since the figure computations need the raw records.
 func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) error {
-	if a.DS == nil {
+	if a.summary {
 		return a.WriteSummary(w)
 	}
 	// Every section comes out of one per-house fold (fold.go).
@@ -87,7 +87,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 
 	// --- §5.2 ---
 	ttl := r.ttl.result()
-	pf := r.prefetch.result(len(a.DS.DNS))
+	pf := r.prefetch.result(a.dnsTotal)
 	fmt.Fprintf(tw, "--- Section 5.2: local cache and prefetching ---\n")
 	fmt.Fprintf(tw, "LC conns using expired records: %.1f%% (paper: 22.2%%)\n", 100*ttl.LCExpiredFraction)
 	fmt.Fprintf(tw, "P conns using expired records:  %.1f%% (paper: 12.4%%)\n", 100*ttl.PExpiredFraction)

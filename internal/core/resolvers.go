@@ -6,7 +6,6 @@ import (
 
 	"dnscontext/internal/resolver"
 	"dnscontext/internal/stats"
-	"dnscontext/internal/trace"
 )
 
 // ConnectivityCheckHost is the Android captive-portal probe hostname whose
@@ -87,9 +86,9 @@ type platformFold struct {
 }
 
 // conn adds a DNS-paired connection whose lookup went to the platform.
-func (f *platformFold) conn(c *trace.ConnRecord) {
+func (f *platformFold) conn(c *connRec) {
 	f.conns++
-	f.bytes += c.TotalBytes()
+	f.bytes += c.origBytes + c.respBytes
 }
 
 // blocked adds an SC or R connection whose lookup went to the platform.

@@ -164,18 +164,19 @@ func (ck *ckRun) restore() error {
 		}
 		remap[i] = r
 	}
-	slot := make(map[netip.Addr]int, len(ck.a.shards))
-	for s := range ck.a.shards {
-		slot[ck.a.shards[s].client] = s
+	shards := &ck.a.shards
+	slot := make(map[netip.Addr]int, len(shards.list))
+	for s := range shards.list {
+		slot[ck.a.st.addrs[shards.list[s].client]] = s
 	}
 	for _, c := range snap.clients {
 		s, ok := slot[c.client]
 		if !ok {
 			return fmt.Errorf("%w: snapshot has unknown client %s", ErrCheckpointMismatch, c.client)
 		}
-		if sh := &ck.a.shards[s]; int(c.nDNS) != len(sh.dns) || len(c.entries) != len(sh.conns) {
+		if conns, dns := shards.records(s); int(c.nDNS) != len(dns) || len(c.entries) != len(conns) {
 			return fmt.Errorf("%w: client %s has %d lookups and %d connections, snapshot has %d and %d",
-				ErrCheckpointMismatch, c.client, len(sh.dns), len(sh.conns), c.nDNS, len(c.entries))
+				ErrCheckpointMismatch, c.client, len(dns), len(conns), c.nDNS, len(c.entries))
 		}
 		for j := range c.entries {
 			if r := c.entries[j].res; r >= 0 {
@@ -190,45 +191,50 @@ func (ck *ckRun) restore() error {
 	return nil
 }
 
-// fingerprint hashes the (time-sorted) dataset so a snapshot can refuse
-// to resume against different input.
+// fingerprint hashes the time-sorted trace, read from the record store,
+// so a snapshot can refuse to resume against different input. The
+// hashed bytes are those of every trace record's fields in order, with
+// addresses in their text form, so a snapshot's fingerprint does not
+// depend on how the store numbers its symbols.
 func (a *Analysis) fingerprint() uint64 {
 	if a.fp != 0 {
 		return a.fp
 	}
+	st := a.st
 	h := fnv.New64a()
 	put := func(v any) { _ = binary.Write(h, binary.LittleEndian, v) }
-	put(uint64(len(a.DS.DNS)))
-	for i := range a.DS.DNS {
-		d := &a.DS.DNS[i]
-		put(int64(d.QueryTS))
-		put(int64(d.TS))
-		h.Write([]byte(d.Client.String()))
-		h.Write([]byte(d.Resolver.String()))
-		put(d.ID)
-		h.Write([]byte(d.Query))
-		put(d.QType)
-		put(d.RCode)
-		put(uint32(len(d.Answers)))
-		for _, an := range d.Answers {
-			h.Write([]byte(an.Addr.String()))
-			put(int64(an.TTL))
+	addrText := func(sym int32) []byte { return []byte(st.addrs[sym].String()) }
+	put(uint64(len(st.dns)))
+	for i := range st.dns {
+		d := &st.dns[i]
+		put(int64(d.queryTS))
+		put(int64(d.ts))
+		h.Write(addrText(d.client))
+		h.Write([]byte(st.resolvers[d.res].addr.String()))
+		put(d.id)
+		h.Write([]byte(st.names.Name(d.name)))
+		put(d.qtype)
+		put(d.rcode)
+		put(d.nAns)
+		for _, an := range st.answersOf(d) {
+			h.Write(addrText(an.addr))
+			put(int64(an.ttl))
 		}
-		put(d.Retries)
-		put(d.TC)
+		put(d.retries)
+		put(d.tc)
 	}
-	put(uint64(len(a.DS.Conns)))
-	for i := range a.DS.Conns {
-		c := &a.DS.Conns[i]
-		put(int64(c.TS))
-		put(int64(c.Duration))
-		put(uint8(c.Proto))
-		h.Write([]byte(c.Orig.String()))
-		put(c.OrigPort)
-		h.Write([]byte(c.Resp.String()))
-		put(c.RespPort)
-		put(c.OrigBytes)
-		put(c.RespBytes)
+	put(uint64(len(st.conns)))
+	for i := range st.conns {
+		c := &st.conns[i]
+		put(int64(c.ts))
+		put(int64(c.dur))
+		put(uint8(c.proto))
+		h.Write(addrText(c.orig))
+		put(c.origPort)
+		h.Write(addrText(c.resp))
+		put(c.respPort)
+		put(c.origBytes)
+		put(c.respBytes)
 	}
 	a.fp = h.Sum64()
 	return a.fp

@@ -1,7 +1,5 @@
 package core
 
-import "dnscontext/internal/trace"
-
 // NoDNS is §5.1's dissection of the N connections (no DNS information).
 type NoDNS struct {
 	// Total is the number of N connections.
@@ -30,22 +28,22 @@ type noDNSFold struct {
 	reserved                             map[uint16]int // nil until needed
 }
 
-func (f *noDNSFold) conn(pc *PairedConn, c *trace.ConnRecord) {
-	if c.RespPort == 853 {
+func (f *noDNSFold) conn(pc *PairedConn, c *connRec) {
+	if c.respPort == 853 {
 		f.dot++
 	}
 	if pc.Class != ClassN {
 		return
 	}
 	f.total++
-	if c.OrigPort >= 1024 && c.RespPort >= 1024 {
+	if c.origPort >= 1024 && c.respPort >= 1024 {
 		f.highPort++
 		return
 	}
 	if f.reserved == nil {
 		f.reserved = make(map[uint16]int)
 	}
-	f.reserved[c.RespPort]++
+	f.reserved[c.respPort]++
 	f.unpairedNonP2P++
 }
 

@@ -233,9 +233,9 @@ func (s *AnalysisShard) Finalize() *Analysis {
 // finalize is the reduce every run ends in. Each client's connections
 // get their Table 2 class from the stored pairing facts under thByRes
 // (indexed like s.resolvers); the classes are tallied and folded into
-// the digest. A resident analysis, whose client i is a.shards[i], also
-// gets Paired and DNSUsed, with client-local lookup positions mapped
-// back to dataset indices.
+// the digest. A resident analysis, whose client i is a.shards.list[i],
+// also gets Paired and DNSUsed, with client-local lookup positions
+// mapped back to record indices.
 func (a *Analysis) finalize(s *AnalysisShard, thByRes []time.Duration) {
 	a.shard = s
 	h := newDigest()
@@ -247,20 +247,23 @@ func (a *Analysis) finalize(s *AnalysisShard, thByRes []time.Duration) {
 		h := newDigest()
 		h.addr(c.client)
 		h.u64(uint64(c.nDNS))
+		var conns, dns []int32
+		if a.st != nil {
+			conns, dns = a.shards.records(i)
+		}
 		for j := range c.entries {
 			e := &c.entries[j]
 			class := entryClass(e, &s.opts, thByRes)
 			a.classCounts[class]++
 			h.entry(e, class)
-			if a.shards == nil {
+			if a.st == nil {
 				continue
 			}
-			sh := &a.shards[i]
-			ci := sh.conns[j]
+			ci := conns[j]
 			pc := &a.Paired[ci]
 			*pc = PairedConn{Conn: int(ci), DNS: -1, Class: class}
 			if e.localDNS >= 0 {
-				di := sh.dns[e.localDNS]
+				di := dns[e.localDNS]
 				pc.DNS, pc.Gap, pc.Candidates = int(di), e.gap, int(e.candidates)
 				pc.FirstUse, pc.UsedExpired = e.firstUse, e.usedExpired
 				a.DNSUsed[di] = true

@@ -275,6 +275,11 @@ func FuzzShardPayload(f *testing.F) {
 	}
 	f.Add(real.encode())
 	f.Add(smallShard().encode())
+	zoned, err := CollectShard(context.Background(), trace.NewDatasetSource(zonedTrace()), opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(zoned.encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := decodeShardPayload(b)
 		if err != nil {

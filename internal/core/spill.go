@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -98,11 +99,26 @@ func partitionOf(client netip.Addr) int {
 	return int(h % spillParts)
 }
 
-// Record frames. Addresses are u8 length + raw bytes; strings and
+// Record frames. An address is a u8 length tag and its raw bytes: 0
+// for the zero Addr, 4 or 16 for an address without a zone, and
+// zonedAddrTag for an IPv6 address with one, whose 16 bytes are
+// followed by the zone as a u32 length and its bytes. Strings and
 // answer lists carry u16 counts (the TSV formats they arrive from can't
-// exceed that).
+// exceed that). Shard payloads (shard files and checkpoints) use the
+// same address encoding.
+
+// zonedAddrTag is the length tag of a zoned address; no address without
+// a zone uses it, so those encode as they always have.
+const zonedAddrTag = 0xff
 
 func appendAddr(b []byte, a netip.Addr) []byte {
+	if zone := a.Zone(); zone != "" {
+		ip := a.As16()
+		b = append(b, zonedAddrTag)
+		b = append(b, ip[:]...)
+		b = appendU32(b, uint32(len(zone)))
+		return append(b, zone...)
+	}
 	s := a.AsSlice()
 	b = append(b, uint8(len(s)))
 	return append(b, s...)
@@ -181,10 +197,11 @@ func (w *spillWriter) writeConn(c *trace.ConnRecord) error {
 }
 
 // Partition reload. A partition must fit in memory anyway (see
-// spillParts), so the loader reads each file whole into a
-// buffer it reuses and decodes it in one pass: the writer's frame and
-// answer counts size the record array and the answer arena exactly,
-// query names are interned per partition, and no field allocates.
+// spillParts), so the loader reads each file whole into a buffer it
+// reuses and decodes it in one pass straight into a record store: the
+// writer's frame and answer counts size the record and answer arrays
+// exactly, addresses and query names are interned per partition, and
+// no field allocates.
 
 // frameReader is a cursor over little-endian bytes: spill frames and
 // shard payloads. A read past the end sets err and yields zero values,
@@ -195,7 +212,7 @@ type frameReader struct {
 }
 
 func (f *frameReader) take(n int) []byte {
-	if f.err != nil || len(f.b) < n {
+	if f.err != nil || n < 0 || len(f.b) < n {
 		f.fail(io.ErrUnexpectedEOF)
 		return nil
 	}
@@ -238,85 +255,100 @@ func (f *frameReader) i64() int64 {
 	return 0
 }
 
-// addr is the inverse of appendAddr: length 0 is the zero Addr.
+// addr is the inverse of appendAddr.
 func (f *frameReader) addr() netip.Addr {
-	n := f.u8()
-	v := f.take(int(n))
-	switch {
-	case f.err != nil:
+	switch n := f.u8(); {
+	case f.err != nil, n == 0:
 	case n == 4:
-		return netip.AddrFrom4([4]byte(v))
+		if v := f.take(4); v != nil {
+			return netip.AddrFrom4([4]byte(v))
+		}
 	case n == 16:
-		return netip.AddrFrom16([16]byte(v))
-	case n != 0:
+		if v := f.take(16); v != nil {
+			return netip.AddrFrom16([16]byte(v))
+		}
+	case n == zonedAddrTag:
+		v := f.take(16)
+		zone := f.take(int(f.u32()))
+		if f.err == nil && len(zone) == 0 {
+			f.fail(errors.New("zoned address with an empty zone"))
+		}
+		if f.err == nil {
+			return netip.AddrFrom16([16]byte(v)).WithZone(string(zone))
+		}
+	default:
 		f.fail(fmt.Errorf("address length %d", n))
 	}
 	return netip.Addr{}
 }
 
 // decodeDNSFrames decodes exactly `frames` DNS frames holding `answers`
-// answers in total, and nothing else, from b. Answers share one arena;
-// equal names share one string.
-func decodeDNSFrames(b []byte, frames, answers int) ([]trace.DNSRecord, error) {
-	recs := make([]trace.DNSRecord, frames)
-	arena := make([]trace.Answer, answers)
-	names := trace.NewSymbolTable()
+// answers in total, and nothing else, from b into st: its records and
+// answers, with addresses, names and resolvers interned in its tables
+// in the order symbolTables.dns interns them.
+func decodeDNSFrames(b []byte, frames, answers int, st *recordStore) error {
+	st.dns = make([]dnsRec, frames)
+	st.answers = make([]answerRec, answers)
 	f := frameReader{b: b}
-	for i := range recs {
-		d := &recs[i]
-		d.QueryTS = time.Duration(f.i64())
-		d.TS = time.Duration(f.i64())
-		d.Client = f.addr()
-		d.Resolver = f.addr()
-		d.ID = f.u16()
-		d.Query = names.Canonical(f.take(int(f.u16())))
-		d.QType = f.u16()
-		d.RCode = f.u8()
-		if n := int(f.u16()); n > len(arena) {
-			f.fail(fmt.Errorf("frame %d has %d answers, %d remain", i, n, len(arena)))
-		} else if n > 0 {
-			d.Answers, arena = arena[:n:n], arena[n:]
-			for j := range d.Answers {
-				d.Answers[j].Addr = f.addr()
-				d.Answers[j].TTL = time.Duration(f.i64())
+	next := uint32(0) // the next unused answer
+	for i := range st.dns {
+		d := &st.dns[i]
+		d.queryTS = time.Duration(f.i64())
+		d.ts = time.Duration(f.i64())
+		d.client = st.addr(f.addr())
+		res := f.addr()
+		d.id = f.u16()
+		d.name = st.names.InternBytes(f.take(int(f.u16())))
+		d.res = st.resolver(res)
+		d.qtype = f.u16()
+		d.rcode = f.u8()
+		n := uint32(f.u16())
+		if n > uint32(answers)-next {
+			f.fail(fmt.Errorf("frame %d has %d answers, %d remain", i, n, uint32(answers)-next))
+			n = 0
+		}
+		d.ans, d.nAns = next, n
+		var minTTL time.Duration
+		for k := range st.answersOf(d) {
+			a := &st.answers[next+uint32(k)]
+			a.addr = st.addr(f.addr())
+			a.ttl = time.Duration(f.i64())
+			if k == 0 || a.ttl < minTTL {
+				minTTL = a.ttl
 			}
 		}
-		d.Retries = f.u8()
-		d.TC = f.u8() != 0
+		next += n
+		d.expiry = d.ts + minTTL
+		d.retries = f.u8()
+		d.tc = f.u8() != 0
 		if f.err != nil {
-			return nil, fmt.Errorf("frame %d: %w", i, f.err)
+			return fmt.Errorf("frame %d: %w", i, f.err)
 		}
 	}
-	if err := decodedAll(f.b, len(arena)); err != nil {
-		return nil, err
-	}
-	return recs, nil
+	return decodedAll(f.b, answers-int(next))
 }
 
 // decodeConnFrames decodes exactly `frames` connection frames, and
-// nothing else, from b.
-func decodeConnFrames(b []byte, frames int) ([]trace.ConnRecord, error) {
-	recs := make([]trace.ConnRecord, frames)
+// nothing else, from b into st.
+func decodeConnFrames(b []byte, frames int, st *recordStore) error {
+	st.conns = make([]connRec, frames)
 	f := frameReader{b: b}
-	for i := range recs {
-		c := &recs[i]
-		c.TS = time.Duration(f.i64())
-		c.Duration = time.Duration(f.i64())
-		c.Proto = trace.Proto(f.u8())
-		c.Orig = f.addr()
-		c.OrigPort = f.u16()
-		c.Resp = f.addr()
-		c.RespPort = f.u16()
-		c.OrigBytes = f.i64()
-		c.RespBytes = f.i64()
+	for i := range st.conns {
+		c := &st.conns[i]
+		c.ts = time.Duration(f.i64())
+		c.dur = time.Duration(f.i64())
+		c.proto = trace.Proto(f.u8())
+		c.orig = st.addr(f.addr())
+		c.origPort = f.u16()
+		c.resp = st.addr(f.addr())
+		c.respPort = f.u16()
+		c.origBytes = f.i64()
+		c.respBytes = f.i64()
 		if f.err != nil {
-			return nil, fmt.Errorf("frame %d: %w", i, f.err)
+			return fmt.Errorf("frame %d: %w", i, f.err)
 		}
 	}
-	if err := decodedAll(f.b, 0); err != nil {
-		return nil, err
-	}
-	return recs, nil
+	return decodedAll(f.b, 0)
 }
 
 // decodedAll checks that a decode consumed every byte and answer the
@@ -331,25 +363,23 @@ func decodedAll(rest []byte, answers int) error {
 	return nil
 }
 
-// partition is one reloaded spill partition, a small dataset: its
-// records in arrival (= time) order, each DNS record's expiry and
-// resolver symbol, and per-client index lists from the same grouping
-// function the in-memory pipeline uses.
+// partition is one reloaded spill partition, a small trace: a record
+// store with partition-local address and name tables and the
+// whole-trace resolver numbering, and its records grouped by client
+// with the same function the in-memory pipeline uses.
 type partition struct {
-	dns    []trace.DNSRecord
-	conns  []trace.ConnRecord
-	expiry []time.Duration
-	rsym   []int32
-	shards []clientShard
+	st     *recordStore
+	shards shardSet
 }
 
 // partitionLoader reloads spill partitions, reusing its read buffer from
-// one partition to the next. rsyms numbers resolvers as the whole-trace
-// accumulators did.
+// one partition to the next. resolvers is the whole-trace resolver
+// table the accumulators built; every partition numbers resolvers as
+// it does.
 type partitionLoader struct {
-	dir   string
-	rsyms map[netip.Addr]int32
-	buf   []byte
+	dir       string
+	resolvers []resolverStat
+	buf       []byte
 }
 
 // load reads partition p of both streams, written as the given counts.
@@ -361,28 +391,28 @@ func (l *partitionLoader) load(p int, dns, conn spillCount) (*partition, error) 
 	if err != nil {
 		return nil, err
 	}
-	pt := &partition{}
-	if pt.dns, err = decodeDNSFrames(b, dns.frames, dns.answers); err != nil {
+	st := &recordStore{symbolTables: newSymbolTables()}
+	for i := range l.resolvers {
+		st.resolver(l.resolvers[i].addr)
+	}
+	if err := decodeDNSFrames(b, dns.frames, dns.answers, st); err != nil {
 		return nil, corruptPartition(path, err)
+	}
+	if len(st.resolvers) > len(l.resolvers) {
+		return nil, corruptPartition(path, fmt.Errorf("resolver %v was never ingested", st.resolvers[len(l.resolvers)].addr))
 	}
 	path = spillPath(l.dir, "conn", p)
 	if b, err = l.read(path); err != nil {
 		return nil, err
 	}
-	if pt.conns, err = decodeConnFrames(b, conn.frames); err != nil {
+	if err := decodeConnFrames(b, conn.frames, st); err != nil {
 		return nil, corruptPartition(path, err)
-	}
-	pt.expiry = make([]time.Duration, len(pt.dns))
-	pt.rsym = make([]int32, len(pt.dns))
-	for i := range pt.dns {
-		pt.expiry[i] = pt.dns[i].ExpiresAt()
-		pt.rsym[i] = l.rsyms[pt.dns[i].Resolver]
 	}
 	// One worker: the loader is the producer goroutine, and a partition
 	// is small. The only error is cancellation, which a background
 	// context never reports.
-	pt.shards, _ = buildShards(context.Background(), 1, pt.dns, pt.conns)
-	return pt, nil
+	shards, _ := buildShards(context.Background(), 1, st)
+	return &partition{st: st, shards: shards}, nil
 }
 
 // read loads the file at path whole into the loader's buffer.

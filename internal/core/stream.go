@@ -7,7 +7,6 @@ import (
 	"os"
 	"sync"
 	"time"
-	"unsafe"
 
 	"dnscontext/internal/parallel"
 	"dnscontext/internal/trace"
@@ -39,7 +38,7 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts Options) (*Analys
 		return nil, analysisAborted(err)
 	}
 	if !run.spilled {
-		return analyze(ctx, run.dataset(), opts, run.takePrep())
+		return analyze(ctx, run.store(), opts)
 	}
 	sh, err := run.collect(ctx)
 	if err != nil {
@@ -64,8 +63,7 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts Options) (*Analys
 // so cross-process exactness is only guaranteed under PairMostRecent.
 func CollectShard(ctx context.Context, src trace.Source, opts Options) (*AnalysisShard, error) {
 	opts = opts.withDefaults()
-	inMemory := func(ds *trace.Dataset, prep *sidecars) (*AnalysisShard, error) {
-		a, err := analyze(ctx, ds, opts, prep)
+	inMemory := func(a *Analysis, err error) (*AnalysisShard, error) {
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +71,7 @@ func CollectShard(ctx context.Context, src trace.Source, opts Options) (*Analysi
 		return a.shard, nil
 	}
 	if d, ok := src.(*trace.DatasetSource); ok && opts.MemoryBudget <= 0 {
-		return inMemory(d.DS, nil)
+		return inMemory(AnalyzeContext(ctx, d.DS, opts))
 	}
 	applyIngestWorkers(src, opts)
 	run := &streamRun{opts: opts}
@@ -82,7 +80,7 @@ func CollectShard(ctx context.Context, src trace.Source, opts Options) (*Analysi
 		return nil, analysisAborted(err)
 	}
 	if !run.spilled {
-		return inMemory(run.dataset(), run.takePrep())
+		return inMemory(analyze(ctx, run.store(), opts))
 	}
 	sh, err := run.collect(ctx)
 	if err != nil {
@@ -108,10 +106,13 @@ func applyIngestWorkers(src trace.Source, opts Options) {
 type streamRun struct {
 	opts Options
 
-	// Resident mode: records retained until the budget trips, charged
-	// with their blocks' unused capacity.
-	dns          recordBlocks[trace.DNSRecord]
-	conns        recordBlocks[trace.ConnRecord]
+	// Resident mode: records converted to the record store's form as
+	// they arrive and retained until the budget trips, charged with
+	// their blocks' unused capacity and the table entries they add.
+	tables       symbolTables
+	dns          recordBlocks[dnsRec]
+	answers      recordBlocks[answerRec]
+	conns        recordBlocks[connRec]
 	retained     int64
 	peakRetained int64
 
@@ -136,13 +137,6 @@ type streamRun struct {
 	connOrder           []netip.Addr
 	dnsRank             map[netip.Addr]int32
 	dnsOrder            []netip.Addr
-
-	// prepCh, when non-nil, delivers the symbol sidecar a background
-	// goroutine builds over the resident DNS records while the
-	// connection stream is still scanning — the ingest/analysis overlap.
-	// Buffered(1), so the builder never blocks; discarded if the budget
-	// trips mid-conn-scan (the spill path derives its own state).
-	prepCh chan *sidecars
 }
 
 func (r *streamRun) cleanup() {
@@ -171,9 +165,11 @@ func spillPath(dir, stream string, p int) string {
 }
 
 // ingest scans the source — DNS first, then connections — verifying
-// time order, counting records, and retaining them until the memory
-// budget trips, after which records go to the spill partitions instead.
+// time order, counting records, and converting and retaining them
+// until the memory budget trips, after which records go to the spill
+// partitions instead.
 func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
+	r.tables = newSymbolTables()
 	tr := r.opts.Trace
 	sp := tr.StartPhase("ingest-dns")
 	var lastTS time.Duration
@@ -192,35 +188,26 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 			r.spilledRecords++
 			return r.dnsW.writeDNS(d)
 		}
-		// The record's slot was charged as slack when its block opened.
-		opened := r.dns.push(d)
-		return r.account(retainedDNSBytes(d) + int64(opened-1)*dnsRecordBytes)
+		// Each block is charged whole when it opens.
+		charged := r.tables.charged
+		rec := r.tables.dns(d, uint32(r.answers.n))
+		n := int64(r.dns.push(&rec)) * dnsRecBytes
+		for k := range d.Answers {
+			a := r.tables.answer(&d.Answers[k])
+			n += int64(r.answers.push(&a)) * answerRecBytes
+		}
+		return r.account(n + r.tables.charged - charged)
 	})
 	sp.SetItems(int(r.dnsTotal))
 	if err != nil {
 		return err
 	}
-
-	// The DNS stream is complete; when it is still fully resident, build
-	// the symbol sidecar now, overlapped with the connection scan, so the
-	// in-memory analysis adopts it instead of re-walking the records.
-	// The goroutine reads only its private slice header's elements —
-	// a later budget trip releases the blocks but never mutates the
-	// records — and takePrep discards the result if the run spilled.
-	if !r.spilled && r.dns.n > 0 {
-		r.retained -= int64(r.dns.slack()) * dnsRecordBytes
-		dns := r.dns.flatten()
-		r.prepCh = make(chan *sidecars, 1)
-		psp := tr.StartConcurrent("prep-symbols")
-		go func() {
-			sc, err := buildSidecars(ctx, r.opts.Workers, dns)
-			if err != nil {
-				sc = nil // cancelled; analyze will fail on ctx anyway
-			}
-			psp.SetItems(len(dns))
-			psp.End()
-			r.prepCh <- sc
-		}()
+	if !r.spilled {
+		// The DNS stream is complete: flatten it now, so its blocks are
+		// garbage before the connection stream grows.
+		r.retained -= int64(r.dns.slack())*dnsRecBytes + int64(r.answers.slack())*answerRecBytes
+		r.dns.flatten()
+		r.answers.flatten()
 	}
 
 	sp = tr.StartPhase("ingest-conns")
@@ -239,8 +226,9 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 			r.spilledRecords++
 			return r.connW.writeConn(c)
 		}
-		opened := r.conns.push(c)
-		return r.account(retainedConnBytes() + int64(opened-1)*connRecordBytes)
+		charged := r.tables.charged
+		rec := r.tables.conn(c)
+		return r.account(int64(r.conns.push(&rec))*connRecBytes + r.tables.charged - charged)
 	})
 	if err == nil && !r.spilled {
 		r.conns.flatten() // ingest work: keep it inside the phase
@@ -259,30 +247,20 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 	return nil
 }
 
-// takePrep collects the overlapped sidecar build, if one was started
-// and is still valid (a spill invalidates it: the resident records it
-// indexed were released).
-func (r *streamRun) takePrep() *sidecars {
-	if r.prepCh == nil {
-		return nil
+// store returns the record store of a run that never spilled, whose
+// streams ingest has already flattened.
+func (r *streamRun) store() *recordStore {
+	return &recordStore{
+		symbolTables: r.tables,
+		dns:          r.dns.flatten(),
+		answers:      r.answers.flatten(),
+		conns:        r.conns.flatten(),
 	}
-	sc := <-r.prepCh
-	r.prepCh = nil
-	if r.spilled {
-		return nil
-	}
-	return sc
-}
-
-// dataset returns the fully resident trace of a run that never spilled,
-// whose streams ingest has already flattened.
-func (r *streamRun) dataset() *trace.Dataset {
-	return &trace.Dataset{DNS: r.dns.flatten(), Conns: r.conns.flatten()}
 }
 
 // observeDNS folds one DNS record into the whole-trace accumulators.
 func (r *streamRun) observeDNS(d *trace.DNSRecord) {
-	r.failures.add(d)
+	r.failures.add(&dnsRec{nAns: uint32(len(d.Answers)), rcode: d.RCode, retries: d.Retries, tc: d.TC})
 	rs, ok := r.rsyms[d.Resolver]
 	if !ok {
 		rs = int32(len(r.resolvers))
@@ -318,10 +296,11 @@ func (r *streamRun) account(n int64) error {
 }
 
 // trip switches the run to spill mode: create the partition files,
-// fold every retained record into the whole-trace accumulators and
-// flush it to its partition (both in arrival order, so rank orders
-// match an eager fold and per-client sequences stay time-ordered), and
-// release the retained blocks.
+// convert every retained record back to its trace form, one at a time,
+// fold it into the whole-trace accumulators and flush it to its
+// partition (both in arrival order, so rank orders match an eager fold
+// and per-client sequences stay time-ordered), and release the retained
+// records and their tables.
 func (r *streamRun) trip() error {
 	dir := r.opts.SpillDir
 	if dir == "" {
@@ -344,22 +323,41 @@ func (r *streamRun) trip() error {
 	r.rsyms = make(map[netip.Addr]int32)
 	r.connRank = make(map[netip.Addr]int32)
 	r.dnsRank = make(map[netip.Addr]int32)
-	err = r.dns.each(func(d *trace.DNSRecord) error {
-		r.observeDNS(d)
-		return r.dnsW.writeDNS(d)
+	// A record's answers are the next ones of the answer stream, which
+	// may cross a block boundary: walk the blocks with a cursor.
+	var ans []answerRec
+	var buf []trace.Answer
+	blk, pos := 0, 0
+	err = r.dns.each(func(d *dnsRec) error {
+		ans = ans[:0]
+		for range d.nAns {
+			for pos == len(r.answers.blocks[blk]) {
+				blk, pos = blk+1, 0
+			}
+			ans = append(ans, r.answers.blocks[blk][pos])
+			pos++
+		}
+		rec := r.tables.traceDNS(d, ans, buf)
+		if rec.Answers != nil {
+			buf = rec.Answers
+		}
+		r.observeDNS(&rec)
+		return r.dnsW.writeDNS(&rec)
 	})
 	if err != nil {
 		return err
 	}
-	err = r.conns.each(func(c *trace.ConnRecord) error {
-		r.observeConn(c)
-		return r.connW.writeConn(c)
+	err = r.conns.each(func(c *connRec) error {
+		rec := r.tables.traceConn(c)
+		r.observeConn(&rec)
+		return r.connW.writeConn(&rec)
 	})
 	if err != nil {
 		return err
 	}
 	r.spilledRecords += int64(r.dns.n + r.conns.n)
-	r.dns, r.conns = recordBlocks[trace.DNSRecord]{}, recordBlocks[trace.ConnRecord]{}
+	r.dns, r.answers, r.conns = recordBlocks[dnsRec]{}, recordBlocks[answerRec]{}, recordBlocks[connRec]{}
+	r.tables = symbolTables{}
 	r.retained = 0
 	r.spilled = true
 	return nil
@@ -436,22 +434,6 @@ func (b *recordBlocks[T]) each(fn func(*T) error) error {
 	return nil
 }
 
-// Budget charges: the real in-memory sizes of the retained types.
-const (
-	dnsRecordBytes  = int64(unsafe.Sizeof(trace.DNSRecord{}))
-	answerBytes     = int64(unsafe.Sizeof(trace.Answer{}))
-	connRecordBytes = int64(unsafe.Sizeof(trace.ConnRecord{}))
-)
-
-// retainedDNSBytes is the resident footprint of one DNS record for
-// budget accounting: struct, query string, and answer backing.
-func retainedDNSBytes(d *trace.DNSRecord) int64 {
-	return dnsRecordBytes + int64(len(d.Query)) + answerBytes*int64(len(d.Answers))
-}
-
-// retainedConnBytes is the resident footprint of one connection record.
-func retainedConnBytes() int64 { return connRecordBytes }
-
 // collect classifies the spilled trace into an AnalysisShard. The
 // producer loads one partition at a time (each holds every record of
 // its clients, since partitioning hashes the client), the consumers
@@ -488,18 +470,18 @@ func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 	// A job is one client of a loaded partition.
 	type job struct {
 		p *partition
-		c *clientShard
+		s int
 	}
 	workers := parallel.Workers(r.opts.Workers)
 	produce := func(emit func(job) error) error {
-		ld := partitionLoader{dir: r.spillDir, rsyms: r.rsyms}
+		ld := partitionLoader{dir: r.spillDir, resolvers: r.resolvers}
 		for p := 0; p < spillParts; p++ {
 			part, err := ld.load(p, r.dnsW.counts[p], r.connW.counts[p])
 			if err != nil {
 				return err
 			}
-			for i := range part.shards {
-				if err := emit(job{part, &part.shards[i]}); err != nil {
+			for s := range part.shards.list {
+				if err := emit(job{part, s}); err != nil {
 					return err
 				}
 			}
@@ -508,7 +490,8 @@ func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 	}
 	consume := func(j job) error {
 		p := j.p
-		c := classifyClient(&r.opts, rank[j.c.client], p.dns, p.expiry, p.rsym, p.conns, j.c)
+		client := p.st.addrs[p.shards.list[j.s].client]
+		c := classifyClient(&r.opts, rank[client], p.st, &p.shards, j.s)
 		mu.Lock()
 		sh.clients = append(sh.clients, c)
 		mu.Unlock()

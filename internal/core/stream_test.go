@@ -107,11 +107,7 @@ func (p *tripProbe) StreamDNS(yield func(*trace.DNSRecord) error) error {
 func TestStreamTripPointParity(t *testing.T) {
 	ds := determinismTrace(t)
 	ds.SortByTime()
-	var total int64
-	for i := range ds.DNS {
-		total += retainedDNSBytes(&ds.DNS[i])
-	}
-	total += int64(len(ds.Conns)) * retainedConnBytes()
+	total := retainedBytes(t, ds)
 	tripped := map[string]bool{}
 	for _, pairing := range []PairingPolicy{PairMostRecent, PairRandom} {
 		opts := DefaultOptions()
@@ -187,11 +183,7 @@ func TestStreamBoundedResidency(t *testing.T) {
 	opts := DefaultOptions().withDefaults()
 	opts.MemoryBudget = 8 << 10
 
-	var traceBytes int64
-	for i := range ds.DNS {
-		traceBytes += retainedDNSBytes(&ds.DNS[i])
-	}
-	traceBytes += int64(len(ds.Conns)) * retainedConnBytes()
+	traceBytes := retainedBytes(t, ds)
 	if traceBytes < 10*opts.MemoryBudget {
 		t.Fatalf("test trace too small: %d bytes retained vs budget %d; want >=10x", traceBytes, opts.MemoryBudget)
 	}
@@ -221,19 +213,60 @@ func TestStreamBoundedResidency(t *testing.T) {
 	}
 }
 
+// retainedBytes is the most a budget is charged for the time-sorted
+// ds held resident: the peak charge of an unbudgeted ingest, block
+// slack included.
+func retainedBytes(t *testing.T, ds *trace.Dataset) int64 {
+	t.Helper()
+	run := &streamRun{opts: DefaultOptions().withDefaults()}
+	if err := run.ingest(context.Background(), trace.NewDatasetSource(ds)); err != nil {
+		t.Fatal(err)
+	}
+	return run.peakRetained
+}
+
 // TestRetainedChargesCoverRecordSizes fails if a budget charge falls
 // below the in-memory size of what it charges for, which would let
-// WithMemoryBudget keep more record bytes resident than it promises.
+// WithMemoryBudget keep more bytes resident than it promises: each
+// compact record type, and each entry a record adds to the store's
+// tables. It then checks that a resident ingest charges every record,
+// answer and table entry it holds.
 func TestRetainedChargesCoverRecordSizes(t *testing.T) {
-	if got, size := retainedConnBytes(), int64(unsafe.Sizeof(trace.ConnRecord{})); got < size {
-		t.Errorf("connection charge %d B is below sizeof(ConnRecord) = %d B", got, size)
-	}
-	for _, n := range []int{0, 1, 4} {
-		d := trace.DNSRecord{Query: "www.example.com", Answers: make([]trace.Answer, n)}
-		size := int64(unsafe.Sizeof(d)) + int64(len(d.Query)) + int64(n)*int64(unsafe.Sizeof(trace.Answer{}))
-		if got := retainedDNSBytes(&d); got < size {
-			t.Errorf("DNS charge with %d answers is %d B, below its size %d B", n, got, size)
+	addr, i32 := int64(unsafe.Sizeof(netip.Addr{})), int64(unsafe.Sizeof(int32(0)))
+	for _, c := range []struct {
+		what         string
+		charge, size int64
+	}{
+		{"DNS record", dnsRecBytes, int64(unsafe.Sizeof(dnsRec{}))},
+		{"answer", answerRecBytes, int64(unsafe.Sizeof(answerRec{}))},
+		{"connection", connRecBytes, int64(unsafe.Sizeof(connRec{}))},
+		// A table slot plus a map key and value.
+		{"address entry", addrEntryBytes, 2*addr + i32},
+		{"resolver entry", resolverEntryBytes, int64(unsafe.Sizeof(resolverStat{})) + addr + i32},
+		// A name's bytes are charged on top: two string headers (the
+		// table's slice and its map key) and the symbol.
+		{"name entry", nameEntryBytes, 2*int64(unsafe.Sizeof("")) + i32},
+	} {
+		if c.charge < c.size {
+			t.Errorf("%s charge %d B is below its size %d B", c.what, c.charge, c.size)
 		}
+	}
+
+	ds := determinismTrace(t)
+	ds.SortByTime()
+	run := &streamRun{opts: DefaultOptions().withDefaults()}
+	if err := run.ingest(context.Background(), trace.NewDatasetSource(ds)); err != nil {
+		t.Fatal(err)
+	}
+	st := run.store()
+	want := int64(len(st.dns))*dnsRecBytes + int64(len(st.answers))*answerRecBytes +
+		int64(len(st.conns))*connRecBytes + int64(len(st.addrs))*addrEntryBytes +
+		int64(len(st.resolvers))*resolverEntryBytes
+	for s := 0; s < st.names.Len(); s++ {
+		want += nameEntryBytes + int64(len(st.names.Name(trace.Sym(s))))
+	}
+	if run.retained < want {
+		t.Errorf("resident ingest charged %d B for %d B of records and table entries", run.retained, want)
 	}
 }
 

@@ -130,7 +130,7 @@ func (a *Analysis) transportScenario(profiles []resolver.PlatformProfile, sc Tra
 		expRTT[p.ID] = p.Link.ExpectedRTT()
 	}
 
-	parts, _ := parallel.Map(context.Background(), a.Opts.Workers, len(a.shards),
+	parts, _ := parallel.Map(context.Background(), a.Opts.Workers, len(a.shards.list),
 		func(s int) (transportTally, error) {
 			return a.transportShard(s, sc, cfg, profiles, expRTT), nil
 		})
@@ -174,18 +174,19 @@ func (a *Analysis) transportScenario(profiles []resolver.PlatformProfile, sc Tra
 // connection walk that charges those deltas to the blocked (SC/R) pairs.
 func (a *Analysis) transportShard(shardID int, sc TransportScenario, cfg resolver.StreamConfig,
 	profiles []resolver.PlatformProfile, expRTT map[resolver.PlatformID]time.Duration) (out transportTally) {
-	sh := &a.shards[shardID]
+	recs := a.st.dns
+	connPos, dnsPos := a.shards.records(shardID)
 	stream := sc.Kind.Stream()
 	var conns map[resolver.PlatformID]*platConn
 	var delta map[int32]time.Duration
 	if stream {
 		conns = make(map[resolver.PlatformID]*platConn, 4)
-		delta = make(map[int32]time.Duration, len(sh.dns))
+		delta = make(map[int32]time.Duration, len(dnsPos))
 	}
 
-	for _, di := range sh.dns {
-		d := &a.DS.DNS[di]
-		pid, ok := resolver.PlatformOf(d.Resolver, profiles)
+	for _, di := range dnsPos {
+		d := &recs[di]
+		pid, ok := resolver.PlatformOf(a.st.resolvers[d.res].addr, profiles)
 		if !ok {
 			continue
 		}
@@ -200,11 +201,11 @@ func (a *Analysis) transportShard(shardID int, sc TransportScenario, cfg resolve
 		}
 		var add time.Duration
 		switch {
-		case st.established && d.QueryTS <= st.idleDeadline:
+		case st.established && d.queryTS <= st.idleDeadline:
 			out.reused++
 		default:
 			resumed := cfg.SessionResumption && sc.Kind.TLS() &&
-				st.hasSession && d.QueryTS <= st.sessionUntil
+				st.hasSession && d.queryTS <= st.sessionUntil
 			if resumed {
 				out.resumed++
 			} else {
@@ -221,7 +222,7 @@ func (a *Analysis) transportShard(shardID int, sc TransportScenario, cfg resolve
 		}
 		// The lookup completes later by the added cost; reuse windows
 		// shift with it.
-		done := d.TS + add
+		done := d.ts + add
 		st.established = true
 		st.idleDeadline = done + cfg.IdleTimeout
 		if sc.Kind.TLS() {
@@ -230,19 +231,19 @@ func (a *Analysis) transportShard(shardID int, sc TransportScenario, cfg resolve
 		}
 	}
 
-	for _, ci := range sh.conns {
+	for _, ci := range connPos {
 		pc := &a.Paired[ci]
 		if pc.Class != ClassSC && pc.Class != ClassR {
 			continue
 		}
-		d := &a.DS.DNS[pc.DNS]
+		d := &recs[pc.DNS]
 		out.blocked++
 		var add time.Duration
 		if stream {
 			add = delta[int32(pc.DNS)]
 		}
 		out.blockedDeltaSum += add
-		blockedFor := (d.TS - d.QueryTS) + pc.Gap + add
+		blockedFor := d.duration() + pc.Gap + add
 		if blockedFor >= a.Opts.BlockThreshold {
 			out.blockedOver++
 		}

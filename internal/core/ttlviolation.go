@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"dnscontext/internal/stats"
-	"dnscontext/internal/trace"
 )
 
 // TTLViolations is §5.2's analysis of connections using DNS records past
@@ -39,7 +38,7 @@ type ttlFold struct {
 	lateness, gapsP, gapsLC stats.ECDF // seconds
 }
 
-func (f *ttlFold) conn(pc *PairedConn, c *trace.ConnRecord, expiry []time.Duration) {
+func (f *ttlFold) conn(pc *PairedConn, c *connRec, dns []dnsRec) {
 	switch pc.Class {
 	case ClassLC:
 		f.lc++
@@ -57,7 +56,7 @@ func (f *ttlFold) conn(pc *PairedConn, c *trace.ConnRecord, expiry []time.Durati
 		return
 	}
 	if pc.UsedExpired {
-		f.lateness.Add((c.TS - expiry[pc.DNS]).Seconds())
+		f.lateness.Add((c.ts - dns[pc.DNS].expiry).Seconds())
 	}
 }
 
@@ -113,7 +112,7 @@ type Prefetch struct {
 
 // Prefetch computes the unused-lookup analysis.
 func (a *Analysis) Prefetch() Prefetch {
-	return a.fold(foldReq{secs: secPrefetch}).prefetch.result(len(a.DS.DNS))
+	return a.fold(foldReq{secs: secPrefetch}).prefetch.result(a.dnsTotal)
 }
 
 // prefetchFold is a house's share of Prefetch: its unused lookups, and

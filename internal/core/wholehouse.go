@@ -66,27 +66,28 @@ func (t *houseTally) result(conns int) WholeHouse {
 // cache reflects exactly the lookups that completed before each
 // connection's own lookup started.
 func (a *Analysis) wholeHouseShard(shardID int, scr *whatIfScratch) (out houseTally) {
-	sh := &a.shards[shardID]
+	recs := a.st.dns
+	conns, dns := a.shards.records(shardID)
 	stamp := scr.begin()
 	dnsCursor := 0
 
-	for _, ci := range sh.conns {
+	for _, ci := range conns {
 		pc := &a.Paired[ci]
 		if pc.Class != ClassSC && pc.Class != ClassR {
 			continue
 		}
-		d := &a.DS.DNS[pc.DNS]
+		d := &recs[pc.DNS]
 
 		// Advance the cache with every DNS response completed before this
 		// connection's lookup was issued.
-		for dnsCursor < len(sh.dns) && a.DS.DNS[sh.dns[dnsCursor]].TS < d.QueryTS {
-			ri := sh.dns[dnsCursor]
+		for dnsCursor < len(dns) && recs[dns[dnsCursor]].ts < d.queryTS {
+			r := &recs[dns[dnsCursor]]
 			dnsCursor++
-			if len(a.DS.DNS[ri].Answers) == 0 {
+			if r.nAns == 0 {
 				continue
 			}
-			if st := &scr.names[a.qsym[ri]]; st.stamp != stamp || a.expiry[ri] > st.expiresAt {
-				*st = nameState{stamp: stamp, expiresAt: a.expiry[ri]}
+			if st := &scr.names[r.name]; st.stamp != stamp || r.expiry > st.expiresAt {
+				*st = nameState{stamp: stamp, expiresAt: r.expiry}
 			}
 		}
 
@@ -95,7 +96,7 @@ func (a *Analysis) wholeHouseShard(shardID int, scr *whatIfScratch) (out houseTa
 		} else {
 			out.rTotal++
 		}
-		if st := &scr.names[a.qsym[pc.DNS]]; st.stamp == stamp && d.QueryTS < st.expiresAt {
+		if st := &scr.names[d.name]; st.stamp == stamp && d.queryTS < st.expiresAt {
 			out.moved++
 			if pc.Class == ClassSC {
 				out.scMoved++

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -90,24 +92,35 @@ func TestConnScannerAllocsPerLine(t *testing.T) {
 	scanAllocBudget(t, "conn", lines, perRun)
 }
 
-// TestChunkedScanBytesPerLine gates the chunked scan's heap traffic:
-// at most twice the record size plus the input bytes of each line. A
-// chunk's input buffer and its record slice, sized once from its line
-// count, cost about one of each; regrowing the record slice or keeping
-// an event per line costs several times that. Allocation counts cannot
-// tell the two apart: both allocate about once per hundred lines.
+// TestChunkedScanBytesPerLine gates the chunked scan's heap traffic
+// over a DirSource of four partition files: at most each line's input
+// bytes, its answers in the parse arena, and half a record. A chunk's
+// input buffer and its answers are the scan's own cost; the record
+// slices are reused once the merge has yielded them, and the parse
+// states (name table and address cache) serve every file of the
+// stream, so neither is paid per chunk or per file. Allocating a fresh
+// record slice per chunk, or fresh parse states per file, costs about
+// a record per line. Allocation counts cannot tell the two apart: both
+// allocate about once per hundred lines.
 func TestChunkedScanBytesPerLine(t *testing.T) {
-	const lines, runs = 32000, 4
-	input := allocTSV(lines)
+	const files, perFile, runs = 4, 8000, 4
+	const lines = files * perFile
+	dir := t.TempDir()
+	input := allocTSV(perFile)
+	for f := 0; f < files; f++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("part-%d.dns.tsv", f)), []byte(input), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	scan := func() {
-		src := NewScannerSource(strings.NewReader(input), nil, Strict())
+		src := NewDirSource(dir, Strict())
 		src.SetIngestWorkers(2)
 		n := 0
 		if err := src.StreamDNS(func(*DNSRecord) error { n++; return nil }); err != nil || n != lines {
 			t.Fatalf("scan: n=%d err=%v", n, err)
 		}
 	}
-	scan() // warm the parse-state pool
+	scan() // warm the runtime's caches
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -115,9 +128,10 @@ func TestChunkedScanBytesPerLine(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perLine := float64(after.TotalAlloc-before.TotalAlloc) / (runs * lines)
-	inputPerLine := float64(len(input)) / lines
-	if budget := 2 * (float64(unsafe.Sizeof(DNSRecord{})) + inputPerLine); perLine > budget {
-		t.Fatalf("chunked scan allocates %.0f B/line on %.0f-byte lines; budget is %.0f (2 × (record + line))",
+	inputPerLine := float64(len(input)) / perFile
+	answersPerLine := 2 * float64(unsafe.Sizeof(Answer{})) // allocTSV writes two answers a line
+	if budget := inputPerLine + answersPerLine + float64(unsafe.Sizeof(DNSRecord{}))/2; perLine > budget {
+		t.Fatalf("chunked scan allocates %.0f B/line on %.0f-byte lines; budget is %.0f (line + answers + record/2)",
 			perLine, inputPerLine, budget)
 	}
 }

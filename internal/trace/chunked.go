@@ -11,10 +11,10 @@ package trace
 // Determinism is the contract: the record sequence, every quarantine
 // decision, the error-budget trip point, and the strict-mode abort all
 // replay in serial line order at the merge, so a chunked scan is
-// indistinguishable from a serial one at any worker count. Query-name
-// strings are re-canonicalized through a single merge-side SymbolTable,
-// which restores global first-appearance intern order no matter which
-// worker materialized a name first.
+// indistinguishable from a serial one at any worker count. Equal query
+// names parsed by different workers are equal strings, not one shared
+// string; a consumer that numbers names (the analyzer's record store)
+// interns them itself, in record order.
 
 import (
 	"bufio"
@@ -22,7 +22,6 @@ import (
 	"context"
 	"io"
 	"runtime/pprof"
-	"sync"
 
 	"dnscontext/internal/parallel"
 )
@@ -129,11 +128,15 @@ type parsedChunk[R any] struct {
 
 // parseChunkLines splits one chunk into lines — mirroring
 // bufio.ScanLines: '\n' terminators, one trailing '\r' dropped, a final
-// unterminated line kept — and parses every data line. The record
-// slice is sized once from the chunk's line count. Comment ('#') and
-// blank lines advance the line counter only, as the serial scanners do.
-func parseChunkLines[R any](c ingestChunk, parse func(lineNo int, line []byte) (R, error)) parsedChunk[R] {
-	pc := parsedChunk[R]{recs: make([]R, 0, c.lines)}
+// unterminated line kept — and parses every data line. The records land
+// in recs, which is regrown only when its capacity is below the chunk's
+// line count. Comment ('#') and blank lines advance the line counter
+// only, as the serial scanners do.
+func parseChunkLines[R any](c ingestChunk, recs []R, parse func(lineNo int, line []byte) (R, error)) parsedChunk[R] {
+	if cap(recs) < c.lines {
+		recs = make([]R, 0, c.lines)
+	}
+	pc := parsedChunk[R]{recs: recs[:0]}
 	line := c.startLine - 1
 	data := c.data
 	for len(data) > 0 {
@@ -160,34 +163,72 @@ func parseChunkLines[R any](c ingestChunk, parse func(lineNo int, line []byte) (
 	return pc
 }
 
+// parseStates is what one stream's parsers reuse for the stream's whole
+// lifetime — across every file of a DirSource: the parse states, so
+// each query name is interned and each address cached once per stream,
+// not once per file, and the record slices of chunks the merge has
+// finished with. At most one state per parse worker, and one slice per
+// chunk in flight, is out at a time.
+type parseStates[R any] struct {
+	free  chan *parseState
+	spare chan []R
+}
+
+func newParseStates[R any](workers int) *parseStates[R] {
+	w := parallel.Workers(workers)
+	return &parseStates[R]{free: make(chan *parseState, w), spare: make(chan []R, chunksAhead(w))}
+}
+
+func (p *parseStates[R]) get() *parseState {
+	select {
+	case st := <-p.free:
+		return st
+	default:
+		return newParseState()
+	}
+}
+
+func (p *parseStates[R]) put(st *parseState) {
+	select {
+	case p.free <- st:
+	default:
+	}
+}
+
+// chunksAhead is the chunk scan's in-flight window on w workers.
+func chunksAhead(w int) int { return 2 * w }
+
 // scanChunked is the shared chunked-scan driver: produce chunks, parse
-// them on `workers` goroutines (each drawing a pooled parseState), and
-// replay the per-line outcomes in input order — applying the error
-// policy and budget with the same counters, trip points, and error
-// values as the serial scanner core. canon, when non-nil, runs on each
-// record at merge time (the DNS path re-canonicalizes Query through a
-// single table there).
-func scanChunked[R any](r io.Reader, workers, chunkBytes int, policy ErrorPolicy,
+// them on `workers` goroutines (each drawing a parse state from
+// states), and replay the per-line outcomes in input order — applying
+// the error policy and budget with the same counters, trip points, and
+// error values as the serial scanner core. A chunk's record slice goes
+// back to states once the merge has yielded every record in it: the
+// Source contract limits a yielded pointer to the call.
+func scanChunked[R any](r io.Reader, workers, chunkBytes int, policy ErrorPolicy, states *parseStates[R],
 	parse func(lineNo int, line []byte, st *parseState) (R, error),
-	canon func(*R),
 	yield func(*R) error) error {
 
-	pool := sync.Pool{New: func() any { return newParseState() }}
 	var lines, nQuar int
 	var err error
 	// Label the scan so profiles attribute parse samples to the stage;
 	// the chunk workers inherit the label from this goroutine.
 	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "scan"), func(ctx context.Context) {
-		err = parallel.OrderedStream(ctx, workers, 2*parallel.Workers(workers),
+		err = parallel.OrderedStream(ctx, workers, chunksAhead(parallel.Workers(workers)),
 			func(emit func(ingestChunk) error) error {
 				return produceIngestChunks(r, chunkBytes, emit)
 			},
 			func(c ingestChunk) (parsedChunk[R], error) {
-				st := pool.Get().(*parseState)
-				pc := parseChunkLines(c, func(lineNo int, line []byte) (R, error) {
+				var recs []R
+				select {
+				case recs = <-states.spare:
+				default:
+				}
+				st := states.get()
+				pc := parseChunkLines(c, recs, func(lineNo int, line []byte) (R, error) {
 					return parse(lineNo, line, st)
 				})
-				pool.Put(st)
+				states.put(st)
 				return pc, nil
 			},
 			func(pc parsedChunk[R]) error {
@@ -195,11 +236,7 @@ func scanChunked[R any](r io.Reader, workers, chunkBytes int, policy ErrorPolicy
 				yieldUpTo := func(end int) error {
 					for ; next < end; next++ {
 						lines++
-						rec := &pc.recs[next]
-						if canon != nil {
-							canon(rec)
-						}
-						if err := yield(rec); err != nil {
+						if err := yield(&pc.recs[next]); err != nil {
 							return err
 						}
 					}
@@ -223,26 +260,15 @@ func scanChunked[R any](r io.Reader, workers, chunkBytes int, policy ErrorPolicy
 						return &BudgetError{Quarantined: nQuar, Lines: lines, Last: q}
 					}
 				}
-				return yieldUpTo(len(pc.recs))
+				if err := yieldUpTo(len(pc.recs)); err != nil {
+					return err
+				}
+				select {
+				case states.spare <- pc.recs:
+				default:
+				}
+				return nil
 			})
 	})
 	return err
-}
-
-// scanChunkedDNS streams r's DNS records through the chunked parser,
-// yielding them in input order under policy. Query names from
-// different workers are re-canonicalized through one merge-side table,
-// so equal names share storage and the downstream analyzer's intern
-// order matches a serial scan's.
-func scanChunkedDNS(r io.Reader, workers int, policy ErrorPolicy, yield func(*DNSRecord) error) error {
-	names := NewSymbolTable()
-	return scanChunked(r, workers, ingestChunkBytes, policy, parseDNSLineBytes,
-		func(d *DNSRecord) { d.Query = names.CanonicalString(d.Query) },
-		yield)
-}
-
-// scanChunkedConns is scanChunkedDNS for connection summaries (which
-// carry no strings, so no re-canonicalization is needed).
-func scanChunkedConns(r io.Reader, workers int, policy ErrorPolicy, yield func(*ConnRecord) error) error {
-	return scanChunked(r, workers, ingestChunkBytes, policy, parseConnLineBytes, nil, yield)
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // chunkTestDNS builds n parseable DNS records with a mix of repeated
-// and distinct query names (so symbol re-canonicalization is exercised)
+// and distinct query names (so per-worker name interning is exercised)
 // and renders them as TSV.
 func chunkTestDNS(t *testing.T, n int) (string, []DNSRecord) {
 	t.Helper()
@@ -69,10 +69,8 @@ func collectDNSChunked(input string, workers, chunkBytes int, policy ErrorPolicy
 	if policy.Quarantine && policy.Sink == nil {
 		policy.Sink = func(q Quarantined) { quar = append(quar, q) }
 	}
-	names := NewSymbolTable()
 	var recs []DNSRecord
-	err := scanChunked(strings.NewReader(input), workers, chunkBytes, policy, parseDNSLineBytes,
-		func(d *DNSRecord) { d.Query = names.CanonicalString(d.Query) },
+	err := scanChunked(strings.NewReader(input), workers, chunkBytes, policy, newParseStates[DNSRecord](workers), parseDNSLineBytes,
 		func(d *DNSRecord) error { recs = append(recs, *d); return nil })
 	return recs, quar, err
 }
@@ -279,7 +277,7 @@ func TestChunkedConnParity(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		var got []ConnRecord
-		err := scanChunked(strings.NewReader(input), workers, 96, Strict(), parseConnLineBytes, nil,
+		err := scanChunked(strings.NewReader(input), workers, 96, Strict(), newParseStates[ConnRecord](workers), parseConnLineBytes,
 			func(c *ConnRecord) error { got = append(got, *c); return nil })
 		if err != nil {
 			t.Fatal(err)

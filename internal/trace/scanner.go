@@ -167,10 +167,10 @@ type scanner struct {
 	quarantinedC *obs.Counter
 }
 
-func newScanner(r io.Reader, policy ErrorPolicy) scanner {
+func newScanner(r io.Reader, policy ErrorPolicy, st *parseState) scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	return scanner{sc: sc, policy: policy, st: newParseState()}
+	return scanner{sc: sc, policy: policy, st: st}
 }
 
 // Symbols returns the scanner's name intern table: every Record().Query
@@ -263,7 +263,7 @@ type DNSScanner struct {
 
 // NewDNSScanner returns a scanner over r with the given policy.
 func NewDNSScanner(r io.Reader, policy ErrorPolicy) *DNSScanner {
-	return &DNSScanner{scanner: newScanner(r, policy)}
+	return &DNSScanner{scanner: newScanner(r, policy, newParseState())}
 }
 
 // Observe mirrors scan progress (records yielded, lines quarantined)
@@ -296,7 +296,7 @@ type ConnScanner struct {
 
 // NewConnScanner returns a scanner over r with the given policy.
 func NewConnScanner(r io.Reader, policy ErrorPolicy) *ConnScanner {
-	return &ConnScanner{scanner: newScanner(r, policy)}
+	return &ConnScanner{scanner: newScanner(r, policy, newParseState())}
 }
 
 // Observe mirrors scan progress into reg under the "conn" stream label.

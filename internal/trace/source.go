@@ -97,10 +97,23 @@ func (s *ScannerSource) SetIngestWorkers(n int) { s.workers = n }
 
 // StreamDNS implements Source.
 func (s *ScannerSource) StreamDNS(yield func(*DNSRecord) error) error {
-	if s.workers > 1 {
-		return scanChunkedDNS(s.dns, s.workers, s.policy, yield)
+	return streamDNS(s.dns, s.policy, s.workers, newParseStates[DNSRecord](s.workers), yield)
+}
+
+// StreamConns implements Source.
+func (s *ScannerSource) StreamConns(yield func(*ConnRecord) error) error {
+	return streamConns(s.conns, s.policy, s.workers, newParseStates[ConnRecord](s.workers), yield)
+}
+
+// streamDNS scans one reader of a DNS stream, on the chunked parser when
+// workers exceeds one, drawing on the stream's reusable states.
+func streamDNS(r io.Reader, policy ErrorPolicy, workers int, states *parseStates[DNSRecord], yield func(*DNSRecord) error) error {
+	if workers > 1 {
+		return scanChunked(r, workers, ingestChunkBytes, policy, states, parseDNSLineBytes, yield)
 	}
-	sc := NewDNSScanner(s.dns, s.policy)
+	st := states.get()
+	defer states.put(st)
+	sc := &DNSScanner{scanner: newScanner(r, policy, st)}
 	for sc.Scan() {
 		// The scanner's own record: yield's pointer is valid only for
 		// the call, so no per-record copy is needed.
@@ -111,12 +124,14 @@ func (s *ScannerSource) StreamDNS(yield func(*DNSRecord) error) error {
 	return sc.Err()
 }
 
-// StreamConns implements Source.
-func (s *ScannerSource) StreamConns(yield func(*ConnRecord) error) error {
-	if s.workers > 1 {
-		return scanChunkedConns(s.conns, s.workers, s.policy, yield)
+// streamConns is streamDNS for a connection stream.
+func streamConns(r io.Reader, policy ErrorPolicy, workers int, states *parseStates[ConnRecord], yield func(*ConnRecord) error) error {
+	if workers > 1 {
+		return scanChunked(r, workers, ingestChunkBytes, policy, states, parseConnLineBytes, yield)
 	}
-	sc := NewConnScanner(s.conns, s.policy)
+	st := states.get()
+	defer states.put(st)
+	sc := &ConnScanner{scanner: newScanner(r, policy, st)}
 	for sc.Scan() {
 		if err := yield(&sc.rec); err != nil {
 			return err
@@ -147,7 +162,10 @@ func NewDirSource(dir string, policy ErrorPolicy) *DirSource {
 
 // SetIngestWorkers selects how many goroutines parse each partition
 // file; see ScannerSource.SetIngestWorkers. Files are still consumed
-// one at a time in name order, so the concatenated stream is unchanged.
+// one at a time in name order, so the concatenated stream is unchanged,
+// and one stream's files share their parse states (name interning, the
+// address cache and the chunk record slices carry over from file to
+// file).
 func (s *DirSource) SetIngestWorkers(n int) { s.workers = n }
 
 // partitionFiles lists dir's files carrying one of the given suffixes,
@@ -182,10 +200,10 @@ func (s *DirSource) StreamDNS(yield func(*DNSRecord) error) error {
 	if err != nil {
 		return err
 	}
+	states := newParseStates[DNSRecord](s.workers)
 	for _, path := range files {
 		if err := s.streamFile(path, func(f *os.File) error {
-			sub := ScannerSource{dns: f, policy: s.policy, workers: s.workers}
-			return sub.StreamDNS(yield)
+			return streamDNS(f, s.policy, s.workers, states, yield)
 		}); err != nil {
 			return err
 		}
@@ -199,10 +217,10 @@ func (s *DirSource) StreamConns(yield func(*ConnRecord) error) error {
 	if err != nil {
 		return err
 	}
+	states := newParseStates[ConnRecord](s.workers)
 	for _, path := range files {
 		if err := s.streamFile(path, func(f *os.File) error {
-			sub := ScannerSource{conns: f, policy: s.policy, workers: s.workers}
-			return sub.StreamConns(yield)
+			return streamConns(f, s.policy, s.workers, states, yield)
 		}); err != nil {
 			return err
 		}

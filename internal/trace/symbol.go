@@ -67,24 +67,6 @@ func (t *SymbolTable) Canonical(b []byte) string {
 	return s
 }
 
-// CanonicalString is Canonical for an already-materialized string: it
-// returns the table's interned copy equal to s, interning s itself on
-// first sight. The parallel chunk parsers use it at merge time — each
-// chunk worker interned names into its own table, so equal names from
-// different chunks arrive as distinct allocations, and re-canonicalizing
-// through the merge table both deduplicates them and fixes the table's
-// numbering to global first-appearance order.
-func (t *SymbolTable) CanonicalString(s string) string {
-	if sym, ok := t.syms[s]; ok {
-		return t.names[sym]
-	}
-	if len(t.names) >= maxInternedStrings {
-		return s
-	}
-	t.add(s)
-	return s
-}
-
 func (t *SymbolTable) add(s string) Sym {
 	sym := Sym(len(t.names))
 	t.syms[s] = sym

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/netip"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -20,8 +20,43 @@ const (
 	connFields = "#fields\tts\tduration\tproto\torig\torig_port\tresp\tresp_port\torig_bytes\tresp_bytes"
 )
 
-func secs(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'f', 6, 64)
+// exactSecsLimit bounds appendSecs's integer path: 2^52 ns, about 52
+// days.
+const exactSecsLimit = 1 << 52
+
+// appendSecs appends d in seconds with six decimals, the bytes of
+// strconv.AppendFloat(buf, d.Seconds(), 'f', 6, 64), which for a fixed
+// precision always takes strconv's slow exact path. The integer path
+// rounds to the nearest microsecond instead. That is exact away from a
+// tie: ns is an integer, so unless ns ≡ 500 (mod 1000) the true value
+// ns/1e9 lies at least 1 ns from the nearest rounding boundary. Seconds
+// returns float64(ns/1e9) + float64(ns%1e9)/1e9: the whole seconds are
+// exact, the fraction's quotient is within 2^-54 s of its true value,
+// and below 2^52 ns the sum is under 2^23 s, so its rounding adds at
+// most half an ulp, 2^-31 s. The float is therefore within 0.47 ns of
+// the true value and rounds to the same six decimals. At a tie the
+// float's own rounding error picks the side, and for negative or huge
+// values the margin argument does not hold, so those take strconv.
+func appendSecs(buf []byte, d time.Duration) []byte {
+	ns := int64(d)
+	if ns < 0 || ns >= exactSecsLimit || ns%1000 == 500 {
+		return strconv.AppendFloat(buf, d.Seconds(), 'f', 6, 64)
+	}
+	us := (ns + 500) / 1000
+	buf = strconv.AppendInt(buf, us/1e6, 10)
+	frac := us % 1e6
+	return append(buf, '.',
+		byte('0'+frac/1e5), byte('0'+frac/1e4%10), byte('0'+frac/1e3%10),
+		byte('0'+frac/100%10), byte('0'+frac/10%10), byte('0'+frac%10))
+}
+
+// appendAddrText appends a's String form: AppendTo's, except that the
+// zero Addr reads "invalid IP" (AppendTo writes nothing for it).
+func appendAddrText(buf []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(buf, "invalid IP"...)
+	}
+	return a.AppendTo(buf)
 }
 
 // maxSecs bounds parsed timestamps (in seconds). It sits safely below
@@ -45,33 +80,58 @@ func parseSecs(s string) (time.Duration, error) {
 	return time.Duration(math.Round(f * float64(time.Second))), nil
 }
 
-// WriteDNS writes DNS records as TSV.
+// WriteDNS writes DNS records as TSV, each line appended into one
+// reused buffer.
 func WriteDNS(w io.Writer, recs []DNSRecord) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, dnsFields); err != nil {
+	if _, err := bw.WriteString(dnsFields + "\n"); err != nil {
 		return err
 	}
+	var line []byte
 	for i := range recs {
-		d := &recs[i]
-		answers := make([]string, len(d.Answers))
-		for j, a := range d.Answers {
-			answers[j] = fmt.Sprintf("%s/%s", a.Addr, secs(a.TTL))
-		}
-		ans := strings.Join(answers, ",")
-		if ans == "" {
-			ans = "-"
-		}
-		tc := "F"
-		if d.TC {
-			tc = "T"
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\t%s\t%d\t%s\t%d\t%d\t%s\t%d\t%s\n",
-			secs(d.QueryTS), secs(d.TS), d.Client, d.Resolver, d.ID,
-			d.Query, d.QType, d.RCode, ans, d.Retries, tc); err != nil {
+		line = appendDNSLine(line[:0], &recs[i])
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendDNSLine appends d's TSV line.
+func appendDNSLine(b []byte, d *DNSRecord) []byte {
+	b = appendSecs(b, d.QueryTS)
+	b = append(b, '\t')
+	b = appendSecs(b, d.TS)
+	b = append(b, '\t')
+	b = appendAddrText(b, d.Client)
+	b = append(b, '\t')
+	b = appendAddrText(b, d.Resolver)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(d.ID), 10)
+	b = append(b, '\t')
+	b = append(b, d.Query...)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(d.QType), 10)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(d.RCode), 10)
+	b = append(b, '\t')
+	if len(d.Answers) == 0 {
+		b = append(b, '-')
+	}
+	for j, a := range d.Answers {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = appendAddrText(b, a.Addr)
+		b = append(b, '/')
+		b = appendSecs(b, a.TTL)
+	}
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(d.Retries), 10)
+	if d.TC {
+		return append(b, "\tT\n"...)
+	}
+	return append(b, "\tF\n"...)
 }
 
 // parseDNSLineBytes parses one data line in place: fields are located
@@ -186,21 +246,43 @@ func ReadDNS(r io.Reader) ([]DNSRecord, error) {
 	return out, sc.Err()
 }
 
-// WriteConns writes connection records as TSV.
+// WriteConns writes connection records as TSV, each line appended into
+// one reused buffer.
 func WriteConns(w io.Writer, recs []ConnRecord) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, connFields); err != nil {
+	if _, err := bw.WriteString(connFields + "\n"); err != nil {
 		return err
 	}
+	var line []byte
 	for i := range recs {
-		c := &recs[i]
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\t%s\t%d\t%s\t%d\t%d\t%d\n",
-			secs(c.TS), secs(c.Duration), c.Proto, c.Orig, c.OrigPort,
-			c.Resp, c.RespPort, c.OrigBytes, c.RespBytes); err != nil {
+		line = appendConnLine(line[:0], &recs[i])
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendConnLine appends c's TSV line.
+func appendConnLine(b []byte, c *ConnRecord) []byte {
+	b = appendSecs(b, c.TS)
+	b = append(b, '\t')
+	b = appendSecs(b, c.Duration)
+	b = append(b, '\t')
+	b = append(b, c.Proto.String()...)
+	b = append(b, '\t')
+	b = appendAddrText(b, c.Orig)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(c.OrigPort), 10)
+	b = append(b, '\t')
+	b = appendAddrText(b, c.Resp)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(c.RespPort), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, c.OrigBytes, 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, c.RespBytes, 10)
+	return append(b, '\n')
 }
 
 // parseConnLineBytes parses one data line in place; see
