@@ -19,6 +19,7 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzReadConns \
 	./internal/trace:FuzzReadDNSJSON \
 	./internal/trace:FuzzReadConnsJSON \
+	./internal/trace:FuzzTSVFieldKernels \
 	./internal/core:FuzzSpillFrames \
 	./internal/core:FuzzShardPayload \
 	./internal/bulk:FuzzFeed
@@ -58,9 +59,15 @@ obs-determinism:
 # pointer-free record store: the layout, round-trip and store-equality
 # tests pin it, the zone tests check that spill frames and shard files
 # keep IPv6 zones, and the pinned fingerprint keeps old snapshots
-# resumable. Also covered by `race`, but named so the gate is visible.
+# resumable. Spill frames carry names and answer lists longer than
+# 65,535 whole. On the ingest side, a DirSource's one chunk pipeline
+# over all its files must match a serial scan of each file (records,
+# quarantined lines, budget counts, file-prefixed errors) at Workers
+# 1/2/8 and chunk sizes down to one byte. Also covered by `race`, but
+# named so the gate is visible.
 stream-parity:
-	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory|TestReference|TestCrashResumeDeterminism|TestResume|TestResidentRecordsPointerFree|TestStoreRoundTrip|TestStoreSameFromDatasetAndStream|KeepsAddressZones|TestCheckpointFingerprintPinned' -count=1
+	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory|TestReference|TestCrashResumeDeterminism|TestResume|TestResidentRecordsPointerFree|TestStoreRoundTrip|TestStoreSameFromDatasetAndStream|KeepsAddressZones|TestCheckpointFingerprintPinned|TestSpillWideFrames' -count=1
+	$(GO) test ./internal/trace -run='^TestDirSourceMultiFileParity$$' -count=1
 
 # Transport matrix: the default (Do53) transport must reproduce the
 # pre-transport golden hashes bit for bit, and every transport's trace
@@ -120,9 +127,9 @@ chaos:
 	DNSCTX_CHAOS_NAMES=$(CHAOSNAMES) $(GO) test ./internal/bulk -race \
 		-run='^TestChaosSoak$$|^TestResumeAfterKill$$' -count=1 -timeout=10m -v
 
-# Short-budget coverage-guided fuzzing of the trace codecs, the spill
-# frame decoder, the analysis shard decoder (shard files and
-# checkpoints), and the bulk feed reader. Go allows one -fuzz target per invocation, so loop over
+# Short-budget coverage-guided fuzzing of the trace codecs and their
+# field kernels, the spill frame decoder, the analysis shard decoder
+# (shard files and checkpoints), and the bulk feed reader. Go allows one -fuzz target per invocation, so loop over
 # package:function pairs.
 fuzz:
 	@for pt in $(FUZZ_TARGETS); do \

@@ -13,10 +13,12 @@ package dnscontext
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,9 +26,10 @@ import (
 )
 
 // streamBenchState materializes the bench trace as the TSV files a
-// capture pipeline would hand the analyzer, then lets the in-memory
-// dataset go, so each variant's heap holds only what its ingestion
-// strategy retains.
+// capture pipeline would hand the analyzer, four time partitions per
+// stream as the report workloads of `bash bench/run.sh` write it, then
+// lets the in-memory dataset go, so each variant's heap holds only what
+// its ingestion strategy retains.
 var streamBenchState struct {
 	once     sync.Once
 	dir      string
@@ -54,21 +57,7 @@ func streamBenchTrace(b *testing.B) (dir string, records int, resident int64, di
 			s.err = err
 			return
 		}
-		write := func(name string, fn func(*os.File) error) {
-			if s.err != nil {
-				return
-			}
-			f, err := os.Create(filepath.Join(s.dir, name))
-			if err != nil {
-				s.err = err
-				return
-			}
-			defer f.Close()
-			s.err = fn(f)
-		}
-		write("part-000.dns.tsv", func(f *os.File) error { return WriteDNS(f, ds.DNS) })
-		write("part-000.conn.tsv", func(f *os.File) error { return WriteConns(f, ds.Conns) })
-		if s.err != nil {
+		if s.err = writeTimePartitions(s.dir, ds, 4); s.err != nil {
 			return
 		}
 		// The digest both variants must reproduce, computed from the
@@ -85,6 +74,49 @@ func streamBenchTrace(b *testing.B) (dir string, records int, resident int64, di
 		b.Fatal(s.err)
 	}
 	return s.dir, s.records, s.resident, s.digest
+}
+
+// writeTimePartitions writes ds as `parts` equal time slices,
+// part-N.dns.tsv and part-N.conn.tsv, so a DirSource over dir streams
+// it in time order.
+func writeTimePartitions(dir string, ds *Dataset, parts int) error {
+	ds.SortByTime()
+	var window time.Duration
+	if n := len(ds.DNS); n > 0 {
+		window = ds.DNS[n-1].TS
+	}
+	if n := len(ds.Conns); n > 0 {
+		window = max(window, ds.Conns[n-1].TS)
+	}
+	write := func(name string, fn func(*os.File) error) error {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			return err
+		}
+		if err := fn(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	var dnsAt, connAt int
+	for p := 0; p < parts; p++ {
+		dnsEnd, connEnd := len(ds.DNS), len(ds.Conns)
+		if p < parts-1 {
+			end := window * time.Duration(p+1) / time.Duration(parts)
+			dnsEnd = dnsAt + sort.Search(dnsEnd-dnsAt, func(i int) bool { return ds.DNS[dnsAt+i].TS >= end })
+			connEnd = connAt + sort.Search(connEnd-connAt, func(i int) bool { return ds.Conns[connAt+i].TS >= end })
+		}
+		dns, conns := ds.DNS[dnsAt:dnsEnd], ds.Conns[connAt:connEnd]
+		if err := write(fmt.Sprintf("part-%03d.dns.tsv", p), func(f *os.File) error { return WriteDNS(f, dns) }); err != nil {
+			return err
+		}
+		if err := write(fmt.Sprintf("part-%03d.conn.tsv", p), func(f *os.File) error { return WriteConns(f, conns) }); err != nil {
+			return err
+		}
+		dnsAt, connAt = dnsEnd, connEnd
+	}
+	return nil
 }
 
 // residentBytes mirrors the analyzer's retained-bytes accounting — 56 B

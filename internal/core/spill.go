@@ -102,10 +102,10 @@ func partitionOf(client netip.Addr) int {
 // Record frames. An address is a u8 length tag and its raw bytes: 0
 // for the zero Addr, 4 or 16 for an address without a zone, and
 // zonedAddrTag for an IPv6 address with one, whose 16 bytes are
-// followed by the zone as a u32 length and its bytes. Strings and
-// answer lists carry u16 counts (the TSV formats they arrive from can't
-// exceed that). Shard payloads (shard files and checkpoints) use the
-// same address encoding.
+// followed by the zone as a u32 length and its bytes. A query name and
+// an answer list carry u32 counts: one 4 MiB TSV line can hold a name
+// or an answer list longer than 65,535. Shard payloads (shard files and
+// checkpoints) use the same address encoding.
 
 // zonedAddrTag is the length tag of a zoned address; no address without
 // a zone uses it, so those encode as they always have.
@@ -142,17 +142,11 @@ func appendDNSFrame(b []byte, d *trace.DNSRecord) []byte {
 	b = appendAddr(b, d.Client)
 	b = appendAddr(b, d.Resolver)
 	b = appendU16(b, d.ID)
-	q := d.Query
-	if len(q) > 0xffff {
-		// Cannot happen for records parsed from the TSV logs; truncate
-		// rather than corrupt the frame if a synthetic record tries.
-		q = q[:0xffff]
-	}
-	b = appendU16(b, uint16(len(q)))
-	b = append(b, q...)
+	b = appendU32(b, uint32(len(d.Query)))
+	b = append(b, d.Query...)
 	b = appendU16(b, d.QType)
 	b = append(b, d.RCode)
-	b = appendU16(b, uint16(len(d.Answers)))
+	b = appendU32(b, uint32(len(d.Answers)))
 	for _, an := range d.Answers {
 		b = appendAddr(b, an.Addr)
 		b = appendI64(b, int64(an.TTL))
@@ -298,11 +292,11 @@ func decodeDNSFrames(b []byte, frames, answers int, st *recordStore) error {
 		d.client = st.addr(f.addr())
 		res := f.addr()
 		d.id = f.u16()
-		d.name = st.names.InternBytes(f.take(int(f.u16())))
+		d.name = st.names.InternBytes(f.take(int(f.u32())))
 		d.res = st.resolver(res)
 		d.qtype = f.u16()
 		d.rcode = f.u8()
-		n := uint32(f.u16())
+		n := f.u32()
 		if n > uint32(answers)-next {
 			f.fail(fmt.Errorf("frame %d has %d answers, %d remain", i, n, uint32(answers)-next))
 			n = 0

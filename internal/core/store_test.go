@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 	"unsafe"
@@ -255,30 +257,61 @@ func TestStoreSameFromDatasetAndStream(t *testing.T) {
 // TestAnalyzeSourceBytesPerRecord gates what an unbudgeted AnalyzeSource
 // allocates over a partitioned TSV trace at Workers 2: each record is
 // parsed into a trace record and converted once into the record store,
-// so the pass allocates about 500 B a record (the TSV chunk buffers, the
-// parse arena, the retention blocks and their one flatten, and the
-// classification). Retaining the trace records themselves, copied
-// three times, takes over 750 B, which the budget fails.
+// so the pass allocates about 430 B a record (the parse arena, the
+// retention blocks and their one flatten, and the classification).
+// Retaining the trace records themselves, copied three times, takes
+// over 750 B, which the budget fails. The trace's four partitions must
+// cost no more than the same trace read as one stream, give or take
+// the noise: the stream's chunk buffers and record slices serve all its
+// files, where a fresh 1 MiB buffer for each file's last chunk cost
+// about 30 B a record more. A run's bytes move in steps of 10–15 B a
+// record with how many record slices and parse states it needs, which
+// depends on how far the parsers get ahead of the merge, so the test
+// compares the medians of six interleaved runs of each.
 func TestAnalyzeSourceBytesPerRecord(t *testing.T) {
-	const budget = 600
+	const budget, partitionSlack, runs = 600, 20, 6
 	ds, dir := tsvTrace(t)
-	opts := DefaultOptions()
-	opts.Workers = 2
-	run := func() {
-		if _, err := AnalyzeSource(context.Background(), trace.NewDirSource(dir, trace.Strict()), opts); err != nil {
+	whole := t.TempDir()
+	for name, write := range map[string]func(io.Writer) error{
+		"all.dns.tsv":  func(w io.Writer) error { return trace.WriteDNS(w, ds.DNS) },
+		"all.conn.tsv": func(w io.Writer) error { return trace.WriteConns(w, ds.Conns) },
+	} {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(whole, name), buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run()
-	const runs = 3
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
+	opts := DefaultOptions()
+	opts.Workers = 2
+	perRecord := func(dir string) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := AnalyzeSource(context.Background(), trace.NewDirSource(dir, trace.Strict()), opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ds.DNS)+len(ds.Conns))
 	}
-	runtime.ReadMemStats(&after)
-	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*(len(ds.DNS)+len(ds.Conns)))
-	if perRecord > budget {
-		t.Fatalf("AnalyzeSource allocates %.0f B a record; budget is %d", perRecord, budget)
+	perRecord(dir) // warm the runtime's caches
+	var parts, one []float64
+	for i := 0; i < runs; i++ {
+		parts = append(parts, perRecord(dir))
+		one = append(one, perRecord(whole))
+	}
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return (xs[len(xs)/2-1] + xs[len(xs)/2]) / 2
+	}
+	p, o := median(parts), median(one)
+	t.Logf("AnalyzeSource: %.1f B/record over four partitions, %.1f as one stream (medians of %d)", p, o, runs)
+	if p > budget {
+		t.Fatalf("AnalyzeSource allocates %.0f B a record; budget is %d", p, budget)
+	}
+	if p > o+partitionSlack {
+		t.Fatalf("AnalyzeSource allocates %.0f B a record over four partitions, %.0f over the same trace as one stream; slack is %d",
+			p, o, partitionSlack)
 	}
 }

@@ -13,7 +13,10 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -70,7 +73,7 @@ func collectDNSChunked(input string, workers, chunkBytes int, policy ErrorPolicy
 		policy.Sink = func(q Quarantined) { quar = append(quar, q) }
 	}
 	var recs []DNSRecord
-	err := scanChunked(strings.NewReader(input), workers, chunkBytes, policy, newParseStates[DNSRecord](workers), parseDNSLineBytes,
+	err := scanChunked([]streamInput{{r: strings.NewReader(input)}}, workers, chunkBytes, policy, newParseStates[DNSRecord](workers), parseDNSLineBytes,
 		func(d *DNSRecord) error { recs = append(recs, *d); return nil })
 	return recs, quar, err
 }
@@ -277,7 +280,7 @@ func TestChunkedConnParity(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		var got []ConnRecord
-		err := scanChunked(strings.NewReader(input), workers, 96, Strict(), newParseStates[ConnRecord](workers), parseConnLineBytes,
+		err := scanChunked([]streamInput{{r: strings.NewReader(input)}}, workers, 96, Strict(), newParseStates[ConnRecord](workers), parseConnLineBytes,
 			func(c *ConnRecord) error { got = append(got, *c); return nil })
 		if err != nil {
 			t.Fatal(err)
@@ -326,6 +329,164 @@ func TestScannerSourceIngestWorkers(t *testing.T) {
 		}
 		if !reflect.DeepEqual(wantDNS, gotDNS) || !reflect.DeepEqual(wantConns, gotConns) {
 			t.Fatalf("SetIngestWorkers(%d): stream mismatch", w)
+		}
+	}
+}
+
+// writeDNSParts writes four DNS partitions of 60 records each into a
+// fresh directory; edit returns each file's bytes from its lines (the
+// header first).
+func writeDNSParts(t *testing.T, edit func(part int, lines []string) string) string {
+	t.Helper()
+	input, _ := chunkTestDNS(t, 240)
+	lines := strings.Split(strings.TrimSuffix(input, "\n"), "\n")
+	dir := t.TempDir()
+	for p := 0; p < 4; p++ {
+		part := append([]string{lines[0]}, lines[1+p*60:1+(p+1)*60]...)
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("part-%d.dns.tsv", p)), []byte(edit(p, part)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// serialScanEachFile is the reference for a DirSource: a serial scanner
+// over each partition file in name order, with the file's path on its
+// error, stopping at the first error.
+func serialScanEachFile(t *testing.T, dir string, policy ErrorPolicy) ([]DNSRecord, []Quarantined, error) {
+	t.Helper()
+	var quar []Quarantined
+	if policy.Quarantine {
+		policy.Sink = func(q Quarantined) { quar = append(quar, q) }
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.dns.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(paths)
+	var recs []DNSRecord
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return recs, quar, err
+		}
+		sc := NewDNSScanner(f, policy)
+		for sc.Scan() {
+			recs = append(recs, sc.Record())
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			return recs, quar, fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	return recs, quar, nil
+}
+
+// TestDirSourceMultiFileParity: the one chunk pipeline a DirSource runs
+// over all its files must give what a serial scan of each file gives —
+// records, quarantined lines, budget counts and file-prefixed errors —
+// under a strict failure in file 2, quarantined lines in files 1 and 3
+// with the budget tripping in file 3 (the budget counts per file, so a
+// pipeline that carried counts across files would trip at file 3's
+// first line), files without a trailing newline, and a dangling
+// partition symlink last. It runs through DirSource at Workers 1, 2
+// and 8, and through the pipeline itself at chunk sizes down to one
+// byte, so pooled buffers are overwritten long before the records
+// parsed from them are compared.
+func TestDirSourceMultiFileParity(t *testing.T) {
+	join := func(lines []string) string { return strings.Join(lines, "\n") + "\n" }
+	corrupt := "CORRUPT\tline"
+	cases := []struct {
+		name   string
+		policy ErrorPolicy
+		dir    func() string
+		want   string // in the reference's error, "" for none
+	}{
+		{"strict failure in file 2", Strict(), func() string {
+			return writeDNSParts(t, func(p int, lines []string) string {
+				if p == 1 {
+					lines[30] = "not\ta\trecord"
+				}
+				return join(lines)
+			})
+		}, "part-1.dns.tsv: trace: dns line 31"},
+		{"budget trips in file 3", QuarantineBudget(1, 0), func() string {
+			return writeDNSParts(t, func(p int, lines []string) string {
+				switch p {
+				case 0:
+					lines[10] = corrupt
+				case 2:
+					lines[5], lines[40] = corrupt, corrupt
+				}
+				return join(lines)
+			})
+		}, "part-2.dns.tsv: trace: quarantine budget exceeded: 2 of 40 lines quarantined (line 41"},
+		{"no trailing newline", QuarantineAll(), func() string {
+			return writeDNSParts(t, func(p int, lines []string) string {
+				if p == 3 {
+					lines[20] = corrupt
+				}
+				if p%2 == 1 {
+					return strings.Join(lines, "\n")
+				}
+				return join(lines)
+			})
+		}, ""},
+		{"dangling symlink last", Strict(), func() string {
+			dir := writeDNSParts(t, func(_ int, lines []string) string { return join(lines) })
+			last := filepath.Join(dir, "part-3.dns.tsv")
+			if err := os.Remove(last); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Symlink(filepath.Join(dir, "missing"), last); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}, "part-3.dns.tsv: no such file"},
+	}
+	for _, tc := range cases {
+		dir := tc.dir()
+		wantRecs, wantQuar, wantErr := serialScanEachFile(t, dir, tc.policy)
+		if tc.want == "" && wantErr != nil || tc.want != "" && (wantErr == nil || !strings.Contains(wantErr.Error(), tc.want)) {
+			t.Fatalf("%s: reference error %v, want one containing %q", tc.name, wantErr, tc.want)
+		}
+		check := func(label string, recs []DNSRecord, quar []Quarantined, err error) {
+			t.Helper()
+			assertScanParity(t, tc.name+": "+label, wantRecs, recs, wantQuar, quar, wantErr, err)
+			var wb, gb *BudgetError
+			if errors.As(wantErr, &wb) != errors.As(err, &gb) ||
+				wb != nil && (wb.Quarantined != gb.Quarantined || wb.Lines != gb.Lines || wb.Last.Line != gb.Last.Line) {
+				t.Fatalf("%s: %s: budget error %+v, serial %+v", tc.name, label, gb, wb)
+			}
+		}
+		collect := func(policy ErrorPolicy, scan func(ErrorPolicy, func(*DNSRecord) error) error) ([]DNSRecord, []Quarantined, error) {
+			var recs []DNSRecord
+			var quar []Quarantined
+			if policy.Quarantine {
+				policy.Sink = func(q Quarantined) { quar = append(quar, q) }
+			}
+			err := scan(policy, func(d *DNSRecord) error { recs = append(recs, *d); return nil })
+			return recs, quar, err
+		}
+		for _, workers := range []int{1, 2, 8} {
+			recs, quar, err := collect(tc.policy, func(policy ErrorPolicy, yield func(*DNSRecord) error) error {
+				src := NewDirSource(dir, policy)
+				src.SetIngestWorkers(workers)
+				return src.StreamDNS(yield)
+			})
+			check(fmt.Sprintf("DirSource workers=%d", workers), recs, quar, err)
+		}
+		for _, workers := range []int{2, 8} {
+			for _, chunkBytes := range []int{1, 7, 100, 4096} {
+				recs, quar, err := collect(tc.policy, func(policy ErrorPolicy, yield func(*DNSRecord) error) error {
+					inputs, err := (&DirSource{dir: dir}).partitions(".dns.tsv", ".dns.log")
+					if err != nil {
+						return err
+					}
+					return scanChunked(inputs, workers, chunkBytes, policy, newParseStates[DNSRecord](workers), parseDNSLineBytes, yield)
+				})
+				check(fmt.Sprintf("pipeline workers=%d chunk=%d", workers, chunkBytes), recs, quar, err)
+			}
 		}
 	}
 }

@@ -97,47 +97,46 @@ func (s *ScannerSource) SetIngestWorkers(n int) { s.workers = n }
 
 // StreamDNS implements Source.
 func (s *ScannerSource) StreamDNS(yield func(*DNSRecord) error) error {
-	return streamDNS(s.dns, s.policy, s.workers, newParseStates[DNSRecord](s.workers), yield)
+	return streamRecords([]streamInput{{r: s.dns}}, s.policy, s.workers, parseDNSLineBytes, yield)
 }
 
 // StreamConns implements Source.
 func (s *ScannerSource) StreamConns(yield func(*ConnRecord) error) error {
-	return streamConns(s.conns, s.policy, s.workers, newParseStates[ConnRecord](s.workers), yield)
+	return streamRecords([]streamInput{{r: s.conns}}, s.policy, s.workers, parseConnLineBytes, yield)
 }
 
-// streamDNS scans one reader of a DNS stream, on the chunked parser when
-// workers exceeds one, drawing on the stream's reusable states.
-func streamDNS(r io.Reader, policy ErrorPolicy, workers int, states *parseStates[DNSRecord], yield func(*DNSRecord) error) error {
+// streamRecords scans the inputs of one stream in order: through one
+// chunk pipeline when workers exceeds one, else with the serial scanner
+// core, one scanner per input sharing one parse state. Either way each
+// input keeps its own line numbers and budget counters, and its errors
+// carry its path.
+func streamRecords[R any](inputs []streamInput, policy ErrorPolicy, workers int,
+	parse func(lineNo int, line []byte, st *parseState) (R, error), yield func(*R) error) error {
 	if workers > 1 {
-		return scanChunked(r, workers, ingestChunkBytes, policy, states, parseDNSLineBytes, yield)
+		return scanChunked(inputs, workers, ingestChunkBytes, policy, newParseStates[R](workers), parse, yield)
 	}
-	st := states.get()
-	defer states.put(st)
-	sc := &DNSScanner{scanner: newScanner(r, policy, st)}
-	for sc.Scan() {
-		// The scanner's own record: yield's pointer is valid only for
-		// the call, so no per-record copy is needed.
-		if err := yield(&sc.rec); err != nil {
+	st := newParseState()
+	for _, in := range inputs {
+		if err := in.read(func(r io.Reader) error {
+			sc := newScanner(r, policy, st)
+			// One record, reused: yield's pointer is valid only for the
+			// call, so no per-record copy is needed.
+			var rec R
+			parseLine := func(lineNo int, line []byte) (err error) {
+				rec, err = parse(lineNo, line, st)
+				return err
+			}
+			for sc.next(parseLine) {
+				if err := yield(&rec); err != nil {
+					return err
+				}
+			}
+			return sc.Err()
+		}); err != nil {
 			return err
 		}
 	}
-	return sc.Err()
-}
-
-// streamConns is streamDNS for a connection stream.
-func streamConns(r io.Reader, policy ErrorPolicy, workers int, states *parseStates[ConnRecord], yield func(*ConnRecord) error) error {
-	if workers > 1 {
-		return scanChunked(r, workers, ingestChunkBytes, policy, states, parseConnLineBytes, yield)
-	}
-	st := states.get()
-	defer states.put(st)
-	sc := &ConnScanner{scanner: newScanner(r, policy, st)}
-	for sc.Scan() {
-		if err := yield(&sc.rec); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return nil
 }
 
 // DirSource streams a directory of time-partitioned trace files: the
@@ -160,17 +159,19 @@ func NewDirSource(dir string, policy ErrorPolicy) *DirSource {
 	return &DirSource{dir: dir, policy: policy}
 }
 
-// SetIngestWorkers selects how many goroutines parse each partition
-// file; see ScannerSource.SetIngestWorkers. Files are still consumed
-// one at a time in name order, so the concatenated stream is unchanged,
-// and one stream's files share their parse states (name interning, the
-// address cache and the chunk record slices carry over from file to
-// file).
+// SetIngestWorkers selects how many goroutines parse the partitions;
+// see ScannerSource.SetIngestWorkers. One pipeline parses all of a
+// stream's files, in name order, so the workers do not drain at each
+// file's end; the concatenated stream, each file's line numbers, budget
+// counters and errors are those of a serial scan of each file, and the
+// files share their parse states and buffers (name interning, the
+// address cache, the chunk buffers and record slices carry over from
+// file to file).
 func (s *DirSource) SetIngestWorkers(n int) { s.workers = n }
 
-// partitionFiles lists dir's files carrying one of the given suffixes,
+// partitions lists dir's files carrying one of the given suffixes,
 // sorted by name.
-func (s *DirSource) partitionFiles(suffixes ...string) ([]string, error) {
+func (s *DirSource) partitions(suffixes ...string) ([]streamInput, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, err
@@ -191,54 +192,27 @@ func (s *DirSource) partitionFiles(suffixes ...string) ([]string, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("trace: no %s partitions in %s", strings.TrimPrefix(suffixes[0], "."), s.dir)
 	}
-	return files, nil
+	inputs := make([]streamInput, len(files))
+	for i, f := range files {
+		inputs[i].path = f
+	}
+	return inputs, nil
 }
 
 // StreamDNS implements Source.
 func (s *DirSource) StreamDNS(yield func(*DNSRecord) error) error {
-	files, err := s.partitionFiles(".dns.tsv", ".dns.log")
+	inputs, err := s.partitions(".dns.tsv", ".dns.log")
 	if err != nil {
 		return err
 	}
-	states := newParseStates[DNSRecord](s.workers)
-	for _, path := range files {
-		if err := s.streamFile(path, func(f *os.File) error {
-			return streamDNS(f, s.policy, s.workers, states, yield)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return streamRecords(inputs, s.policy, s.workers, parseDNSLineBytes, yield)
 }
 
 // StreamConns implements Source.
 func (s *DirSource) StreamConns(yield func(*ConnRecord) error) error {
-	files, err := s.partitionFiles(".conn.tsv", ".conn.log")
+	inputs, err := s.partitions(".conn.tsv", ".conn.log")
 	if err != nil {
 		return err
 	}
-	states := newParseStates[ConnRecord](s.workers)
-	for _, path := range files {
-		if err := s.streamFile(path, func(f *os.File) error {
-			return streamConns(f, s.policy, s.workers, states, yield)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// streamFile opens path, hands it to scan, and annotates any error with
-// the file name, since a multi-file stream would otherwise report bare
-// line numbers.
-func (s *DirSource) streamFile(path string, scan func(*os.File) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := scan(f); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
+	return streamRecords(inputs, s.policy, s.workers, parseConnLineBytes, yield)
 }
