@@ -22,9 +22,12 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzTSVFieldKernels \
 	./internal/core:FuzzSpillFrames \
 	./internal/core:FuzzShardPayload \
-	./internal/bulk:FuzzFeed
+	./internal/bulk:FuzzFeed \
+	./internal/dnswire:FuzzDecode \
+	./internal/dnswire:FuzzReadTCPFrame \
+	./internal/dnsserver:FuzzZoneFastPath
 
-.PHONY: check vet build test race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke scaling-gate bench-all profile fuzz cover
+.PHONY: check vet build test race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke scaling-gate bench-all profile profile-live fuzz cover
 
 check: vet build race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke
 
@@ -98,12 +101,15 @@ report-parity:
 # cancellation, output error) that must leave only whole lines. The
 # simulated scan pipelines its batches across goroutines, so the
 # determinism and interruption tests also run five times under the race
-# detector.
+# detector. The live path's allocation gate runs too: one pooled UDP
+# exchange against an in-process zone server, client and server
+# together, may allocate only the client's decoded response.
 SIMTESTS = TestScanGoldenDigest|TestSimMetricsGolden|TestSimDeterministicAcrossConcurrency|TestSimFeedErrorFlushesWholeLines|TestSimCancelStopsAtBatchBoundary|TestSimWriteErrorStopsRun
 
 scan:
 	$(GO) test ./internal/bulk -run='^($(SIMTESTS)|TestAppendMillisMatchesStrconv)$$' -count=1
 	$(GO) test ./internal/bulk -race -run='^($(SIMTESTS))$$' -count=5
+	$(GO) test ./internal/dnsserver -run='^TestPoolExchangeAllocBudget$$' -count=1
 
 # Chaos soak of the hardened DNS server under the race detector: several
 # seconds of mixed valid/garbage/panicking queries against a small queue
@@ -129,7 +135,11 @@ chaos:
 
 # Short-budget coverage-guided fuzzing of the trace codecs and their
 # field kernels, the spill frame decoder, the analysis shard decoder
-# (shard files and checkpoints), and the bulk feed reader. Go allows one -fuzz target per invocation, so loop over
+# (shard files and checkpoints), the bulk feed reader, and the DNS wire
+# path: the general message decoder (pointer loops, the round trip, the
+# name codec against its reference implementations), the TCP framing
+# reader, and the server's plain-query fast path against the general
+# codec. Go allows one -fuzz target per invocation, so loop over
 # package:function pairs.
 fuzz:
 	@for pt in $(FUZZ_TARGETS); do \
@@ -184,3 +194,20 @@ profile:
 	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_objects $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/mem.out
 	@echo '--- top allocations (alloc_space) ---'
 	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/mem.out
+
+# The same three summaries for the live scan: BenchmarkBulkScanLive runs
+# scan-live's load shape (2 server workers, 2 sockets, 512 lookups in
+# flight, a metrics registry, a discarded output) over loopback UDP, so
+# the profile shows the client, the engine and the in-process server
+# together — the codec, the pool's demux, the syscalls and the collector.
+profile-live:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test ./internal/bulk -bench='^BenchmarkBulkScanLive$$' -run='^$$' -benchtime=3x \
+		-cpuprofile=$(PROFILE_DIR)/live-cpu.out -memprofile=$(PROFILE_DIR)/live-mem.out \
+		-o $(PROFILE_DIR)/bulk.test
+	@echo '--- top CPU ---'
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/bulk.test $(PROFILE_DIR)/live-cpu.out
+	@echo '--- top allocations (alloc_objects) ---'
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_objects $(PROFILE_DIR)/bulk.test $(PROFILE_DIR)/live-mem.out
+	@echo '--- top allocations (alloc_space) ---'
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space $(PROFILE_DIR)/bulk.test $(PROFILE_DIR)/live-mem.out

@@ -39,6 +39,18 @@ var streamBenchState struct {
 	err      error
 }
 
+// TestMain removes the stream benchmark's trace directory once the
+// package's tests and benchmarks have run: the trace is written once per
+// process and shared by every variant, so no one benchmark can remove
+// it, and each run would otherwise leave its 52 MB in the temp dir.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if dir := streamBenchState.dir; dir != "" {
+		os.RemoveAll(dir)
+	}
+	os.Exit(code)
+}
+
 func streamBenchTrace(b *testing.B) (dir string, records int, resident int64, digest uint64) {
 	b.Helper()
 	s := &streamBenchState

@@ -309,12 +309,28 @@ func fillLive(r *Result, msg *dnswire.Message, err error, attempts int, coalesce
 	}
 	r.RCode = uint8(msg.Header.RCode)
 	r.Status = statusOfRCode(r.RCode)
-	for _, rr := range msg.Answers {
-		if (rr.Type == dnswire.TypeA || rr.Type == dnswire.TypeAAAA) && rr.Addr.IsValid() {
+	n := 0
+	for i := range msg.Answers {
+		if isAddrAnswer(&msg.Answers[i]) {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	r.Answers = make([]trace.Answer, 0, n)
+	for i := range msg.Answers {
+		if rr := &msg.Answers[i]; isAddrAnswer(rr) {
 			r.Answers = append(r.Answers, trace.Answer{
 				Addr: rr.Addr,
 				TTL:  time.Duration(rr.TTL) * time.Second,
 			})
 		}
 	}
+}
+
+// isAddrAnswer reports whether rr is an address answer that goes into
+// Result.Answers.
+func isAddrAnswer(rr *dnswire.RR) bool {
+	return (rr.Type == dnswire.TypeA || rr.Type == dnswire.TypeAAAA) && rr.Addr.IsValid()
 }

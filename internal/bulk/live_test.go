@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 
 	"dnscontext/internal/dnsserver"
 	"dnscontext/internal/dnswire"
+	"dnscontext/internal/obs"
 	"dnscontext/internal/stats"
 	"dnscontext/internal/zonedb"
 )
@@ -95,9 +97,12 @@ func TestRunLiveAgainstServer(t *testing.T) {
 }
 
 // BenchmarkBulkScanLive measures the live path end to end: synthetic
-// feed → client pool → loopback UDP → in-process dnsserver. Smaller
-// than the sim benchmark (real sockets are the bottleneck, not the
-// engine) but still enough load to exercise the demux under pressure.
+// feed → client pool → loopback UDP → in-process dnsserver. It runs
+// scan-live's load shape — 2 server workers, 2 client sockets with
+// dnsscan's retry ladder, 512 lookups in flight, a metrics registry and
+// a discarded output — so that `make profile-live` profiles the mix the
+// benchmark of record (`bash bench/run.sh --workload scan-live`)
+// measures.
 func BenchmarkBulkScanLive(b *testing.B) {
 	zones, err := zonedb.New(zonedb.Config{
 		NumNames: 2000, ZipfExponent: 1, CDNFraction: 0.3, CDNPoolSize: 5,
@@ -105,14 +110,15 @@ func BenchmarkBulkScanLive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := dnsserver.NewServerWith(dnsserver.ZoneHandler(zones), dnsserver.Config{Workers: 8, QueueDepth: 4096}, nil)
+	srv := dnsserver.NewServerWith(dnsserver.ZoneHandler(zones), dnsserver.Config{Workers: 2, QueueDepth: 4096}, nil)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		b.Skipf("cannot bind loopback UDP: %v", err)
 	}
 	defer srv.Close()
+	reg := obs.NewRegistry()
 	pool, err := dnsserver.NewClientPool(addr.String(), dnsserver.ClientPoolConfig{
-		Sockets: 8, Timeout: 2 * time.Second, Retries: 2, Backoff: 1.5,
+		Sockets: 2, Timeout: 2 * time.Second, Retries: 2, Backoff: 1.5, Metrics: reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -125,7 +131,7 @@ func BenchmarkBulkScanLive(b *testing.B) {
 	var sum *Summary
 	for i := 0; i < b.N; i++ {
 		src := NewSyntheticSource(zones, SyntheticConfig{N: n, Seed: 2, MissFraction: 0.01})
-		sum, err = RunLive(context.Background(), src, pool, Options{Concurrency: 2000})
+		sum, err = RunLive(context.Background(), src, pool, Options{Concurrency: 512, Metrics: reg, Output: io.Discard})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -61,17 +62,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// packet is one received datagram awaiting a worker.
+// packet is one received datagram awaiting a worker. data comes from
+// the server's datagram pool unless it is longer than maxPooledDatagram.
 type packet struct {
 	data []byte
-	peer *net.UDPAddr
+	peer netip.AddrPort
 }
+
+// maxPooledDatagram sizes the pooled datagram buffers. A plain query — a
+// header, a name of a few dozen bytes, its type and class — fits, as
+// does one padded to a 128-byte block (RFC 8467). A queued datagram
+// holds its buffer until a worker is done with it, so under load up to
+// the queue's depth times this size stays live; a longer datagram gets
+// a buffer of its own.
+const maxPooledDatagram = 128
 
 // Server is a UDP DNS server with a bounded worker pool.
 type Server struct {
 	handler Handler
 	cfg     Config
 	limiter *rateLimiter
+	// zones is the zone handler's namespace, answered on the fast path
+	// (answerPlain); nil for any other handler.
+	zones *zonedb.DB
+	// datagrams pools *[maxPooledDatagram]byte buffers for the queue.
+	datagrams sync.Pool
 
 	mu       sync.Mutex
 	conn     *net.UDPConn
@@ -118,6 +133,10 @@ func NewServerWith(h Handler, cfg Config, reg *obs.Registry) *Server {
 		reg = obs.NewRegistry()
 	}
 	s := &Server{handler: h, cfg: cfg.withDefaults(), reg: reg, metrics: newSrvMetrics(reg)}
+	if zh, ok := h.(zoneHandler); ok {
+		s.zones = zh.zones
+	}
+	s.datagrams.New = func() any { return new([maxPooledDatagram]byte) }
 	if cfg.RateLimit != nil {
 		s.limiter = newRateLimiter(*cfg.RateLimit)
 	}
@@ -166,7 +185,7 @@ func (s *Server) read(conn *net.UDPConn) {
 	defer close(s.queue)
 	buf := make([]byte, 4096)
 	for {
-		n, peer, err := conn.ReadFromUDP(buf)
+		n, peer, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			s.mu.Lock()
 			stop := s.closed || s.draining
@@ -177,24 +196,53 @@ func (s *Server) read(conn *net.UDPConn) {
 			continue
 		}
 		s.metrics.received.Inc()
-		data := make([]byte, n)
+		data := s.datagram(n)
 		copy(data, buf[:n])
 		select {
 		case s.queue <- packet{data: data, peer: peer}:
 		default:
 			s.metrics.shed.Inc() // overload: drop rather than block the socket
+			s.recycle(data)
 		}
 	}
 }
 
-func (s *Server) worker(conn *net.UDPConn) {
-	defer s.workerWG.Done()
-	for pkt := range s.queue {
-		s.handlePacket(conn, pkt)
+// datagram returns a buffer of length n, pooled when n fits one.
+func (s *Server) datagram(n int) []byte {
+	if n > maxPooledDatagram {
+		return make([]byte, n)
+	}
+	return s.datagrams.Get().(*[maxPooledDatagram]byte)[:n]
+}
+
+// recycle returns a buffer from datagram to the pool.
+func (s *Server) recycle(data []byte) {
+	if cap(data) == maxPooledDatagram {
+		s.datagrams.Put((*[maxPooledDatagram]byte)(data[:maxPooledDatagram]))
 	}
 }
 
-func (s *Server) handlePacket(conn *net.UDPConn, pkt packet) {
+// workerScratch is what one worker reuses across datagrams: the response
+// it writes and, on the fast path, the question name it looks up.
+type workerScratch struct {
+	out, name []byte
+}
+
+func (s *Server) worker(conn *net.UDPConn) {
+	defer s.workerWG.Done()
+	w := &workerScratch{out: make([]byte, 0, maxPooledDatagram)}
+	for pkt := range s.queue {
+		s.handlePacket(conn, pkt, w)
+		s.recycle(pkt.data)
+	}
+}
+
+func (s *Server) handlePacket(conn *net.UDPConn, pkt packet, w *workerScratch) {
+	if s.zones != nil {
+		if q, ok := dnswire.ParseQuery(pkt.data); ok && s.answerPlain(conn, &q, pkt.peer, w) {
+			return
+		}
+	}
 	msg, err := dnswire.Decode(pkt.data)
 	if err != nil {
 		s.metrics.decodeErrs.Inc()
@@ -204,16 +252,53 @@ func (s *Server) handlePacket(conn *net.UDPConn, pkt packet) {
 		s.metrics.dropped.Inc()
 		return
 	}
-	if s.limiter != nil && !s.limiter.allow(pkt.peer.IP, time.Now()) {
+	if s.limiter != nil && !s.limiter.allow(pkt.peer.Addr(), time.Now()) {
 		s.metrics.refused.Inc()
-		s.respond(conn, dnswire.NewResponse(msg, dnswire.RCodeRefused), pkt.peer)
+		s.respond(conn, dnswire.NewResponse(msg, dnswire.RCodeRefused), pkt.peer, w)
 		return
 	}
 	resp := s.invoke(msg)
 	if resp == nil {
 		resp = dnswire.NewResponse(msg, dnswire.RCodeServFail)
 	}
-	s.respond(conn, resp, pkt.peer)
+	s.respond(conn, resp, pkt.peer, w)
+}
+
+// answerPlain answers a plain query (dnswire.ParseQuery) for the zone
+// handler without building a Message: it sends the bytes the general
+// path — Decode, the rate limiter, ZoneHandler, Encode — would send, and
+// counts what that path counts. It reports false, having done nothing,
+// where that path's Encode would fail, so the caller takes that path.
+// The limiter is consulted only once the answer is known to encode, as
+// the general path consults it only for decodable queries; the zone
+// lookup before it has no side effects.
+func (s *Server) answerPlain(conn *net.UDPConn, q *dnswire.QueryView, peer netip.AddrPort, w *workerScratch) bool {
+	rcode, ok := w.answerZone(s.zones, q)
+	if !ok {
+		return false
+	}
+	if s.limiter != nil && !s.limiter.allow(peer.Addr(), time.Now()) {
+		s.metrics.refused.Inc()
+		rcode = dnswire.RCodeRefused
+		w.out, _ = q.AppendResponse(w.out[:0], rcode, false, nil, 0)
+	}
+	s.metrics.response(rcode).Inc()
+	_, _ = conn.WriteToUDPAddrPort(w.out, peer)
+	return true
+}
+
+// answerZone writes ZoneHandler's response to the plain query q into
+// w.out — the bytes Decode, ZoneHandler and Encode give for it — and
+// returns its RCode. It reports false, leaving w.out as it was, where
+// that Encode fails.
+func (w *workerScratch) answerZone(zones *zonedb.DB, q *dnswire.QueryView) (dnswire.RCode, bool) {
+	w.name = q.AppendName(w.name[:0])
+	rcode, addrs, ttl := zoneAnswer(q.Opcode, zones.LookupBytes(w.name), q.Type)
+	out, ok := q.AppendResponse(w.out[:0], rcode, rcode == dnswire.RCodeNoError, addrs, ttl)
+	if ok {
+		w.out = out
+	}
+	return rcode, ok
 }
 
 // invoke runs the handler with panic recovery: a panicking handler
@@ -228,14 +313,15 @@ func (s *Server) invoke(msg *dnswire.Message) (resp *dnswire.Message) {
 	return s.handler.Handle(msg)
 }
 
-func (s *Server) respond(conn *net.UDPConn, resp *dnswire.Message, peer *net.UDPAddr) {
-	out, err := resp.Encode()
+func (s *Server) respond(conn *net.UDPConn, resp *dnswire.Message, peer netip.AddrPort, w *workerScratch) {
+	out, err := resp.AppendEncode(w.out[:0])
 	if err != nil {
 		s.metrics.encodeErrs.Inc()
 		return
 	}
+	w.out = out
 	s.metrics.response(resp.Header.RCode).Inc()
-	_, _ = conn.WriteToUDP(out, peer)
+	_, _ = conn.WriteToUDPAddrPort(out, peer)
 }
 
 // Queries returns the number of datagrams received so far.
@@ -324,27 +410,41 @@ func (s *Server) closeConn() error {
 // ZoneHandler serves A queries from a zonedb namespace, answering
 // NXDOMAIN for unknown names and NOTIMP for unsupported opcodes. AAAA
 // queries for known names return empty NOERROR (the namespace is
-// v4-only), matching the generator's dual-stack behavior.
+// v4-only), matching the generator's dual-stack behavior. A UDP server
+// answers plain queries for it on a fast path that writes the same
+// bytes (Server.answerPlain).
 func ZoneHandler(zones *zonedb.DB) Handler {
-	return HandlerFunc(func(q *dnswire.Message) *dnswire.Message {
-		if q.Header.Opcode != dnswire.OpcodeQuery {
-			return dnswire.NewResponse(q, dnswire.RCodeNotImp)
-		}
-		question := q.Questions[0]
-		name := zones.Lookup(dnswire.CanonicalName(question.Name))
-		if name == nil {
-			return dnswire.NewResponse(q, dnswire.RCodeNXDomain)
-		}
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-		resp.Header.Authoritative = true
-		if question.Type == dnswire.TypeA || question.Type == dnswire.TypeANY {
-			ttl := uint32(name.TTL / time.Second)
-			for _, addr := range name.Addrs {
-				resp.AddAnswerA(question.Name, addr, ttl)
-			}
-		}
-		return resp
-	})
+	return zoneHandler{zones: zones}
+}
+
+type zoneHandler struct {
+	zones *zonedb.DB
+}
+
+func (h zoneHandler) Handle(q *dnswire.Message) *dnswire.Message {
+	question := q.Questions[0]
+	rcode, addrs, ttl := zoneAnswer(q.Header.Opcode, h.zones.Lookup(dnswire.CanonicalName(question.Name)), question.Type)
+	resp := dnswire.NewResponse(q, rcode)
+	resp.Header.Authoritative = rcode == dnswire.RCodeNoError
+	for _, addr := range addrs {
+		resp.AddAnswerA(question.Name, addr, ttl)
+	}
+	return resp
+}
+
+// zoneAnswer is ZoneHandler's answer to a question for name (nil when
+// the namespace lacks it): its RCode (authoritative when NOERROR), and
+// the addresses to answer with their TTL.
+func zoneAnswer(op dnswire.Opcode, name *zonedb.Name, t dnswire.Type) (dnswire.RCode, []netip.Addr, uint32) {
+	switch {
+	case op != dnswire.OpcodeQuery:
+		return dnswire.RCodeNotImp, nil, 0
+	case name == nil:
+		return dnswire.RCodeNXDomain, nil, 0
+	case t == dnswire.TypeA || t == dnswire.TypeANY:
+		return dnswire.RCodeNoError, name.Addrs, uint32(name.TTL / time.Second)
+	}
+	return dnswire.RCodeNoError, nil, 0
 }
 
 // Client is a stub resolver speaking plain UDP DNS.

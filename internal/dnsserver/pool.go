@@ -320,6 +320,72 @@ type poolCall struct {
 	abandoned int64
 }
 
+// callPool recycles poolCalls. A call goes back only when no reader can
+// still hold it — its waiter received the one response it can carry, or
+// it left the pending table before anything was sent under its ID — so a
+// pooled call is live (never abandoned) and its channel is empty.
+var callPool = sync.Pool{New: func() any {
+	return &poolCall{ch: make(chan *dnswire.Message, 1)}
+}}
+
+// attemptScratch is what one attempt borrows and returns on every exit
+// path: the buffer its query is encoded into (the primary's, then a
+// hedge's: a datagram is copied into the kernel as it is sent) and its
+// two timers. None of it stays with a call parked in the ID quarantine,
+// which keeps only its channel and timestamp.
+type attemptScratch struct {
+	wire         []byte
+	timer, hedge reusableTimer
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(attemptScratch) }}
+
+func (sc *attemptScratch) release() {
+	sc.timer.stop()
+	sc.hedge.stop()
+	scratchPool.Put(sc)
+}
+
+// reusableTimer is a timer that is armed and stopped many times. go.mod
+// says go 1.22, so the pre-1.23 timer semantics apply: a timer that
+// fires leaves its tick in the channel until it is read, and a Stop that
+// races the firing can return false before the tick is sent. stop
+// therefore drains a tick it finds, and drops a timer whose tick is
+// neither read nor found, which a later start replaces, rather than
+// risk a stale tick ending a later attempt early.
+type reusableTimer struct {
+	t     *time.Timer
+	armed bool
+	fired bool // the tick was read
+}
+
+// start arms the timer for d and returns its channel.
+func (r *reusableTimer) start(d time.Duration) <-chan time.Time {
+	if r.t == nil {
+		r.t = time.NewTimer(d)
+	} else {
+		r.t.Reset(d)
+	}
+	r.armed, r.fired = true, false
+	return r.t.C
+}
+
+// stop leaves the timer stopped with an empty channel, or drops it.
+func (r *reusableTimer) stop() {
+	if !r.armed {
+		return
+	}
+	r.armed = false
+	if r.t.Stop() || r.fired {
+		return
+	}
+	select {
+	case <-r.t.C:
+	default:
+		r.t = nil
+	}
+}
+
 // idQuarantine is how long an abandoned message ID stays parked before
 // register may hand it out again. Longer than any plausible late-response
 // arrival (server work + queueing + loopback/kernel buffering), short
@@ -407,7 +473,8 @@ func (p *ClientPool) readLoop(s *poolSock) {
 // taken by live waiters or still quarantined, so concurrent queries on
 // one socket never collide and a late response never reaches a reused
 // ID's new waiter. Expired quarantine entries are reclaimed as the
-// counter walks past them.
+// counter walks past them; the reclaimed call itself serves the new
+// query, since no response reached it (delivery removes a call).
 func (s *poolSock) register() (uint16, *poolCall, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -422,21 +489,34 @@ func (s *poolSock) register() (uint16, *poolCall, error) {
 			break
 		}
 		if c.abandoned != 0 && now-c.abandoned > int64(idQuarantine) {
-			break // quarantine over; reuse this slot
+			c.abandoned = 0 // quarantine over; reuse this slot
+			return s.nextID, c, nil
 		}
 	}
-	call := &poolCall{ch: make(chan *dnswire.Message, 1)}
+	call := callPool.Get().(*poolCall)
 	s.pending[s.nextID] = call
 	return s.nextID, call, nil
 }
 
 // unregister removes a call whose query never made it onto the wire
 // (encode or send failure) — no response can arrive, so the ID is
-// immediately reusable.
-func (s *poolSock) unregister(id uint16) {
+// immediately reusable. It returns the call it removed, the caller's
+// own unless a stray late response for the ID reached that one first
+// (the reader removes a call as it delivers).
+func (s *poolSock) unregister(id uint16) *poolCall {
 	s.mu.Lock()
+	c := s.pending[id]
 	delete(s.pending, id)
 	s.mu.Unlock()
+	return c
+}
+
+// forget unregisters call, which never made it onto the wire, and
+// recycles it if it was still waiting under id.
+func (s *poolSock) forget(id uint16, call *poolCall) {
+	if s.unregister(id) == call {
+		callPool.Put(call)
+	}
 }
 
 // abandon marks a call whose waiter gave up after the query was sent.
@@ -620,16 +700,16 @@ func (p *ClientPool) attempt(ctx context.Context, up *upstream, probe bool, name
 		p.met.busy.Inc()
 		return nil, err, true
 	}
-	q := dnswire.NewQuery(id, name, qtype)
-	wire, err := q.Encode()
-	if err != nil {
-		s.unregister(id)
+	sc := scratchPool.Get().(*attemptScratch)
+	defer sc.release()
+	if sc.wire, err = dnswire.AppendQuery(sc.wire[:0], id, name, qtype); err != nil {
+		s.forget(id, call)
 		up.release(probe)
 		return nil, err, true
 	}
 	sent := time.Now()
-	if _, err := s.conn.Write(wire); err != nil {
-		s.unregister(id)
+	if _, err := s.conn.Write(sc.wire); err != nil {
+		s.forget(id, call)
 		if p.closed.Load() {
 			return nil, ErrPoolClosed, true
 		}
@@ -638,8 +718,7 @@ func (p *ClientPool) attempt(ctx context.Context, up *upstream, probe bool, name
 	}
 	p.met.attempts.Inc()
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	timerC := sc.timer.start(timeout)
 
 	// Hedge state: armed lazily when the hedge delay fires. A nil hedge
 	// channel never receives, so the select below is uniform.
@@ -654,9 +733,7 @@ func (p *ClientPool) attempt(ctx context.Context, up *upstream, probe bool, name
 	)
 	if p.cfg.Hedge && first {
 		if d := p.hedgeDelay(up, timeout); d > 0 && d < timeout {
-			hedge := time.NewTimer(d)
-			defer hedge.Stop()
-			hedgeC = hedge.C
+			hedgeC = sc.hedge.start(d)
 		}
 	}
 	hch := func() chan *dnswire.Message {
@@ -684,6 +761,7 @@ func (p *ClientPool) attempt(ctx context.Context, up *upstream, probe bool, name
 	for {
 		select {
 		case msg := <-call.ch:
+			callPool.Put(call)
 			if hcall != nil {
 				// The hedge lost the race: quarantine its ID and return its
 				// probe slot without judging the upstream.
@@ -692,11 +770,13 @@ func (p *ClientPool) attempt(ctx context.Context, up *upstream, probe bool, name
 			}
 			return p.deliver(up, probe, msg, name, time.Since(sent))
 		case msg := <-hch():
+			callPool.Put(hcall)
 			s.abandon(id)
 			up.release(probe)
 			p.met.hedgeWins.Inc()
 			return p.deliver(hup, hprobe, msg, name, time.Since(hsent))
 		case <-hedgeC:
+			sc.hedge.fired = true
 			hedgeC = nil
 			h, hp := p.pickHedge(up)
 			if h == nil {
@@ -708,23 +788,22 @@ func (p *ClientPool) attempt(ctx context.Context, up *upstream, probe bool, name
 				h.release(hp)
 				continue // ID space tight: skip the hedge, keep waiting
 			}
-			hq := dnswire.NewQuery(nid, name, qtype)
-			hwire, err := hq.Encode()
-			if err != nil {
-				hs.unregister(nid)
+			if sc.wire, err = dnswire.AppendQuery(sc.wire[:0], nid, name, qtype); err != nil {
+				hs.forget(nid, ncall)
 				h.release(hp)
 				continue
 			}
 			hsent = time.Now()
-			if _, err := hs.conn.Write(hwire); err != nil {
-				hs.unregister(nid)
+			if _, err := hs.conn.Write(sc.wire); err != nil {
+				hs.forget(nid, ncall)
 				h.fail(hp)
 				continue
 			}
 			hup, hprobe, hsock, hid, hcall = h, hp, hs, nid, ncall
 			p.met.attempts.Inc()
 			p.met.hedges.Inc()
-		case <-timer.C:
+		case <-timerC:
+			sc.timer.fired = true
 			// The query is on the wire; quarantine the ID(s) rather than
 			// freeing them so a late response can't be demuxed to whoever
 			// registers the ID next.

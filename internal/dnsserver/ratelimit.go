@@ -1,7 +1,7 @@
 package dnsserver
 
 import (
-	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -29,7 +29,7 @@ type rateLimiter struct {
 	cfg RateLimitConfig
 
 	mu      sync.Mutex
-	buckets map[string]*bucket
+	buckets map[netip.Addr]*bucket
 }
 
 type bucket struct {
@@ -44,19 +44,20 @@ func newRateLimiter(cfg RateLimitConfig) *rateLimiter {
 	if cfg.MaxClients <= 0 {
 		cfg.MaxClients = defaultMaxClients
 	}
-	return &rateLimiter{cfg: cfg, buckets: make(map[string]*bucket)}
+	return &rateLimiter{cfg: cfg, buckets: make(map[netip.Addr]*bucket)}
 }
 
 // allow reports whether a query from ip may be served now, consuming a
-// token if so.
-func (rl *rateLimiter) allow(ip net.IP, now time.Time) bool {
-	key := string(ip.To16())
+// token if so. An IPv4 address and its IPv4-mapped IPv6 form share a
+// bucket; a zone does not make a client of its own.
+func (rl *rateLimiter) allow(ip netip.Addr, now time.Time) bool {
+	key := netip.AddrFrom16(ip.As16())
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	b, ok := rl.buckets[key]
 	if !ok {
 		if len(rl.buckets) >= rl.cfg.MaxClients {
-			rl.buckets = make(map[string]*bucket)
+			rl.buckets = make(map[netip.Addr]*bucket)
 		}
 		b = &bucket{tokens: float64(rl.cfg.Burst), last: now}
 		rl.buckets[key] = b

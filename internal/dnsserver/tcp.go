@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"time"
 
 	"dnscontext/internal/dnswire"
@@ -71,9 +72,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.tcpConns, conn)
 		s.mu.Unlock()
 	}()
-	var clientIP net.IP
+	var clientIP netip.Addr
 	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
-		clientIP = ta.IP
+		clientIP = ta.AddrPort().Addr()
 	}
 	for {
 		frame, err := dnswire.ReadTCPFrame(conn)
@@ -91,7 +92,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		var resp *dnswire.Message
-		if s.limiter != nil && clientIP != nil && !s.limiter.allow(clientIP, time.Now()) {
+		if s.limiter != nil && clientIP.IsValid() && !s.limiter.allow(clientIP, time.Now()) {
 			s.metrics.refused.Inc()
 			resp = dnswire.NewResponse(msg, dnswire.RCodeRefused)
 		} else {

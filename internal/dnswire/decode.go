@@ -53,51 +53,59 @@ func decode(msg []byte) (*Message, int, error) {
 
 	off := 12
 	var err error
+	if qd > 0 {
+		m.Questions = make([]Question, qd)
+	}
+	// first is the first question's name, which starts at offset 12. A
+	// record name that is only a pointer there (0xC00C, what a compressing
+	// encoder writes for an answer to the question) decodes to it with
+	// one chase more, so unless that chase would pass the limit the
+	// record reuses its string.
+	var first string
 	for i := 0; i < qd; i++ {
-		var q Question
-		if q, off, err = decodeQuestion(msg, off); err != nil {
+		q := &m.Questions[i]
+		var chases int
+		if q.Name, off, chases, err = readName(msg, off); err != nil {
 			return nil, 0, fmt.Errorf("question %d: %w", i, err)
 		}
-		m.Questions = append(m.Questions, q)
+		if off+4 > len(msg) {
+			return nil, 0, fmt.Errorf("question %d: %w", i, ErrTruncated)
+		}
+		q.Type = Type(binary.BigEndian.Uint16(msg[off : off+2]))
+		q.Class = Class(binary.BigEndian.Uint16(msg[off+2 : off+4]))
+		off += 4
+		if i == 0 && chases < maxPointerChases {
+			first = q.Name
+		}
 	}
-	sections := []struct {
+	sections := [3]struct {
 		n   int
 		dst *[]RR
 	}{{an, &m.Answers}, {ns, &m.Authority}, {ar, &m.Additional}}
 	for si, sec := range sections {
+		if sec.n > 0 {
+			*sec.dst = make([]RR, sec.n)
+		}
 		for i := 0; i < sec.n; i++ {
-			var rr RR
-			if rr, off, err = decodeRR(msg, off); err != nil {
+			if off, err = decodeRR(msg, off, first, &(*sec.dst)[i]); err != nil {
 				return nil, 0, fmt.Errorf("section %d record %d: %w", si, i, err)
 			}
-			*sec.dst = append(*sec.dst, rr)
 		}
 	}
 	return m, off, nil
 }
 
-func decodeQuestion(msg []byte, off int) (Question, int, error) {
-	var q Question
+// decodeRR decodes the record at off into rr, returning the offset past
+// it. first is the message's first question name, "" without one.
+func decodeRR(msg []byte, off int, first string, rr *RR) (int, error) {
 	var err error
-	if q.Name, off, err = decodeName(msg, off); err != nil {
-		return q, 0, err
-	}
-	if off+4 > len(msg) {
-		return q, 0, ErrTruncated
-	}
-	q.Type = Type(binary.BigEndian.Uint16(msg[off : off+2]))
-	q.Class = Class(binary.BigEndian.Uint16(msg[off+2 : off+4]))
-	return q, off + 4, nil
-}
-
-func decodeRR(msg []byte, off int) (RR, int, error) {
-	var rr RR
-	var err error
-	if rr.Name, off, err = decodeName(msg, off); err != nil {
-		return rr, 0, err
+	if first != "" && off+1 < len(msg) && msg[off] == 0xC0 && msg[off+1] == 12 {
+		rr.Name, off = first, off+2
+	} else if rr.Name, off, err = decodeName(msg, off); err != nil {
+		return 0, err
 	}
 	if off+10 > len(msg) {
-		return rr, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	rr.Type = Type(binary.BigEndian.Uint16(msg[off : off+2]))
 	rr.Class = Class(binary.BigEndian.Uint16(msg[off+2 : off+4]))
@@ -105,7 +113,7 @@ func decodeRR(msg []byte, off int) (RR, int, error) {
 	rdlen := int(binary.BigEndian.Uint16(msg[off+8 : off+10]))
 	off += 10
 	if off+rdlen > len(msg) {
-		return rr, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	rdata := msg[off : off+rdlen]
 	end := off + rdlen
@@ -113,34 +121,34 @@ func decodeRR(msg []byte, off int) (RR, int, error) {
 	switch rr.Type {
 	case TypeA:
 		if rdlen != 4 {
-			return rr, 0, fmt.Errorf("%w: A rdata %d bytes", ErrRDataOutOfRange, rdlen)
+			return 0, fmt.Errorf("%w: A rdata %d bytes", ErrRDataOutOfRange, rdlen)
 		}
 		rr.Addr = netip.AddrFrom4([4]byte(rdata))
 	case TypeAAAA:
 		if rdlen != 16 {
-			return rr, 0, fmt.Errorf("%w: AAAA rdata %d bytes", ErrRDataOutOfRange, rdlen)
+			return 0, fmt.Errorf("%w: AAAA rdata %d bytes", ErrRDataOutOfRange, rdlen)
 		}
 		rr.Addr = netip.AddrFrom16([16]byte(rdata))
 	case TypeCNAME, TypeNS, TypePTR:
 		target, n, err := decodeName(msg, off)
 		if err != nil {
-			return rr, 0, err
+			return 0, err
 		}
 		if n != end {
-			return rr, 0, fmt.Errorf("%w: name rdata has %d trailing bytes", ErrRDataOutOfRange, end-n)
+			return 0, fmt.Errorf("%w: name rdata has %d trailing bytes", ErrRDataOutOfRange, end-n)
 		}
 		rr.Target = target
 	case TypeMX:
 		if rdlen < 3 {
-			return rr, 0, fmt.Errorf("%w: MX rdata %d bytes", ErrRDataOutOfRange, rdlen)
+			return 0, fmt.Errorf("%w: MX rdata %d bytes", ErrRDataOutOfRange, rdlen)
 		}
 		rr.Pref = binary.BigEndian.Uint16(rdata[0:2])
 		target, n, err := decodeName(msg, off+2)
 		if err != nil {
-			return rr, 0, err
+			return 0, err
 		}
 		if n != end {
-			return rr, 0, fmt.Errorf("%w: MX rdata has trailing bytes", ErrRDataOutOfRange)
+			return 0, fmt.Errorf("%w: MX rdata has trailing bytes", ErrRDataOutOfRange)
 		}
 		rr.Target = target
 	case TypeTXT:
@@ -148,7 +156,7 @@ func decodeRR(msg []byte, off int) (RR, int, error) {
 			l := int(rdata[p])
 			p++
 			if p+l > rdlen {
-				return rr, 0, fmt.Errorf("%w: TXT string overruns rdata", ErrRDataOutOfRange)
+				return 0, fmt.Errorf("%w: TXT string overruns rdata", ErrRDataOutOfRange)
 			}
 			rr.Text = append(rr.Text, string(rdata[p:p+l]))
 			p += l
@@ -157,13 +165,13 @@ func decodeRR(msg []byte, off int) (RR, int, error) {
 		soa := &SOAData{}
 		p := off
 		if soa.MName, p, err = decodeName(msg, p); err != nil {
-			return rr, 0, err
+			return 0, err
 		}
 		if soa.RName, p, err = decodeName(msg, p); err != nil {
-			return rr, 0, err
+			return 0, err
 		}
 		if p+20 != end {
-			return rr, 0, fmt.Errorf("%w: SOA fixed fields", ErrRDataOutOfRange)
+			return 0, fmt.Errorf("%w: SOA fixed fields", ErrRDataOutOfRange)
 		}
 		soa.Serial = binary.BigEndian.Uint32(msg[p : p+4])
 		soa.Refresh = binary.BigEndian.Uint32(msg[p+4 : p+8])
@@ -174,5 +182,5 @@ func decodeRR(msg []byte, off int) (RR, int, error) {
 	default:
 		rr.Raw = append([]byte(nil), rdata...)
 	}
-	return rr, end, nil
+	return end, nil
 }

@@ -8,38 +8,20 @@ import (
 // Encode serializes m to wire format, applying name compression across the
 // whole message.
 func (m *Message) Encode() ([]byte, error) {
+	return m.AppendEncode(make([]byte, 0, 512))
+}
+
+// AppendEncode appends the bytes Encode returns for m to dst and returns
+// the extended slice; compression offsets count from the start of the
+// message, not of dst. On error it returns nil, as Encode does.
+func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 	if len(m.Questions) > 0xFFFF || len(m.Answers) > 0xFFFF ||
 		len(m.Authority) > 0xFFFF || len(m.Additional) > 0xFFFF {
 		return nil, ErrTooManyRecords
 	}
-	buf := make([]byte, 12, 512)
-	binary.BigEndian.PutUint16(buf[0:2], m.Header.ID)
-
-	var flags uint16
-	if m.Header.Response {
-		flags |= 1 << 15
-	}
-	flags |= uint16(m.Header.Opcode&0xF) << 11
-	if m.Header.Authoritative {
-		flags |= 1 << 10
-	}
-	if m.Header.Truncated {
-		flags |= 1 << 9
-	}
-	if m.Header.RecursionDesired {
-		flags |= 1 << 8
-	}
-	if m.Header.RecursionAvailable {
-		flags |= 1 << 7
-	}
-	flags |= uint16(m.Header.RCode & 0xF)
-	binary.BigEndian.PutUint16(buf[2:4], flags)
-
-	binary.BigEndian.PutUint16(buf[4:6], uint16(len(m.Questions)))
-	binary.BigEndian.PutUint16(buf[6:8], uint16(len(m.Answers)))
-	binary.BigEndian.PutUint16(buf[8:10], uint16(len(m.Authority)))
-	binary.BigEndian.PutUint16(buf[10:12], uint16(len(m.Additional)))
-
+	// buf starts empty at the end of dst, in dst's spare capacity, so its
+	// offsets are the message's.
+	buf := appendHeader(dst[len(dst):], &m.Header, len(m.Questions), len(m.Answers), len(m.Authority), len(m.Additional))
 	ptrs := make(map[string]int)
 	var err error
 	for _, q := range m.Questions {
@@ -56,7 +38,51 @@ func (m *Message) Encode() ([]byte, error) {
 			}
 		}
 	}
-	return buf, nil
+	// Still in dst's array unless it outgrew dst's capacity; either way
+	// this append leaves dst followed by the message.
+	return append(dst, buf...), nil
+}
+
+// AppendQuery appends the bytes NewQuery(id, name, t).Encode() returns to
+// dst, without building the Message, and returns the extended slice. Its
+// errors are Encode's; on error it returns dst unchanged. The question is
+// the message's first name, so it is never compressed.
+func AppendQuery(dst []byte, id uint16, name string, t Type) ([]byte, error) {
+	h := Header{ID: id, Opcode: OpcodeQuery, RecursionDesired: true}
+	b, err := appendName(appendHeader(dst, &h, 1, 0, 0, 0), name, nil)
+	if err != nil {
+		return dst, fmt.Errorf("question %q: %w", name, err)
+	}
+	b = binary.BigEndian.AppendUint16(b, uint16(t))
+	return binary.BigEndian.AppendUint16(b, uint16(ClassIN)), nil
+}
+
+// appendHeader appends the 12-octet header with the given section counts.
+func appendHeader(b []byte, h *Header, qd, an, ns, ar int) []byte {
+	var flags uint16
+	if h.Response {
+		flags |= 1 << 15
+	}
+	flags |= uint16(h.Opcode&0xF) << 11
+	if h.Authoritative {
+		flags |= 1 << 10
+	}
+	if h.Truncated {
+		flags |= 1 << 9
+	}
+	if h.RecursionDesired {
+		flags |= 1 << 8
+	}
+	if h.RecursionAvailable {
+		flags |= 1 << 7
+	}
+	flags |= uint16(h.RCode & 0xF)
+	b = binary.BigEndian.AppendUint16(b, h.ID)
+	b = binary.BigEndian.AppendUint16(b, flags)
+	b = binary.BigEndian.AppendUint16(b, uint16(qd))
+	b = binary.BigEndian.AppendUint16(b, uint16(an))
+	b = binary.BigEndian.AppendUint16(b, uint16(ns))
+	return binary.BigEndian.AppendUint16(b, uint16(ar))
 }
 
 func appendRR(buf []byte, rr *RR, ptrs map[string]int) ([]byte, error) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Errors returned by name encoding and decoding.
@@ -31,51 +32,59 @@ func CanonicalName(name string) string {
 	return strings.TrimSuffix(name, ".")
 }
 
-// splitLabels converts a presentation name ("www.example.com", optionally
-// with a trailing dot) into labels. The root name yields no labels.
-func splitLabels(name string) ([]string, error) {
-	name = strings.TrimSuffix(name, ".")
-	if name == "" {
-		return nil, nil
-	}
-	labels := strings.Split(name, ".")
-	for _, l := range labels {
-		if l == "" {
-			return nil, ErrEmptyLabel
-		}
-		if len(l) > MaxLabelLen {
-			return nil, fmt.Errorf("%w: %q", ErrLabelTooLong, l)
-		}
-	}
-	return labels, nil
-}
-
 // appendName encodes name starting at the current end of msg, using and
 // updating the compression table ptrs (suffix -> offset). Compression
-// pointers may only reference offsets < 0x4000 per RFC 1035.
+// pointers may only reference offsets < 0x4000 per RFC 1035. Labels are
+// checked in order, so the first empty or overlong one names the error.
+//
+// The table is keyed by lower-cased suffixes, cut from one lower-cased
+// copy of the whole name: strings.ToLower maps rune by rune, no rune but
+// '.' maps to '.', and no UTF-8 sequence spans a '.', so the text after
+// the k-th dot of ToLower(name) is ToLower of the text after its k-th
+// dot. ToLower returns an all-lower-case ASCII name itself, so such a
+// name costs no copy. A nil table is neither searched nor filled.
 func appendName(msg []byte, name string, ptrs map[string]int) ([]byte, error) {
-	labels, err := splitLabels(name)
-	if err != nil {
-		return nil, err
-	}
+	trimmed := strings.TrimSuffix(name, ".")
 	// Wire length check: each label contributes len+1, plus the final root.
 	wire := 1
-	for _, l := range labels {
-		wire += len(l) + 1
+	for rest, more := trimmed, trimmed != ""; more; {
+		label := rest
+		if i := strings.IndexByte(rest, '.'); i >= 0 {
+			label, rest = rest[:i], rest[i+1:]
+		} else {
+			more = false
+		}
+		if label == "" {
+			return nil, ErrEmptyLabel
+		}
+		if len(label) > MaxLabelLen {
+			return nil, fmt.Errorf("%w: %q", ErrLabelTooLong, label)
+		}
+		wire += len(label) + 1
 	}
 	if wire > MaxNameLen {
 		return nil, fmt.Errorf("%w: %q", ErrNameTooLong, name)
 	}
-	for i := range labels {
-		suffix := strings.ToLower(strings.Join(labels[i:], "."))
-		if off, ok := ptrs[suffix]; ok {
+	lower := trimmed
+	if ptrs != nil {
+		lower = strings.ToLower(trimmed)
+	}
+	for rest, more := trimmed, trimmed != ""; more; {
+		if off, ok := ptrs[lower]; ok {
 			return append(msg, 0xC0|byte(off>>8), byte(off)), nil
 		}
 		if off := len(msg); off < 0x4000 && ptrs != nil {
-			ptrs[suffix] = off
+			ptrs[lower] = off
 		}
-		msg = append(msg, byte(len(labels[i])))
-		msg = append(msg, labels[i]...)
+		label := rest
+		if i := strings.IndexByte(rest, '.'); i >= 0 {
+			label, rest = rest[:i], rest[i+1:]
+			lower = lower[strings.IndexByte(lower, '.')+1:]
+		} else {
+			more = false
+		}
+		msg = append(msg, byte(len(label)))
+		msg = append(msg, label...)
 	}
 	return append(msg, 0), nil
 }
@@ -83,15 +92,28 @@ func appendName(msg []byte, name string, ptrs map[string]int) ([]byte, error) {
 // decodeName parses a possibly compressed name starting at off in msg.
 // It returns the presentation-format name (lower-cased, no trailing dot,
 // "." for root) and the offset just past the name in the original stream.
+// The name is assembled in a stack buffer, ASCII lower-cased as it is
+// copied, so it costs one string; a name with a byte above 0x7F then
+// goes through strings.ToLower as a whole, which treats the ASCII bytes
+// it already lowered as it would have, so the result is ToLower's exact
+// one (invalid UTF-8 included).
 func decodeName(msg []byte, off int) (string, int, error) {
-	var sb strings.Builder
+	name, next, _, err := readName(msg, off)
+	return name, next, err
+}
+
+// readName is decodeName that also counts the compression pointers it
+// followed.
+func readName(msg []byte, off int) (name string, next, chases int, err error) {
+	var buf [MaxNameLen]byte // labels and dots: at most total-1 bytes
+	n := 0
+	ascii := true
 	// next is the offset to resume at after the first compression pointer.
-	next := -1
-	chases := 0
+	next = -1
 	total := 0
 	for {
 		if off >= len(msg) {
-			return "", 0, ErrTruncated
+			return "", 0, 0, ErrTruncated
 		}
 		b := msg[off]
 		switch {
@@ -99,14 +121,17 @@ func decodeName(msg []byte, off int) (string, int, error) {
 			if next == -1 {
 				next = off + 1
 			}
-			name := sb.String()
-			if name == "" {
-				name = "."
+			if n == 0 {
+				return ".", next, chases, nil
 			}
-			return strings.ToLower(name), next, nil
+			name = string(buf[:n])
+			if !ascii {
+				name = strings.ToLower(name)
+			}
+			return name, next, chases, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
-				return "", 0, ErrTruncated
+				return "", 0, 0, ErrTruncated
 			}
 			ptr := int(b&0x3F)<<8 | int(msg[off+1])
 			if next == -1 {
@@ -115,28 +140,37 @@ func decodeName(msg []byte, off int) (string, int, error) {
 			if ptr >= off {
 				// Pointers must point strictly backwards; forward pointers
 				// permit loops.
-				return "", 0, ErrBadPointer
+				return "", 0, 0, ErrBadPointer
 			}
 			chases++
 			if chases > maxPointerChases {
-				return "", 0, ErrPointerLoop
+				return "", 0, 0, ErrPointerLoop
 			}
 			off = ptr
 		case b&0xC0 != 0:
-			return "", 0, ErrReservedLabel
+			return "", 0, 0, ErrReservedLabel
 		default:
 			l := int(b)
 			if off+1+l > len(msg) {
-				return "", 0, ErrTruncated
+				return "", 0, 0, ErrTruncated
 			}
 			total += l + 1
 			if total > MaxNameLen {
-				return "", 0, ErrNameTooLong
+				return "", 0, 0, ErrNameTooLong
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if n > 0 {
+				buf[n] = '.'
+				n++
 			}
-			sb.Write(msg[off+1 : off+1+l])
+			for _, c := range msg[off+1 : off+1+l] {
+				if c >= utf8.RuneSelf {
+					ascii = false
+				} else if 'A' <= c && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				buf[n] = c
+				n++
+			}
 			off += 1 + l
 		}
 	}

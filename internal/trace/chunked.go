@@ -89,7 +89,8 @@ type ingestChunk struct {
 	// without any global counter.
 	startLine int
 	// lines counts the chunk's lines, a final unterminated one included:
-	// an upper bound on its records that sizes the parse output once.
+	// an upper bound on its records, which sizes the parse output once
+	// (parseChunkLines).
 	lines int
 	// data starts a buffer of the stream's pool, which takes it back
 	// once the chunk is parsed.
@@ -180,17 +181,25 @@ type parsedChunk[R any] struct {
 	fails []lineFailure
 }
 
+// minRecordLine is the length of the shortest line either TSV parser
+// accepts: a DNS line's nine fields with one-digit timestamps, ID, type
+// and RCode, "::" for both addresses, an empty name and no answers, and
+// its eight tabs. A connection line needs 21 bytes.
+const minRecordLine = 17
+
 // parseChunkLines splits one chunk into lines — mirroring
 // bufio.ScanLines: '\n' terminators, one trailing '\r' dropped, a final
 // unterminated line kept — and parses every data line. The records land
 // in recs, which is regrown only when its capacity is below the chunk's
-// line count, with a sixteenth to spare: full chunks of one stream hold
-// nearly the same number of lines, so the slice then serves the next
-// one too. Comment ('#') and blank lines advance the line counter only,
-// as the serial scanners do.
+// bound on records, with a sixteenth to spare: full chunks of one stream
+// hold nearly the same number of records, so the slice then serves the
+// next one too. The bound is the line count, or the chunk's length over
+// minRecordLine if that is smaller, so short blank and comment lines,
+// which advance the line counter only (as in the serial scanners),
+// cannot inflate it.
 func parseChunkLines[R any](c ingestChunk, recs []R, parse func(lineNo int, line []byte) (R, error)) parsedChunk[R] {
-	if cap(recs) < c.lines {
-		recs = make([]R, 0, c.lines+c.lines/16)
+	if n := min(c.lines, len(c.data)/minRecordLine); cap(recs) < n {
+		recs = make([]R, 0, n+n/16)
 	}
 	pc := parsedChunk[R]{input: c.input, recs: recs[:0]}
 	line := c.startLine - 1

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -488,5 +489,53 @@ func TestDirSourceMultiFileParity(t *testing.T) {
 				check(fmt.Sprintf("pipeline workers=%d chunk=%d", workers, chunkBytes), recs, quar, err)
 			}
 		}
+	}
+}
+
+// TestShortestRecordLine pins minRecordLine: the shortest DNS line
+// parses and is that long, deleting any one of its bytes makes it fail,
+// and the shortest connection line parses and is longer.
+func TestShortestRecordLine(t *testing.T) {
+	st := newParseState()
+	shortest := "0\t0\t::\t::\t0\t\t0\t0\t"
+	if len(shortest) != minRecordLine {
+		t.Fatalf("shortest line is %d bytes, minRecordLine %d", len(shortest), minRecordLine)
+	}
+	if _, err := parseDNSLineBytes(1, []byte(shortest), st); err != nil {
+		t.Fatalf("shortest DNS line: %v", err)
+	}
+	for i := range shortest {
+		cut := shortest[:i] + shortest[i+1:]
+		if _, err := parseDNSLineBytes(1, []byte(cut), st); err == nil {
+			t.Errorf("DNS line %q of %d bytes parses", cut, len(cut))
+		}
+	}
+	conn := "0\t0\ttcp\t::\t0\t::\t0\t0\t0"
+	if _, err := parseConnLineBytes(1, []byte(conn), st); err != nil || len(conn) < minRecordLine {
+		t.Fatalf("shortest connection line (%d bytes): %v", len(conn), err)
+	}
+}
+
+// TestBlankLinesDoNotPresizeRecords streams half a million blank lines
+// (no records) through a 2-worker ScannerSource: the chunk's record
+// slice is sized by its bound on records, not by its line count, so the
+// stream allocates a few MiB, not a record per blank line (about 65 MiB).
+func TestBlankLinesDoNotPresizeRecords(t *testing.T) {
+	blank := strings.Repeat("\n", 500_000)
+	src := NewScannerSource(strings.NewReader(blank), strings.NewReader(""), Strict())
+	src.SetIngestWorkers(2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := src.StreamDNS(func(*DNSRecord) error {
+		t.Fatal("a blank line yielded a record")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("streaming %d blank lines allocated %.1f MiB", len(blank), mib)
+	if mib > 16 {
+		t.Fatalf("streaming %d blank lines allocated %.1f MiB", len(blank), mib)
 	}
 }

@@ -299,6 +299,10 @@ func (db *DB) ByRank(rank int) *Name { return db.names[rank] }
 // Lookup returns the name record for host, or nil.
 func (db *DB) Lookup(host string) *Name { return db.byHost[host] }
 
+// LookupBytes is Lookup for a host name held in bytes; it does not copy
+// them.
+func (db *DB) LookupBytes(host []byte) *Name { return db.byHost[string(host)] }
+
 // Share returns the popularity probability mass of n — the chance a
 // single popularity draw selects it. The connectivity-check probe name
 // (rank −1) is assigned a high constant share reflecting its outsized
