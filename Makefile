@@ -58,7 +58,8 @@ obs-determinism:
 # classify loop, so the reference classifier — the paper's definitions,
 # scanning every lookup of the client per connection — checks the
 # classification itself, and the resume tests check the shard-format
-# checkpoints. Every path converts its records once into the one
+# checkpoints, also written and resumed through a streamed TSV source
+# (TestResumeThroughStream). Every path converts its records once into the one
 # pointer-free record store: the layout, round-trip and store-equality
 # tests pin it, the zone tests check that spill frames and shard files
 # keep IPv6 zones, and the pinned fingerprint keeps old snapshots
@@ -66,11 +67,16 @@ obs-determinism:
 # 65,535 whole. On the ingest side, a DirSource's one chunk pipeline
 # over all its files must match a serial scan of each file (records,
 # quarantined lines, budget counts, file-prefixed errors) at Workers
-# 1/2/8 and chunk sizes down to one byte. Also covered by `race`, but
-# named so the gate is visible.
+# 1/2/8 and chunk sizes down to one byte. End to end, the dnsctx
+# command must print one report for a TSV pair, a partition directory
+# and a JSON pair at GOMAXPROCS 1 and 2, one summary for a spilling run
+# and a shard merge, and refuse every conflicting flag set with exit 2
+# (TestEndToEnd). Also covered by `race`, but named so the gate is
+# visible.
 stream-parity:
 	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory|TestReference|TestCrashResumeDeterminism|TestResume|TestResidentRecordsPointerFree|TestStoreRoundTrip|TestStoreSameFromDatasetAndStream|KeepsAddressZones|TestCheckpointFingerprintPinned|TestSpillWideFrames' -count=1
 	$(GO) test ./internal/trace -run='^TestDirSourceMultiFileParity$$' -count=1
+	$(GO) test ./cmd/dnsctx -run='^TestEndToEnd$$' -count=1
 
 # Transport matrix: the default (Do53) transport must reproduce the
 # pre-transport golden hashes bit for bit, and every transport's trace

@@ -1,23 +1,28 @@
 // Command dnsctx runs the paper's full analysis — DN-Hunter pairing, the
 // blocking heuristic, the N/LC/P/SC/R classification, and every table and
-// figure — over a pair of TSV logs (from tracegen or zeeklite) or over a
-// freshly generated synthetic window.
+// figure — over a pair of TSV logs (from tracegen or zeeklite), a
+// directory of time-partitioned TSV logs, or a freshly generated
+// synthetic window. Every input streams through one analysis path, so a
+// memory budget, a shard file, or a checkpoint works with any of them
+// (a checkpoint not together with a memory budget). TSV logs must be time-ordered, as tracegen and zeeklite write them: a
+// DNS log by response time, a connection log by start time. A log out of
+// order stops the run with an error.
 //
 // Usage:
 //
 //	dnsctx -dns dns.log -conns conn.log
 //	dnsctx -generate -houses 50 -duration 12h
 //
-// Out-of-core streaming over traces bigger than RAM:
+// Traces bigger than RAM spill to disk past a memory budget:
 //
-//	dnsctx -stream -dns dns.log -conns conn.log -memory-budget 256m
-//	dnsctx -stream -trace-dir captures/ -memory-budget 1g
+//	dnsctx -dns dns.log -conns conn.log -memory-budget 256m
+//	dnsctx -trace-dir captures/ -memory-budget 1g
 //
 // Multi-process map/reduce: each process collects a mergeable shard
 // over its slice of the trace, then one process reduces them:
 //
-//	dnsctx -stream -dns part1.dns.tsv -conns part1.conn.tsv -shard-out part1.shard
-//	dnsctx -stream -dns part2.dns.tsv -conns part2.conn.tsv -shard-out part2.shard
+//	dnsctx -dns part1.dns.tsv -conns part1.conn.tsv -shard-out part1.shard
+//	dnsctx -dns part2.dns.tsv -conns part2.conn.tsv -shard-out part2.shard
 //	dnsctx -merge part1.shard part2.shard
 package main
 
@@ -34,11 +39,12 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"dnscontext"
 	"dnscontext/internal/core"
+	"dnscontext/internal/netsim"
+	"dnscontext/internal/obs"
 	"dnscontext/internal/trace"
 )
 
@@ -47,8 +53,8 @@ func main() {
 	log.SetPrefix("dnsctx: ")
 
 	var (
-		dnsIn    = flag.String("dns", "", "DNS transactions TSV input")
-		connIn   = flag.String("conns", "", "connection summaries TSV input")
+		dnsIn    = flag.String("dns", "", "DNS transactions log (see -format); TSV must be in response-time order")
+		connIn   = flag.String("conns", "", "connection summaries log (see -format); TSV must be in start-time order")
 		generate = flag.Bool("generate", false, "synthesize a window instead of reading logs")
 		houses   = flag.Int("houses", 20, "houses (with -generate)")
 		duration = flag.Duration("duration", 6*time.Hour, "window (with -generate)")
@@ -72,19 +78,18 @@ func main() {
 		figures  = flag.String("figures", "", "also export per-figure CSV data into this directory")
 		perHouse = flag.Bool("per-house", false, "append a per-house breakdown to the report")
 
-		quarantine  = flag.Bool("quarantine", false, "divert malformed TSV input lines to stderr instead of aborting (with -dns/-conns)")
+		quarantine  = flag.Bool("quarantine", false, "divert malformed TSV input lines to stderr instead of aborting (with -dns/-conns or -trace-dir)")
 		quarMaxErrs = flag.Int("quarantine-max-errors", -1, "malformed lines tolerated before aborting; -1 = unlimited (with -quarantine)")
 		quarMaxRate = flag.Float64("quarantine-max-rate", 0, "malformed-line fraction tolerated before aborting; 0 = no rate check (with -quarantine)")
 
-		ckPath     = flag.String("checkpoint", "", "snapshot completed analysis shards to this file; removed on success")
+		ckPath     = flag.String("checkpoint", "", "snapshot completed analysis shards to this file; removed on success (not with -memory-budget)")
 		ckResume   = flag.Bool("resume", false, "resume from the -checkpoint file if it exists")
 		ckInterval = flag.Int("checkpoint-interval", 0, "completed shards between snapshots; 0 = default (64)")
 
-		stream    = flag.Bool("stream", false, "stream the trace through the out-of-core analyzer instead of loading it whole")
-		traceDir  = flag.String("trace-dir", "", "directory of time-partitioned trace files (*.dns.tsv / *.conn.tsv) to stream (with -stream)")
-		memBudget = flag.String("memory-budget", "", "resident-record budget before spilling to disk, e.g. 256m or 2g; empty = unlimited (with -stream)")
-		spillDir  = flag.String("spill-dir", "", "directory for spill partitions; empty = fresh temp dir (with -stream)")
-		shardOut  = flag.String("shard-out", "", "also write the mergeable analysis shard to this file (with -stream or -merge)")
+		traceDir  = flag.String("trace-dir", "", "directory of time-partitioned TSV trace files (*.dns.tsv / *.conn.tsv) to analyze")
+		memBudget = flag.String("memory-budget", "", "resident-record budget before spilling to disk, e.g. 256m or 2g; empty = unlimited")
+		spillDir  = flag.String("spill-dir", "", "directory for spill partitions; empty = fresh temp dir")
+		shardOut  = flag.String("shard-out", "", "also write the mergeable analysis shard to this file")
 		merge     = flag.Bool("merge", false, "merge shard files (the remaining arguments) and report the reduced analysis")
 
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics and /metrics.json on this address (e.g. :9090)")
@@ -103,6 +108,40 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dnsctx: %s\n", fmt.Sprintf(format, args...))
 		os.Exit(2)
 	}
+	inputs := 0
+	for _, given := range []bool{*dnsIn != "" || *connIn != "", *traceDir != "", *generate, *merge} {
+		if given {
+			inputs++
+		}
+	}
+	if inputs != 1 {
+		usageErr("pass one input: -dns AND -conns, -trace-dir, -generate, or -merge with shard files")
+	}
+	if (*dnsIn == "") != (*connIn == "") {
+		usageErr("-dns and -conns go together")
+	}
+	if *merge {
+		if flag.NArg() == 0 {
+			usageErr("-merge requires at least one shard file argument")
+		}
+		if *ckPath != "" || *memBudget != "" || *spillDir != "" {
+			usageErr("-merge reduces shard files without analyzing a trace; it takes no -checkpoint, -memory-budget, or -spill-dir")
+		}
+	} else if flag.NArg() > 0 {
+		usageErr("unexpected arguments %q (shard files are only accepted with -merge)", flag.Args())
+	}
+	switch *format {
+	case "tsv":
+	case "json":
+		if *dnsIn == "" {
+			usageErr("-format json applies to -dns/-conns only")
+		}
+		if *quarantine {
+			usageErr("-quarantine requires -format tsv")
+		}
+	default:
+		usageErr("unknown -format %q (want tsv or json)", *format)
+	}
 	if !*generate {
 		if *transport != "" {
 			usageErr("-transport requires -generate (read traces already carry their transport's timing)")
@@ -114,52 +153,19 @@ func main() {
 	if _, err := dnscontext.ParseTransport(*transport); err != nil {
 		usageErr("bad -transport: %v", err)
 	}
+	outages, err := netsim.ParseWindows(*faultOutage)
+	if err != nil {
+		usageErr("bad -fault-outage: %v", err)
+	}
 	if *ckResume && *ckPath == "" {
 		usageErr("-resume requires -checkpoint (there is no snapshot file to resume from)")
-	}
-	if *stream && (*ckPath != "" || *ckResume) {
-		usageErr("-stream cannot be combined with -checkpoint/-resume: the out-of-core path spills partial state to its spill dir instead of shard snapshots")
-	}
-	if *merge {
-		if *stream || *generate || *dnsIn != "" || *connIn != "" || *traceDir != "" {
-			usageErr("-merge reads only shard files (as arguments); it cannot be combined with -stream, -generate, -dns/-conns, or -trace-dir")
-		}
-		if flag.NArg() == 0 {
-			usageErr("-merge requires at least one shard file argument")
-		}
-	} else if flag.NArg() > 0 {
-		usageErr("unexpected arguments %q (shard files are only accepted with -merge)", flag.Args())
-	}
-	if !*stream {
-		if *traceDir != "" {
-			usageErr("-trace-dir requires -stream")
-		}
-		if *memBudget != "" {
-			usageErr("-memory-budget requires -stream (the in-memory path always holds the whole dataset)")
-		}
-		if *spillDir != "" {
-			usageErr("-spill-dir requires -stream")
-		}
-		if *shardOut != "" && !*merge {
-			usageErr("-shard-out requires -stream or -merge")
-		}
-	} else {
-		if *generate {
-			usageErr("-stream reads trace logs; it cannot be combined with -generate")
-		}
-		if *traceDir == "" && (*dnsIn == "" || *connIn == "") {
-			usageErr("-stream requires -dns AND -conns, or -trace-dir")
-		}
-		if *traceDir != "" && (*dnsIn != "" || *connIn != "") {
-			usageErr("pass either -trace-dir or -dns/-conns with -stream, not both")
-		}
-		if *format != "tsv" {
-			usageErr("-stream supports -format tsv only")
-		}
 	}
 	budget, err := parseBytes(*memBudget)
 	if err != nil {
 		usageErr("bad -memory-budget: %v", err)
+	}
+	if budget > 0 && *ckPath != "" {
+		usageErr("-checkpoint cannot be combined with -memory-budget: a run that spills classifies its spill partitions and never snapshots")
 	}
 
 	if *cpuprofile != "" {
@@ -187,12 +193,15 @@ func main() {
 		log.Printf("metrics at http://%s/metrics", srv.Addr())
 	}
 
-	var ds *dnscontext.Dataset
 	profiles := dnscontext.DefaultProfiles()
+	policy := dnscontext.StrictPolicy()
+	if *quarantine {
+		policy = dnscontext.QuarantineBudget(*quarMaxErrs, *quarMaxRate)
+	}
+	var src dnscontext.Source
 	switch {
-	case *merge, *stream:
-		// No resident dataset: shards are read, or the source streams,
-		// after the options are assembled below.
+	case *merge:
+		// No trace: the shards were classified when they were collected.
 	case *generate:
 		cfg := dnscontext.DefaultGeneratorConfig()
 		cfg.Houses = *houses
@@ -200,57 +209,40 @@ func main() {
 		cfg.Seed = *seed
 		cfg.Faults.Loss = *faultLoss
 		cfg.Faults.ExtraJitter = *faultJitter
+		cfg.Faults.LocalOutages = outages
 		cfg.Faults.TruncateOver = *faultTruncate
 		cfg.Faults.StaleHold = *faultStale
 		cfg.Transport.Kind = *transport
 		cfg.Transport.SessionResumption = *transportResume
 		cfg.Metrics = reg
-		if *faultOutage != "" {
-			windows, err := parseOutages(*faultOutage)
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.Faults.LocalOutages = windows
-		}
-		var err error
-		var eco *dnscontext.Ecosystem
-		ds, eco, err = dnscontext.Generate(cfg)
+		ds, eco, err := dnscontext.Generate(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		profiles = eco.Profiles
-	case *dnsIn != "" && *connIn != "":
-		readD, readC := dnscontext.ReadDNS, dnscontext.ReadConns
-		switch *format {
-		case "tsv":
-		case "json":
-			if *quarantine {
-				log.Fatal("-quarantine requires -format tsv")
-			}
-			readD, readC = trace.ReadDNSJSON, trace.ReadConnsJSON
-		default:
-			log.Fatalf("unknown -format %q (want tsv or json)", *format)
-		}
-		ds = &dnscontext.Dataset{}
-		var err error
+		src, profiles = dnscontext.NewDatasetSource(ds), eco.Profiles
+	case *traceDir != "":
 		if *quarantine {
-			policy := dnscontext.QuarantineBudget(*quarMaxErrs, *quarMaxRate)
-			if ds.DNS, err = scanDNS(*dnsIn, policy, reg); err != nil {
-				log.Fatal(err)
-			}
-			if ds.Conns, err = scanConns(*connIn, policy, reg); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			if ds.DNS, err = readFile(*dnsIn, readD); err != nil {
-				log.Fatal(err)
-			}
-			if ds.Conns, err = readFile(*connIn, readC); err != nil {
-				log.Fatal(err)
+			policy.Sink = func(q dnscontext.Quarantined) {
+				log.Printf("quarantined line %d: %v", q.Line, q.Err)
 			}
 		}
+		src = dnscontext.NewDirSource(*traceDir, policy)
+	case *format == "json":
+		ds := &dnscontext.Dataset{}
+		if ds.DNS, err = readFile(*dnsIn, trace.ReadDNSJSON); err != nil {
+			log.Fatal(err)
+		}
+		if ds.Conns, err = readFile(*connIn, trace.ReadConnsJSON); err != nil {
+			log.Fatal(err)
+		}
+		src = dnscontext.NewDatasetSource(ds)
 	default:
-		log.Fatal("pass -dns AND -conns, -generate, -stream, or -merge")
+		logs, err := openLogs(*dnsIn, *connIn, policy, reg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer logs.close()
+		src = logs
 	}
 
 	opts := dnscontext.DefaultOptions()
@@ -276,14 +268,10 @@ func main() {
 	an := dnscontext.NewAnalyzer(dnscontext.WithOptions(opts))
 
 	var a *dnscontext.Analysis
-	switch {
-	case *merge:
+	if *merge {
 		a, err = runMerge(flag.Args(), *shardOut)
-	case *stream:
-		a, err = runStream(an, *traceDir, *dnsIn, *connIn, *shardOut,
-			*quarantine, *quarMaxErrs, *quarMaxRate)
-	default:
-		a, err = an.AnalyzeContext(context.Background(), ds)
+	} else {
+		a, err = analyze(an, src, *shardOut)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -366,7 +354,7 @@ func main() {
 	}
 }
 
-// runMerge reduces shard files collected by separate dnsctx -stream
+// runMerge reduces shard files collected by separate dnsctx -shard-out
 // processes: read, merge, optionally re-serialize the merged shard, and
 // finalize to the reported analysis.
 func runMerge(paths []string, shardOut string) (*dnscontext.Analysis, error) {
@@ -392,35 +380,11 @@ func runMerge(paths []string, shardOut string) (*dnscontext.Analysis, error) {
 	return merged.Finalize(), nil
 }
 
-// runStream analyzes the trace out of core. With shardOut the map
-// phase's mergeable shard is persisted before finalizing, so the same
+// analyze runs the analysis over src. With shardOut the map phase's
+// mergeable shard is persisted before finalizing, so the same
 // invocation both contributes to a multi-process merge and reports its
 // own slice.
-func runStream(an *dnscontext.Analyzer, traceDir, dnsIn, connIn, shardOut string,
-	quarantine bool, quarMaxErrs int, quarMaxRate float64) (*dnscontext.Analysis, error) {
-	policy := dnscontext.StrictPolicy()
-	if quarantine {
-		policy = dnscontext.QuarantineBudget(quarMaxErrs, quarMaxRate)
-		policy.Sink = func(q dnscontext.Quarantined) {
-			log.Printf("quarantined line %d: %v", q.Line, q.Err)
-		}
-	}
-	var src dnscontext.Source
-	if traceDir != "" {
-		src = dnscontext.NewDirSource(traceDir, policy)
-	} else {
-		df, err := os.Open(dnsIn)
-		if err != nil {
-			return nil, err
-		}
-		defer df.Close()
-		cf, err := os.Open(connIn)
-		if err != nil {
-			return nil, err
-		}
-		defer cf.Close()
-		src = dnscontext.NewScannerSource(df, cf, policy)
-	}
+func analyze(an *dnscontext.Analyzer, src dnscontext.Source, shardOut string) (*dnscontext.Analysis, error) {
 	if shardOut == "" {
 		return an.AnalyzeSource(context.Background(), src)
 	}
@@ -459,28 +423,6 @@ func parseBytes(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// parseOutages parses "start:dur[,start:dur...]" into outage windows,
-// e.g. "1h:10m,3h30m:5m".
-func parseOutages(s string) ([]dnscontext.OutageWindow, error) {
-	var out []dnscontext.OutageWindow
-	for _, part := range strings.Split(s, ",") {
-		startStr, durStr, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("bad -fault-outage entry %q, want start:dur", part)
-		}
-		start, err := time.ParseDuration(startStr)
-		if err != nil {
-			return nil, fmt.Errorf("bad -fault-outage start in %q: %v", part, err)
-		}
-		dur, err := time.ParseDuration(durStr)
-		if err != nil {
-			return nil, fmt.Errorf("bad -fault-outage duration in %q: %v", part, err)
-		}
-		out = append(out, dnscontext.OutageWindow{Start: start, End: start + dur})
-	}
-	return out, nil
-}
-
 func readFile[T any](path string, read func(io.Reader) ([]T, error)) ([]T, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -490,58 +432,92 @@ func readFile[T any](path string, read func(io.Reader) ([]T, error)) ([]T, error
 	return read(f)
 }
 
-// stderrSink logs each quarantined line with its source file, line
-// number, and cause.
-func stderrSink(path string) func(dnscontext.Quarantined) {
-	return func(q dnscontext.Quarantined) {
-		log.Printf("quarantined %s:%d: %v", path, q.Line, q.Err)
-	}
+// logSource is the ScannerSource over a -dns/-conns TSV pair, which it
+// embeds for the analyzer's parallel ingest. It names the file in each
+// quarantined line (file:line) and in a stream's error, prints each
+// file's quarantine summary, and counts each stream's records and
+// quarantined lines into the dnsctx_trace_* metrics.
+type logSource struct {
+	*dnscontext.ScannerSource
+	dns, conns *logFile
+	// cur is the file being scanned: the analyzer reads one stream at a
+	// time, DNS first, so the one quarantine sink charges it.
+	cur *logFile
 }
 
-// finishScan reports the scan outcome: the terminal error if the scan
-// aborted (budget trip or read error), otherwise a summary of what was
-// quarantined.
-func finishScan(path string, err error, st dnscontext.ScanStats) error {
+// logFile is one input log and its scan tallies.
+type logFile struct {
+	*os.File
+	records, quarantined   int
+	recordsC, quarantinedC *obs.Counter
+}
+
+func openLogs(dnsPath, connPath string, policy dnscontext.ErrorPolicy, reg *dnscontext.MetricsRegistry) (*logSource, error) {
+	dns, err := openLog(dnsPath, "dns", reg)
 	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
-	if st.Quarantined > 0 {
-		log.Printf("%s: quarantined %d of %d lines", path, st.Quarantined, st.Lines)
+	conns, err := openLog(connPath, "conn", reg)
+	if err != nil {
+		dns.Close()
+		return nil, err
+	}
+	s := &logSource{dns: dns, conns: conns}
+	if policy.Quarantine {
+		policy.Sink = func(q dnscontext.Quarantined) {
+			s.cur.quarantined++
+			s.cur.quarantinedC.Inc()
+			log.Printf("quarantined %s:%d: %v", s.cur.Name(), q.Line, q.Err)
+		}
+	}
+	s.ScannerSource = dnscontext.NewScannerSource(dns, conns, policy)
+	return s, nil
+}
+
+func openLog(path, stream string, reg *dnscontext.MetricsRegistry) (*logFile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return &logFile{
+		File: f,
+		recordsC: reg.CounterVec("dnsctx_trace_records_total",
+			"Records yielded by the trace scanners, by stream.", "stream").With(stream),
+		quarantinedC: reg.CounterVec("dnsctx_trace_quarantined_total",
+			"Malformed lines diverted to quarantine, by stream.", "stream").With(stream),
+	}, nil
+}
+
+func (s *logSource) close() {
+	s.dns.Close()
+	s.conns.Close()
+}
+
+// StreamDNS implements dnscontext.Source.
+func (s *logSource) StreamDNS(yield func(*dnscontext.DNSRecord) error) error {
+	return scanLog(s, s.dns, s.ScannerSource.StreamDNS, yield)
+}
+
+// StreamConns implements dnscontext.Source.
+func (s *logSource) StreamConns(yield func(*dnscontext.ConnRecord) error) error {
+	return scanLog(s, s.conns, s.ScannerSource.StreamConns, yield)
+}
+
+// scanLog runs one stream over f, counting its records, and reports
+// the outcome: the error that stopped it, prefixed with the file, or
+// else what was quarantined.
+func scanLog[R any](s *logSource, f *logFile, stream func(func(*R) error) error, yield func(*R) error) error {
+	s.cur = f
+	err := stream(func(r *R) error {
+		f.records++
+		f.recordsC.Inc()
+		return yield(r)
+	})
+	if err != nil {
+		return fmt.Errorf("%s: %w", f.Name(), err)
+	}
+	if f.quarantined > 0 {
+		log.Printf("%s: quarantined %d of %d lines", f.Name(), f.quarantined, f.records+f.quarantined)
 	}
 	return nil
-}
-
-// scanDNS streams path through a quarantining DNSScanner, logging every
-// diverted line to stderr.
-func scanDNS(path string, policy dnscontext.ErrorPolicy, reg *dnscontext.MetricsRegistry) ([]dnscontext.DNSRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	policy.Sink = stderrSink(path)
-	sc := dnscontext.NewDNSScanner(f, policy)
-	sc.Observe(reg)
-	var out []dnscontext.DNSRecord
-	for sc.Scan() {
-		out = append(out, sc.Record())
-	}
-	return out, finishScan(path, sc.Err(), sc.Stats())
-}
-
-// scanConns is scanDNS for connection summaries.
-func scanConns(path string, policy dnscontext.ErrorPolicy, reg *dnscontext.MetricsRegistry) ([]dnscontext.ConnRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	policy.Sink = stderrSink(path)
-	sc := dnscontext.NewConnScanner(f, policy)
-	sc.Observe(reg)
-	var out []dnscontext.ConnRecord
-	for sc.Scan() {
-		out = append(out, sc.Record())
-	}
-	return out, finishScan(path, sc.Err(), sc.Stats())
 }

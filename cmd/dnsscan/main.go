@@ -129,7 +129,7 @@ func main() {
 	if *resume && *ckptPath == "" {
 		usage("-resume needs -checkpoint")
 	}
-	blackholes, err := parseBlackholes(*chaosBlackhole)
+	blackholes, err := netsim.ParseWindows(*chaosBlackhole)
 	if err != nil {
 		usage("bad -chaos-blackhole: %v", err)
 	}
@@ -385,35 +385,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-}
-
-// parseBlackholes parses the -chaos-blackhole spec: a comma-separated
-// list of start:duration pairs ("2s:500ms,10s:1s"), each naming a window
-// of total outage measured from proxy start.
-func parseBlackholes(s string) ([]netsim.Window, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var ws []netsim.Window
-	for _, part := range strings.Split(s, ",") {
-		start, dur, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("blackhole %q: want start:duration", part)
-		}
-		st, err := time.ParseDuration(start)
-		if err != nil {
-			return nil, fmt.Errorf("blackhole %q: %w", part, err)
-		}
-		d, err := time.ParseDuration(dur)
-		if err != nil {
-			return nil, fmt.Errorf("blackhole %q: %w", part, err)
-		}
-		if st < 0 || d <= 0 {
-			return nil, fmt.Errorf("blackhole %q: start must be >= 0, duration > 0", part)
-		}
-		ws = append(ws, netsim.Window{Start: st, End: st + d})
-	}
-	return ws, nil
 }
 
 // parseType maps the -type flag to a dnswire.Type.

@@ -318,8 +318,8 @@ func (an *Analyzer) Analyze(ds *Dataset) *Analysis { return core.Analyze(ds, an.
 // Without a memory budget the whole source is ingested and the
 // in-memory pipeline runs; classification results are bit-identical
 // either way. The analysis keeps the streamed records in its own
-// compact form only, so its DS is nil; Paired and DNSUsed index the
-// streams' record order.
+// compact form only; Paired and DNSUsed index the streams' record
+// order.
 func (an *Analyzer) AnalyzeSource(ctx context.Context, src Source) (*Analysis, error) {
 	return core.AnalyzeSource(ctx, src, an.opts)
 }

@@ -141,7 +141,7 @@ func ExampleAnalyzer_AnalyzeSource() {
 
 // ExampleMergeShards reduces shards collected over client-disjoint
 // slices of a trace — the multi-process deployment, where each dnsctx
-// -stream process covers some clients — into the same analysis one
+// -shard-out process covers some clients — into the same analysis one
 // in-memory run over the whole trace produces.
 func ExampleMergeShards() {
 	cfg := dnscontext.SmallGeneratorConfig(7)

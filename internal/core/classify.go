@@ -34,8 +34,9 @@ func Analyze(ds *trace.Dataset, opts Options) *Analysis {
 // and an error wrapping the context's error — never a partial result.
 //
 // The dataset is time-sorted in place and converted once, in parallel,
-// into the analysis' record store (store.go); Analysis.DS keeps the
-// dataset. The pipeline then partitions connections by originating
+// into the analysis' record store (store.go), which holds every record
+// the analysis reads: the analysis keeps no reference to the dataset.
+// The pipeline then partitions connections by originating
 // client (the paper's pairing, §4, keys on the originator, so shards
 // share no state), runs pairing + blocking + classification for the
 // shards on a bounded worker pool, and merges per-shard tallies in
@@ -55,12 +56,7 @@ func AnalyzeContext(ctx context.Context, ds *trace.Dataset, opts Options) (*Anal
 		sp.End()
 		return nil, analysisAborted(err)
 	}
-	a, err := analyze(ctx, st, opts)
-	if err != nil {
-		return nil, err
-	}
-	a.DS = ds
-	return a, nil
+	return analyze(ctx, st, opts)
 }
 
 // analyze is the pipeline every resident run shares, over a record

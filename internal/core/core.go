@@ -15,7 +15,6 @@ import (
 
 	"dnscontext/internal/obs"
 	"dnscontext/internal/parallel"
-	"dnscontext/internal/trace"
 )
 
 // Class is the DNS-information origin of a connection (Table 2).
@@ -105,8 +104,11 @@ type Options struct {
 	Trace *obs.Tracer
 	// Checkpoint, when non-nil with a Path, snapshots classify progress
 	// so a killed run can resume bit-identically (see the Checkpoint
-	// type in resume.go). Like Metrics/Trace it never influences the
-	// result, only whether work is recomputed or replayed.
+	// type in resume.go). AnalyzeContext and an unbudgeted
+	// AnalyzeSource or CollectShard honour it; Analyze, with no error
+	// to return, ignores it, and a run that spills past MemoryBudget
+	// never snapshots. Like Metrics/Trace it never influences the result,
+	// only whether work is recomputed or replayed.
 	Checkpoint *Checkpoint
 	// MemoryBudget bounds how many bytes of records AnalyzeSource keeps
 	// resident before spilling to disk, counted in the record store's
@@ -189,12 +191,6 @@ type PairedConn struct {
 // table/figure computations need.
 type Analysis struct {
 	Opts Options
-	// DS is the dataset handed to Analyze or AnalyzeContext, time-sorted
-	// in place. An analysis of a Source converts the streamed records
-	// straight into its record store and holds no trace records, so its
-	// DS is nil — whether it is full (an unbudgeted AnalyzeSource) or
-	// summary-grade. Every method reads the record store, never DS.
-	DS *trace.Dataset
 	// Paired has one entry per connection, in dataset (for a Source,
 	// stream) order.
 	Paired []PairedConn
@@ -232,7 +228,7 @@ type Analysis struct {
 
 	// Summary-grade state. An Analysis reduced from streamed shards
 	// (AnalyzeSource over a source bigger than the memory budget, or
-	// AnalysisShard.Finalize) has no resident records: st, DS and Paired
+	// AnalysisShard.Finalize) has no resident records: st and Paired
 	// are nil, and the totals and failure stats computed during the
 	// reduce live here instead. The resident path fills the totals too,
 	// so accessors shared by both grades (Count/Fraction/Table2/

@@ -130,14 +130,14 @@ func referenceClassify(ds *trace.Dataset, opts Options, th map[netip.Addr]time.D
 	return out
 }
 
-// checkReference compares every connection of a with the reference
-// verdict, then the thresholds and the used-record marks, and returns
-// the reference class counts. Under PairRandom it checks that each
-// drawn record is among the connection's unexpired candidates and
-// takes the draw from a; everything downstream of it is checked.
-func checkReference(t *testing.T, label string, a *Analysis) [numClasses]int {
+// checkReference compares every connection of a, the analysis of ds,
+// with the reference verdict, then the thresholds and the used-record
+// marks, and returns the reference class counts. Under PairRandom it
+// checks that each drawn record is among the connection's unexpired
+// candidates and takes the draw from a; everything downstream of it is
+// checked.
+func checkReference(t *testing.T, label string, ds *trace.Dataset, a *Analysis) [numClasses]int {
 	t.Helper()
-	ds := a.DS
 	if !sort.SliceIsSorted(ds.DNS, func(i, j int) bool { return ds.DNS[i].TS < ds.DNS[j].TS }) ||
 		!sort.SliceIsSorted(ds.Conns, func(i, j int) bool { return ds.Conns[i].TS < ds.Conns[j].TS }) {
 		t.Fatalf("%s: analysis left its dataset out of time order", label)
@@ -333,8 +333,9 @@ func TestReferenceClassifier(t *testing.T) {
 			var counts [numClasses]int
 			for _, workers := range []int{1, 8} {
 				opts.Workers = workers
-				a := analyzeCopy(tr.ds, opts)
-				counts = checkReference(t, fmt.Sprintf("%s pairing=%v workers=%d", tr.name, pairing, workers), a)
+				ds := copyDataset(tr.ds)
+				a := Analyze(ds, opts)
+				counts = checkReference(t, fmt.Sprintf("%s pairing=%v workers=%d", tr.name, pairing, workers), ds, a)
 			}
 
 			o := opts

@@ -42,8 +42,8 @@ const defaultCkInterval = 64
 // was written for a different dataset or different analysis options.
 var ErrCheckpointMismatch = errors.New("checkpoint does not match this run")
 
-// Checkpoint configures snapshotting for AnalyzeContext (see
-// Options.Checkpoint).
+// Checkpoint configures snapshotting for AnalyzeContext and for an
+// unbudgeted AnalyzeSource or CollectShard (see Options.Checkpoint).
 type Checkpoint struct {
 	// Path is the snapshot file. Empty disables checkpointing.
 	Path string

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dnscontext/internal/checkpoint"
+	"dnscontext/internal/obs"
 	"dnscontext/internal/trace"
 )
 
@@ -218,5 +219,86 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 	var verr *checkpoint.VersionError
 	if !errors.As(err, &verr) || verr.Got != 1 {
 		t.Fatalf("version-1 checkpoint: err = %v, want *checkpoint.VersionError for version 1", err)
+	}
+}
+
+// TestResumeThroughStream: an unbudgeted AnalyzeSource snapshots and
+// resumes as AnalyzeContext does, over a ScannerSource and a DirSource,
+// and a snapshot resumes under either entry point whichever wrote it,
+// since both fingerprint the same record store. Each run is killed at
+// its third snapshot and resumed, and the resumed run must restore the
+// snapshot's clients and reproduce the uninterrupted Digest and Paired.
+func TestResumeThroughStream(t *testing.T) {
+	ds, dir := tsvTrace(t)
+	var dnsTSV, connTSV bytes.Buffer
+	if err := trace.WriteDNS(&dnsTSV, ds.DNS); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteConns(&connTSV, ds.Conns); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.SCRMinSamples = 50
+	opts.Workers = 2
+	ref := analyzeCopy(ds, opts)
+
+	type run func(context.Context, Options) (*Analysis, error)
+	inMemory := func(ctx context.Context, o Options) (*Analysis, error) {
+		return AnalyzeContext(ctx, copyDataset(ds), o)
+	}
+	streams := []struct {
+		name string
+		run  run
+	}{
+		{"scanner", func(ctx context.Context, o Options) (*Analysis, error) {
+			src := trace.NewScannerSource(bytes.NewReader(dnsTSV.Bytes()), bytes.NewReader(connTSV.Bytes()), trace.Strict())
+			return AnalyzeSource(ctx, src, o)
+		}},
+		{"dir", func(ctx context.Context, o Options) (*Analysis, error) {
+			return AnalyzeSource(ctx, trace.NewDirSource(dir, trace.Strict()), o)
+		}},
+	}
+	for _, s := range streams {
+		for _, c := range []struct {
+			name              string
+			interrupt, resume run
+		}{
+			{"stream resumes stream", s.run, s.run},
+			{"dataset resumes stream", inMemory, s.run},
+			{"stream resumes dataset", s.run, inMemory},
+		} {
+			label := s.name + ": " + c.name
+			path := filepath.Join(t.TempDir(), "analysis.ckpt")
+			ctx, cancel := context.WithCancel(context.Background())
+			o := opts
+			o.Checkpoint = &Checkpoint{Path: path, Interval: 1, OnSnapshot: func(done int) {
+				if done >= 3 {
+					cancel()
+				}
+			}}
+			_, err := c.interrupt(ctx, o)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: interrupted run: err = %v, want context.Canceled", label, err)
+			}
+
+			o = opts
+			o.Metrics = obs.NewRegistry()
+			o.Checkpoint = &Checkpoint{Path: path, Resume: true}
+			got, err := c.resume(context.Background(), o)
+			if err != nil {
+				t.Fatalf("%s: resume: %v", label, err)
+			}
+			restored := o.Metrics.Counter("dnsctx_checkpoint_restored_shards_total", "").Value()
+			if restored < 3 {
+				t.Errorf("%s: resume restored %d clients, want the snapshot's 3 or more", label, restored)
+			}
+			if got.Digest() != ref.Digest() {
+				t.Errorf("%s: resumed digest %016x, want %016x", label, got.Digest(), ref.Digest())
+			}
+			if !reflect.DeepEqual(got.Paired, ref.Paired) {
+				t.Errorf("%s: resumed Paired differs", label)
+			}
+		}
 	}
 }

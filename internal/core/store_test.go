@@ -241,9 +241,6 @@ func TestStoreSameFromDatasetAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed.DS != nil {
-		t.Error("a streamed analysis holds a dataset")
-	}
 	for _, workers := range []int{1, 2, 8} {
 		opts.Workers = workers
 		a := analyzeCopy(ds, opts)

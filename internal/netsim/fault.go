@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"time"
 
 	"dnscontext/internal/stats"
@@ -13,6 +16,39 @@ type Window struct {
 
 // Contains reports whether t falls inside the window.
 func (w Window) Contains(t time.Duration) bool { return t >= w.Start && t < w.End }
+
+// ParseWindows parses a comma-separated list of start:duration pairs
+// ("1h:10m,3h30m:5m") into the windows [start, start+duration). Empty
+// input is no windows. Each start must be nonnegative, each duration
+// positive, and each end representable.
+func ParseWindows(s string) ([]Window, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var ws []Window
+	for _, part := range strings.Split(s, ",") {
+		start, dur, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("window %q: want start:duration", part)
+		}
+		st, err := time.ParseDuration(start)
+		if err != nil {
+			return nil, fmt.Errorf("window %q: %w", part, err)
+		}
+		d, err := time.ParseDuration(dur)
+		if err != nil {
+			return nil, fmt.Errorf("window %q: %w", part, err)
+		}
+		if st < 0 || d <= 0 {
+			return nil, fmt.Errorf("window %q: start must be >= 0, duration > 0", part)
+		}
+		if d > math.MaxInt64-st {
+			return nil, fmt.Errorf("window %q: ends past the longest duration", part)
+		}
+		ws = append(ws, Window{Start: st, End: st + d})
+	}
+	return ws, nil
+}
 
 // FaultProfile parameterizes the failures injected into a link: random
 // per-transmission packet loss, extra latency jitter (congestion), and

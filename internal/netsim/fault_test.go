@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -38,6 +39,51 @@ func TestWindowContains(t *testing.T) {
 	} {
 		if got := w.Contains(c.t); got != c.want {
 			t.Errorf("Contains(%v) = %v, want %v", c.t, got, c.want)
+		}
+	}
+}
+
+// TestParseWindows: the start:duration list both commands take
+// (dnsctx -fault-outage, dnsscan -chaos-blackhole) parses to half-open
+// windows, and every malformed, negative, empty or overflowing entry is
+// an error rather than a window the simulator or proxy would mis-serve.
+func TestParseWindows(t *testing.T) {
+	valid := []struct {
+		in   string
+		want []Window
+	}{
+		{"", nil},
+		{"1h:10m", []Window{{Start: time.Hour, End: time.Hour + 10*time.Minute}}},
+		{"0s:1ns", []Window{{Start: 0, End: 1}}},
+		{"2s:500ms,10s:1s", []Window{
+			{Start: 2 * time.Second, End: 2500 * time.Millisecond},
+			{Start: 10 * time.Second, End: 11 * time.Second},
+		}},
+		{"1h:10m,3h30m:5m", []Window{
+			{Start: time.Hour, End: 70 * time.Minute},
+			{Start: 210 * time.Minute, End: 215 * time.Minute},
+		}},
+		{"2562047h:47m", []Window{{Start: 2562047 * time.Hour, End: 2562047*time.Hour + 47*time.Minute}}},
+	}
+	for _, c := range valid {
+		got, err := ParseWindows(c.in)
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("ParseWindows(%q) = %v, %v; want %v, nil", c.in, got, err, c.want)
+		}
+	}
+	invalid := []string{
+		// no separator, empty halves, empty list entries
+		"1h", "1h:", ":10m", ",", "1h:10m,", ",1h:10m",
+		// not durations
+		"one:two", "1h:10", "1h:10m:5m",
+		// negative start, zero or negative duration
+		"-1s:10m", "1m:-10s", "1m:0s",
+		// an end past the longest duration
+		"2562047h:1h",
+	}
+	for _, in := range invalid {
+		if got, err := ParseWindows(in); err == nil {
+			t.Errorf("ParseWindows(%q) = %v, nil; want an error", in, got)
 		}
 	}
 }

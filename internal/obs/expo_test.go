@@ -207,64 +207,9 @@ func TestStartPhaseClosesOpenPhase(t *testing.T) {
 	if tl.Phases[0].Seconds <= 0 {
 		t.Fatal("implicitly closed phase has no duration")
 	}
+	if sum := tl.Phases[0].Seconds + tl.Phases[1].Seconds; tl.TotalSeconds != sum {
+		t.Errorf("total %v, want the phases' sum %v", tl.TotalSeconds, sum)
+	}
 	// Ending an already-closed span is a no-op.
 	sp.End()
-}
-
-// TestTracerConcurrentSpans pins the phase-overlap semantics: a span
-// opened with StartConcurrent survives subsequent StartPhase calls, and
-// TotalSeconds counts overlapped wall time once (interval union), so an
-// overlapping span does not inflate the total beyond the true wall
-// clock.
-func TestTracerConcurrentSpans(t *testing.T) {
-	tr := NewTracer()
-	co := tr.StartConcurrent("shard")
-	sp := tr.StartPhase("intern")
-	time.Sleep(2 * time.Millisecond)
-	sp.End()
-	co.SetItems(7)
-	co.End()
-	sp = tr.StartPhase("classify")
-	time.Sleep(time.Millisecond)
-	sp.End()
-
-	tl := tr.Timeline()
-	if len(tl.Phases) != 3 {
-		t.Fatalf("phases %+v", tl.Phases)
-	}
-	var shard, intern PhaseTimeline
-	for _, p := range tl.Phases {
-		switch p.Name {
-		case "shard":
-			shard = p
-		case "intern":
-			intern = p
-		}
-	}
-	if !shard.Concurrent || shard.Items != 7 {
-		t.Fatalf("concurrent span not recorded: %+v", shard)
-	}
-	if shard.Seconds < intern.Seconds {
-		t.Fatalf("concurrent span closed early: shard %v < intern %v", shard.Seconds, intern.Seconds)
-	}
-	var sum float64
-	for _, p := range tl.Phases {
-		sum += p.Seconds
-	}
-	// The shard span fully overlaps intern, so the union total must be
-	// strictly below the naive sum but still cover the longest phase.
-	if tl.TotalSeconds >= sum {
-		t.Fatalf("total %v not an interval union (sum %v)", tl.TotalSeconds, sum)
-	}
-	if tl.TotalSeconds < shard.Seconds {
-		t.Fatalf("total %v below longest span %v", tl.TotalSeconds, shard.Seconds)
-	}
-
-	var text strings.Builder
-	if err := tl.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text.String(), "shard*") {
-		t.Errorf("text timeline does not mark concurrent span:\n%s", text.String())
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -35,10 +34,6 @@ type phaseRec struct {
 	dur   time.Duration
 	items int
 	open  bool
-	// concurrent marks a span that overlaps the sequential phase chain
-	// (e.g. shard building racing the symbol build): StartPhase leaves it
-	// open, and only an explicit End closes it.
-	concurrent bool
 }
 
 // NewTracer returns an empty tracer.
@@ -79,28 +74,11 @@ func (t *Tracer) StartPhase(name string) *Span {
 
 func (t *Tracer) closeOpenLocked(now time.Time) {
 	for i := range t.phases {
-		if t.phases[i].open && !t.phases[i].concurrent {
+		if t.phases[i].open {
 			t.phases[i].dur = now.Sub(t.phases[i].start)
 			t.phases[i].open = false
 		}
 	}
-}
-
-// StartConcurrent opens a span that runs alongside the sequential phase
-// chain: unlike StartPhase it closes nothing, and later StartPhase calls
-// leave it open — only the span's End (or a mid-run Timeline snapshot)
-// bounds it. The phase-overlap pipeline uses it so the timeline shows
-// which stages actually ran in parallel; TotalSeconds counts overlapped
-// wall time once (interval union), not per span.
-func (t *Tracer) StartConcurrent(name string) *Span {
-	if t == nil {
-		return nil
-	}
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.phases = append(t.phases, phaseRec{name: name, start: now, open: true, concurrent: true})
-	return &Span{t: t, idx: len(t.phases) - 1}
 }
 
 // SetItems records how many items the phase processed.
@@ -153,11 +131,8 @@ type PhaseTimeline struct {
 	Name    string  `json:"name"`
 	Seconds float64 `json:"seconds"`
 	Items   int     `json:"items,omitempty"`
-	// Offset is the phase's start relative to the run's first phase, so
-	// overlapping spans are visible in the rendered timeline.
+	// Offset is the phase's start relative to the run's first phase.
 	Offset float64 `json:"offset_seconds"`
-	// Concurrent marks spans opened with StartConcurrent.
-	Concurrent bool `json:"concurrent,omitempty"`
 }
 
 // ShardTimeline summarizes the classify fan-out.
@@ -197,45 +172,23 @@ func (t *Tracer) Timeline() Timeline {
 	var tl Timeline
 	tl.Workers = t.workers
 	var classifyWall float64
-	var first time.Time
-	type ival struct{ lo, hi time.Duration }
-	ivals := make([]ival, 0, len(t.phases))
-	for _, p := range t.phases {
-		if first.IsZero() || p.start.Before(first) {
-			first = p.start
-		}
-	}
 	for _, p := range t.phases {
 		dur := p.dur
 		if p.open {
 			dur = now.Sub(p.start)
 		}
-		off := p.start.Sub(first)
 		pt := PhaseTimeline{
 			Name: p.name, Seconds: dur.Seconds(), Items: p.items,
-			Offset: off.Seconds(), Concurrent: p.concurrent,
+			Offset: p.start.Sub(t.phases[0].start).Seconds(),
 		}
-		ivals = append(ivals, ival{lo: off, hi: off + dur})
+		// StartPhase closes the open phase, so phases never overlap and
+		// their sum is the time the run spent in them.
+		tl.TotalSeconds += pt.Seconds
 		if p.name == classifyPhase {
 			classifyWall += pt.Seconds
 		}
 		tl.Phases = append(tl.Phases, pt)
 	}
-	// TotalSeconds is the union of the phase intervals: with overlapping
-	// spans (StartConcurrent), wall time covered by two phases at once
-	// counts once — for a purely sequential chain this is the plain sum.
-	sort.Slice(ivals, func(i, j int) bool { return ivals[i].lo < ivals[j].lo })
-	var covered, end time.Duration
-	for i, iv := range ivals {
-		if i == 0 || iv.lo >= end {
-			covered += iv.hi - iv.lo
-			end = iv.hi
-		} else if iv.hi > end {
-			covered += iv.hi - end
-			end = iv.hi
-		}
-	}
-	tl.TotalSeconds = covered.Seconds()
 	if t.shardCount > 0 {
 		st := &ShardTimeline{
 			Count:       t.shardCount,
@@ -262,12 +215,7 @@ func (tl Timeline) WriteText(w io.Writer) error {
 		return err
 	}
 	for _, p := range tl.Phases {
-		name := p.Name
-		if p.Concurrent {
-			// Overlaps the sequential chain; its wall time is not additive.
-			name += "*"
-		}
-		if _, err := fmt.Fprintf(w, "  %-12s %10s %10d\n", name, fmtSeconds(p.Seconds), p.Items); err != nil {
+		if _, err := fmt.Fprintf(w, "  %-12s %10s %10d\n", p.Name, fmtSeconds(p.Seconds), p.Items); err != nil {
 			return err
 		}
 	}

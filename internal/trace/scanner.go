@@ -173,12 +173,6 @@ func newScanner(r io.Reader, policy ErrorPolicy, st *parseState) scanner {
 	return scanner{sc: sc, policy: policy, st: st}
 }
 
-// Symbols returns the scanner's name intern table: every Record().Query
-// string yielded so far is one of its canonical strings. Callers that
-// outlive the scan (e.g. the analyzer) can reuse it to map names to
-// dense symbols without re-hashing.
-func (s *scanner) Symbols() *SymbolTable { return s.st.names }
-
 // observe mirrors the scanner's progress into reg under the given
 // stream label. A nil registry is a no-op.
 func (s *scanner) observe(reg *obs.Registry, stream string) {

@@ -82,14 +82,6 @@ func (t *SymbolTable) Lookup(s string) Sym {
 	return NoSym
 }
 
-// LookupBytes is Lookup for a byte slice; it never allocates.
-func (t *SymbolTable) LookupBytes(b []byte) Sym {
-	if sym, ok := t.syms[string(b)]; ok {
-		return sym
-	}
-	return NoSym
-}
-
 // Name returns the string behind sym. It panics on out-of-range symbols,
 // matching slice semantics.
 func (t *SymbolTable) Name(sym Sym) string { return t.names[sym] }
