@@ -27,7 +27,7 @@ FUZZ_TARGETS := \
 	./internal/dnswire:FuzzReadTCPFrame \
 	./internal/dnsserver:FuzzZoneFastPath
 
-.PHONY: check vet build test race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke scaling-gate bench-all profile profile-live fuzz cover
+.PHONY: check vet build test race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke scaling-gate bench-all profile profile-spill profile-live fuzz cover
 
 check: vet build race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke
 
@@ -67,14 +67,18 @@ obs-determinism:
 # 65,535 whole. On the ingest side, a DirSource's one chunk pipeline
 # over all its files must match a serial scan of each file (records,
 # quarantined lines, budget counts, file-prefixed errors) at Workers
-# 1/2/8 and chunk sizes down to one byte. End to end, the dnsctx
-# command must print one report for a TSV pair, a partition directory
-# and a JSON pair at GOMAXPROCS 1 and 2, one summary for a spilling run
-# and a shard merge, and refuse every conflicting flag set with exit 2
-# (TestEndToEnd). Also covered by `race`, but named so the gate is
-# visible.
+# 1/2/8 and chunk sizes down to one byte, quarantined lines naming their
+# file. A budgeted run must stay within what its budget and constants
+# bound: under one budget, a trace and four times its connections must
+# leave analyses of the same live heap, with the in-memory Digest and
+# Table2 (TestBudgetedAnalysisHoldsNoPerConnectionState). End to end,
+# the dnsctx command must print one report for a TSV pair, a partition
+# directory and a JSON pair at GOMAXPROCS 1 and 2, one summary for a
+# spilling run and a shard merge, and refuse every conflicting flag set
+# with exit 2 (TestEndToEnd). Also covered by `race`, but named so the
+# gate is visible.
 stream-parity:
-	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory|TestReference|TestCrashResumeDeterminism|TestResume|TestResidentRecordsPointerFree|TestStoreRoundTrip|TestStoreSameFromDatasetAndStream|KeepsAddressZones|TestCheckpointFingerprintPinned|TestSpillWideFrames' -count=1
+	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory|TestReference|TestCrashResumeDeterminism|TestResume|TestResidentRecordsPointerFree|TestStoreRoundTrip|TestStoreSameFromDatasetAndStream|KeepsAddressZones|TestCheckpointFingerprintPinned|TestSpillWideFrames|TestBudgetedAnalysisHoldsNoPerConnectionState' -count=1
 	$(GO) test ./internal/trace -run='^TestDirSourceMultiFileParity$$' -count=1
 	$(GO) test ./cmd/dnsctx -run='^TestEndToEnd$$' -count=1
 
@@ -200,6 +204,25 @@ profile:
 	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_objects $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/mem.out
 	@echo '--- top allocations (alloc_space) ---'
 	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/mem.out
+
+# The same three summaries for the report-spill path — AnalyzeSource
+# over the same partitions under a budget of 1/16 of their resident size
+# (BenchmarkAnalyzeStream/budget=1/16) — plus the live heap
+# (inuse_space) at the profile's last collection, where state a budgeted
+# run keeps past its budget shows.
+profile-spill:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -bench='BenchmarkAnalyzeStream/budget=1/16$$' -run='^$$' -benchtime=3x \
+		-cpuprofile=$(PROFILE_DIR)/spill-cpu.out -memprofile=$(PROFILE_DIR)/spill-mem.out \
+		-o $(PROFILE_DIR)/bench.test
+	@echo '--- top CPU ---'
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/spill-cpu.out
+	@echo '--- top allocations (alloc_objects) ---'
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_objects $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/spill-mem.out
+	@echo '--- top allocations (alloc_space) ---'
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/spill-mem.out
+	@echo '--- live heap (inuse_space) ---'
+	$(GO) tool pprof -top -nodecount=15 -sample_index=inuse_space $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/spill-mem.out
 
 # The same three summaries for the live scan: BenchmarkBulkScanLive runs
 # scan-live's load shape (2 server workers, 2 sockets, 512 lookups in

@@ -129,8 +129,9 @@ func writeFile(t *testing.T, path string, write func(*bytes.Buffer) error) {
 // TestEndToEnd drives the dnsctx command over one trace given as each
 // kind of input: every input prints the same report at GOMAXPROCS 1 and
 // 2, a spilling run and a shard collect + merge agree on the summary, a
-// checkpoint is resumed and removed, quarantined lines name their file,
-// a log out of time order stops the run, and every refused flag
+// checkpoint is resumed and removed, quarantined lines name their file
+// (a partition's under -trace-dir) with a summary per file, a log out
+// of time order stops the run, and every refused flag
 // combination is a usage error that leaves the files it names alone.
 func TestEndToEnd(t *testing.T) {
 	tr := writeE2ETrace(t)
@@ -239,6 +240,43 @@ func TestEndToEnd(t *testing.T) {
 		if want := fmt.Sprintf("%s: trace: dns line 10:", dns); r.code != 1 || !strings.Contains(r.stderr, want) {
 			t.Errorf("strict run over a malformed log: exit %d, stderr %q; want exit 1 naming %q", r.code, r.stderr, want)
 		}
+
+		// A partition directory with a bad line in two of its files: each
+		// line names its partition, and each of those partitions gets its
+		// summary.
+		parts := t.TempDir()
+		entries, err := os.ReadDir(tr.partDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(tr.partDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(parts, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		badDNS, badConns := filepath.Join(parts, "part-1.dns.tsv"), filepath.Join(parts, "part-2.conn.tsv")
+		dnsLines = corrupt(badDNS, badDNS, 10)
+		connLines = corrupt(badConns, badConns, 20)
+		for _, procs := range []int{1, 2} {
+			r := mustRun(t, procs, "-quarantine", "-trace-dir", parts)
+			for _, want := range []string{
+				fmt.Sprintf("dnsctx: quarantined %s:10: trace: dns line 10:", badDNS),
+				fmt.Sprintf("dnsctx: %s: quarantined 1 of %d lines\n", badDNS, dnsLines),
+				fmt.Sprintf("dnsctx: quarantined %s:20: trace: conn line 20:", badConns),
+				fmt.Sprintf("dnsctx: %s: quarantined 1 of %d lines\n", badConns, connLines),
+			} {
+				if !strings.Contains(r.stderr, want) {
+					t.Errorf("-trace-dir at GOMAXPROCS=%d: stderr lacks %q:\n%s", procs, want, r.stderr)
+				}
+			}
+			if n := strings.Count(r.stderr, "quarantined 1 of"); n != 2 {
+				t.Errorf("-trace-dir at GOMAXPROCS=%d: %d quarantine summaries, want one for each bad partition:\n%s", procs, n, r.stderr)
+			}
+		}
 	})
 
 	t.Run("out of order", func(t *testing.T) {
@@ -288,6 +326,15 @@ func TestEndToEnd(t *testing.T) {
 			{"-generate", "-fault-outage", "1m:-10s"},
 			{"-generate", "-fault-outage", "1h"},
 			{"-stream", "-trace-dir", tr.partDir},
+			append([]string{"-houses", "3"}, tsv...),
+			append([]string{"-duration", "1h"}, tsv...),
+			append([]string{"-fault-loss", "0.5"}, tsv...),
+			append([]string{"-fault-outage", "1m:1m"}, tsv...),
+			{"-trace-dir", tr.partDir, "-seed", "2"},
+			{"-trace-dir", tr.partDir, "-fault-truncate", "3"},
+			{"-format", "json", "-dns", tr.dnsJSON, "-conns", tr.connsJSON, "-fault-jitter", "1ms"},
+			{"-merge", "-fault-stale-hold", "1m", shard},
+			{"-merge", "-houses", "20", shard},
 		} {
 			if r := dnsctx(t, 2, args...); r.code != 2 {
 				t.Errorf("dnsctx %q: exit %d, want 2 (usage error); stderr:\n%s", args, r.code, r.stderr)

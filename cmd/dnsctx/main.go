@@ -4,9 +4,12 @@
 // directory of time-partitioned TSV logs, or a freshly generated
 // synthetic window. Every input streams through one analysis path, so a
 // memory budget, a shard file, or a checkpoint works with any of them
-// (a checkpoint not together with a memory budget). TSV logs must be time-ordered, as tracegen and zeeklite write them: a
-// DNS log by response time, a connection log by start time. A log out of
-// order stops the run with an error.
+// (a checkpoint not together with a memory budget). TSV logs must be
+// time-ordered, as tracegen and zeeklite write them: a DNS log by
+// response time, a connection log by start time. A log out of order
+// stops the run with an error. The generator's flags (-houses,
+// -duration, -seed, -fault-*, -transport*) apply to -generate alone and
+// are refused with any other input.
 //
 // Usage:
 //
@@ -47,6 +50,14 @@ import (
 	"dnscontext/internal/obs"
 	"dnscontext/internal/trace"
 )
+
+// generatorFlags are the flags that configure -generate and mean
+// nothing for any other input.
+var generatorFlags = map[string]bool{
+	"houses": true, "duration": true, "seed": true,
+	"fault-loss": true, "fault-jitter": true, "fault-outage": true, "fault-truncate": true, "fault-stale-hold": true,
+	"transport": true, "transport-resumption": true,
+}
 
 func main() {
 	log.SetFlags(0)
@@ -143,12 +154,13 @@ func main() {
 		usageErr("unknown -format %q (want tsv or json)", *format)
 	}
 	if !*generate {
-		if *transport != "" {
-			usageErr("-transport requires -generate (read traces already carry their transport's timing)")
-		}
-		if *transportResume {
-			usageErr("-transport-resumption requires -generate")
-		}
+		// A read trace already carries its houses, window, faults and
+		// transport timing: a generator flag set with it is a mistake.
+		flag.Visit(func(f *flag.Flag) {
+			if generatorFlags[f.Name] {
+				usageErr("-%s requires -generate (it shapes a synthesized trace, not a read one)", f.Name)
+			}
+		})
 	}
 	if _, err := dnscontext.ParseTransport(*transport); err != nil {
 		usageErr("bad -transport: %v", err)
@@ -223,8 +235,9 @@ func main() {
 	case *traceDir != "":
 		if *quarantine {
 			policy.Sink = func(q dnscontext.Quarantined) {
-				log.Printf("quarantined line %d: %v", q.Line, q.Err)
+				log.Printf("quarantined %s:%d: %v", q.Path, q.Line, q.Err)
 			}
+			policy.Done = logQuarantineTally
 		}
 		src = dnscontext.NewDirSource(*traceDir, policy)
 	case *format == "json":
@@ -432,11 +445,19 @@ func readFile[T any](path string, read func(io.Reader) ([]T, error)) ([]T, error
 	return read(f)
 }
 
+// logQuarantineTally prints an input file's quarantine summary, if it
+// quarantined any line.
+func logQuarantineTally(path string, st dnscontext.ScanStats) {
+	if st.Quarantined > 0 {
+		log.Printf("%s: quarantined %d of %d lines", path, st.Quarantined, st.Lines)
+	}
+}
+
 // logSource is the ScannerSource over a -dns/-conns TSV pair, which it
 // embeds for the analyzer's parallel ingest. It names the file in each
-// quarantined line (file:line) and in a stream's error, prints each
-// file's quarantine summary, and counts each stream's records and
-// quarantined lines into the dnsctx_trace_* metrics.
+// quarantined line (file:line), in its quarantine summary and in a
+// stream's error, and counts each stream's records and quarantined
+// lines into the dnsctx_trace_* metrics.
 type logSource struct {
 	*dnscontext.ScannerSource
 	dns, conns *logFile
@@ -445,10 +466,9 @@ type logSource struct {
 	cur *logFile
 }
 
-// logFile is one input log and its scan tallies.
+// logFile is one input log and its metrics.
 type logFile struct {
 	*os.File
-	records, quarantined   int
 	recordsC, quarantinedC *obs.Counter
 }
 
@@ -465,10 +485,10 @@ func openLogs(dnsPath, connPath string, policy dnscontext.ErrorPolicy, reg *dnsc
 	s := &logSource{dns: dns, conns: conns}
 	if policy.Quarantine {
 		policy.Sink = func(q dnscontext.Quarantined) {
-			s.cur.quarantined++
 			s.cur.quarantinedC.Inc()
 			log.Printf("quarantined %s:%d: %v", s.cur.Name(), q.Line, q.Err)
 		}
+		policy.Done = func(_ string, st dnscontext.ScanStats) { logQuarantineTally(s.cur.Name(), st) }
 	}
 	s.ScannerSource = dnscontext.NewScannerSource(dns, conns, policy)
 	return s, nil
@@ -503,21 +523,16 @@ func (s *logSource) StreamConns(yield func(*dnscontext.ConnRecord) error) error 
 	return scanLog(s, s.conns, s.ScannerSource.StreamConns, yield)
 }
 
-// scanLog runs one stream over f, counting its records, and reports
-// the outcome: the error that stopped it, prefixed with the file, or
-// else what was quarantined.
+// scanLog runs one stream over f, counting its records, and prefixes
+// the error that stopped it, if any, with the file.
 func scanLog[R any](s *logSource, f *logFile, stream func(func(*R) error) error, yield func(*R) error) error {
 	s.cur = f
 	err := stream(func(r *R) error {
-		f.records++
 		f.recordsC.Inc()
 		return yield(r)
 	})
 	if err != nil {
 		return fmt.Errorf("%s: %w", f.Name(), err)
-	}
-	if f.quarantined > 0 {
-		log.Printf("%s: quarantined %d of %d lines", f.Name(), f.quarantined, f.records+f.quarantined)
 	}
 	return nil
 }

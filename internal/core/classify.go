@@ -44,7 +44,13 @@ func Analyze(ds *trace.Dataset, opts Options) *Analysis {
 // Opts.Seed and the shard ID, so the result is bit-identical for every
 // Workers value and GOMAXPROCS.
 func AnalyzeContext(ctx context.Context, ds *trace.Dataset, opts Options) (*Analysis, error) {
-	opts = opts.withDefaults()
+	a, _, err := analyzeDataset(ctx, ds, opts.withDefaults())
+	return a, err
+}
+
+// analyzeDataset is AnalyzeContext, also returning the classified
+// shard for CollectShard.
+func analyzeDataset(ctx context.Context, ds *trace.Dataset, opts Options) (*Analysis, *AnalysisShard, error) {
 	tr := opts.Trace
 	sp := tr.StartPhase("sort")
 	ds.SortByTime()
@@ -54,7 +60,7 @@ func AnalyzeContext(ctx context.Context, ds *trace.Dataset, opts Options) (*Anal
 	sp.SetItems(len(ds.Conns) + len(ds.DNS))
 	if err != nil {
 		sp.End()
-		return nil, analysisAborted(err)
+		return nil, nil, analysisAborted(err)
 	}
 	return analyze(ctx, st, opts)
 }
@@ -64,15 +70,17 @@ func AnalyzeContext(ctx context.Context, ds *trace.Dataset, opts Options) (*Anal
 // unbudgeted AnalyzeSource and CollectShard from a stream.
 //
 // The resident run is the unbudgeted case of the shard pipeline: every
-// client is classified into an AnalysisShard (a.shard) by the same loop
-// the out-of-core path runs per spill partition, and the shard is
-// finalized through the same path as a merged one, which here also
-// fills Paired and DNSUsed from the client-local pairing facts.
-func analyze(ctx context.Context, st *recordStore, opts Options) (*Analysis, error) {
+// client is classified into an AnalysisShard by the same loop the
+// out-of-core path runs per spill partition, and the shard is finalized
+// through the same path as a merged one, which here also fills Paired
+// and DNSUsed from the client-local pairing facts. analyze returns the
+// shard for CollectShard; the Analysis does not keep it.
+func analyze(ctx context.Context, st *recordStore, opts Options) (*Analysis, *AnalysisShard, error) {
 	tr := opts.Trace
 	tr.SetWorkers(parallel.Workers(opts.Workers))
 	sp := tr.StartPhase("shard")
-	a := &Analysis{Opts: opts, st: st, connTotal: len(st.conns), dnsTotal: len(st.dns)}
+	a := &Analysis{Opts: opts, st: st, connTotal: len(st.conns), dnsTotal: len(st.dns),
+		digest: totalsDigest(len(st.conns), len(st.dns))}
 	var err error
 	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "shard"), func(context.Context) {
 		a.shards, err = buildShards(ctx, opts.Workers, st)
@@ -80,7 +88,7 @@ func analyze(ctx context.Context, st *recordStore, opts Options) (*Analysis, err
 	sp.SetItems(len(a.shards.list))
 	if err != nil {
 		sp.End()
-		return nil, analysisAborted(err)
+		return nil, nil, analysisAborted(err)
 	}
 	sp = tr.StartPhase("thresholds")
 	var thByRes []time.Duration
@@ -102,7 +110,7 @@ func analyze(ctx context.Context, st *recordStore, opts Options) (*Analysis, err
 		if opts.Checkpoint.Resume {
 			if err := ck.restore(); err != nil {
 				sp.End()
-				return nil, analysisAborted(err)
+				return nil, nil, analysisAborted(err)
 			}
 		}
 	}
@@ -128,15 +136,15 @@ func analyze(ctx context.Context, st *recordStore, opts Options) (*Analysis, err
 	})
 	if err != nil {
 		sp.End()
-		return nil, analysisAborted(err)
+		return nil, nil, analysisAborted(err)
 	}
 	sp = tr.StartPhase("merge")
 	a.Paired, a.DNSUsed = make([]PairedConn, len(st.conns)), make([]bool, len(st.dns))
-	a.finalize(shard, thByRes)
+	a.finalize(shard.clients, thByRes)
 	sp.SetItems(len(shard.clients))
 	sp.End()
 	a.publishMetrics(opts.Metrics)
-	return a, nil
+	return a, shard, nil
 }
 
 // publishMetrics records the finished run's tallies with reg. It runs

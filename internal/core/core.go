@@ -213,10 +213,6 @@ type Analysis struct {
 	// per-house what-if simulations. Shard IDs seed the per-client RNG
 	// streams, which is why the order must be deterministic.
 	shards shardSet
-	// shard is the AnalysisShard the run's clients were classified into
-	// (client i of a resident run is shards.list[i]); CollectShard
-	// returns it.
-	shard *AnalysisShard
 	// refreshOnce guards authTTL/window, the lazily derived inputs shared
 	// by every refresh-policy simulation (possibly running concurrently).
 	// authTTL is indexed by query-name symbol.
@@ -226,19 +222,20 @@ type Analysis struct {
 	// fp caches the dataset fingerprint checkpoints key on (resume.go).
 	fp uint64
 
-	// Summary-grade state. An Analysis reduced from streamed shards
+	// Summary-grade state. An Analysis reduced from streamed clients
 	// (AnalyzeSource over a source bigger than the memory budget, or
 	// AnalysisShard.Finalize) has no resident records: st and Paired
 	// are nil, and the totals and failure stats computed during the
-	// reduce live here instead. The resident path fills the totals too,
-	// so accessors shared by both grades (Count/Fraction/Table2/
-	// Failures/...) read them uniformly.
+	// ingest or carried by the shard live here instead. The resident
+	// path fills the totals too, so accessors shared by both grades
+	// (Count/Fraction/Table2/Failures/...) read them uniformly.
 	summary   bool
 	dnsTotal  int
 	connTotal int
 	failures  *FailureStats
 	// digest is the order-independent FNV fold over every per-connection
-	// outcome (see shard.go), set by finalize for both grades.
+	// outcome (see shard.go): the totals' term, set when the analysis
+	// is made, XORed with each client's term as foldClient finalizes it.
 	digest uint64
 }
 

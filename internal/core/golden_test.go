@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"dnscontext/internal/households"
 	"dnscontext/internal/resolver"
+	"dnscontext/internal/trace"
 )
 
 // Golden output hashes over determinismTrace with SCRMinSamples=50. The
@@ -30,10 +32,26 @@ var goldenHashes = map[PairingPolicy]struct{ report, paired, checkpoint uint64 }
 	PairRandom:     {report: 0x2be6a45431a019c1, paired: 0xe73357fb6dcd5241, checkpoint: 0x03444a3d07d1e892},
 }
 
-// hashAnalysis reduces an Analysis to three FNV-64a fingerprints: the
-// full text report, the Paired slice (field by field, fixed-width), and
-// the encoding of the classified shard a checkpoint stores.
-func hashAnalysis(t *testing.T, a *Analysis, profiles []resolver.PlatformProfile) (report, paired, checkpoint uint64) {
+// collectCopy returns the shard an in-memory run over a private copy of
+// ds classifies its clients into, as CollectShard returns it.
+func collectCopy(t *testing.T, ds *trace.Dataset, opts Options) *AnalysisShard {
+	t.Helper()
+	sh, err := CollectShard(context.Background(), trace.NewDatasetSource(&trace.Dataset{
+		DNS:   append([]trace.DNSRecord(nil), ds.DNS...),
+		Conns: append([]trace.ConnRecord(nil), ds.Conns...),
+	}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
+// hashAnalysis reduces an Analysis and the shard its run classified its
+// clients into (which the Analysis does not keep; see collectCopy) to
+// three FNV-64a fingerprints: the full text report, the Paired slice
+// (field by field, fixed-width), and the encoding of the shard as a
+// checkpoint stores it, without the failure tally CollectShard adds.
+func hashAnalysis(t *testing.T, a *Analysis, sh *AnalysisShard, profiles []resolver.PlatformProfile) (report, paired, checkpoint uint64) {
 	t.Helper()
 	var rep bytes.Buffer
 	if err := a.Report(&rep, profiles); err != nil {
@@ -54,8 +72,10 @@ func hashAnalysis(t *testing.T, a *Analysis, profiles []resolver.PlatformProfile
 		binary.Write(hp, binary.LittleEndian, int64(pc.Candidates))
 	}
 
+	snap := *sh
+	snap.failures = FailureStats{}
 	hc := fnv.New64a()
-	hc.Write(a.shard.encode())
+	hc.Write(snap.encode())
 	return hr.Sum64(), hp.Sum64(), hc.Sum64()
 }
 
@@ -79,7 +99,7 @@ func TestGoldenOutputsBitIdentical(t *testing.T) {
 			opts.SCRMinSamples = 50
 			opts.Workers = workers
 			a := analyzeCopy(ds, opts)
-			report, paired, checkpoint := hashAnalysis(t, a, eco.Profiles)
+			report, paired, checkpoint := hashAnalysis(t, a, collectCopy(t, ds, opts), eco.Profiles)
 			if report != want.report {
 				t.Errorf("pairing=%v workers=%d: report hash %#016x, want %#016x",
 					pairing, workers, report, want.report)

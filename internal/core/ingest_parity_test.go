@@ -54,8 +54,9 @@ func TestParallelIngestGoldenParity(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Pairing = pairing
 		opts.SCRMinSamples = 50
-		ref := analyzeCopy(&trace.Dataset{DNS: parsedDNS, Conns: parsedConns}, opts)
-		wantReport, wantPaired, wantCheckpoint := hashAnalysis(t, ref, eco.Profiles)
+		parsed := &trace.Dataset{DNS: parsedDNS, Conns: parsedConns}
+		ref := analyzeCopy(parsed, opts)
+		wantReport, wantPaired, wantCheckpoint := hashAnalysis(t, ref, collectCopy(t, parsed, opts), eco.Profiles)
 
 		for _, workers := range []int{1, 2, 8} {
 			o := opts
@@ -70,7 +71,12 @@ func TestParallelIngestGoldenParity(t *testing.T) {
 				t.Fatalf("pairing=%v workers=%d: unbudgeted scanner source returned a summary analysis",
 					pairing, workers)
 			}
-			report, paired, checkpoint := hashAnalysis(t, a, eco.Profiles)
+			sh, err := CollectShard(context.Background(), trace.NewScannerSource(
+				strings.NewReader(dnsTSV), strings.NewReader(connTSV), trace.Strict()), o)
+			if err != nil {
+				t.Fatalf("pairing=%v workers=%d: collecting the shard: %v", pairing, workers, err)
+			}
+			report, paired, checkpoint := hashAnalysis(t, a, sh, eco.Profiles)
 			if report != wantReport || paired != wantPaired || checkpoint != wantCheckpoint {
 				t.Errorf("pairing=%v workers=%d: hashes (%#016x %#016x %#016x), want (%#016x %#016x %#016x)",
 					pairing, workers, report, paired, checkpoint, wantReport, wantPaired, wantCheckpoint)

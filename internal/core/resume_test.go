@@ -183,9 +183,10 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 50
 	ref := analyzeCopy(ds, opts)
+	sh := collectCopy(t, ds, opts)
 	busiest := 0
-	for i := range ref.shard.clients {
-		if len(ref.shard.clients[i].entries) > len(ref.shard.clients[busiest].entries) {
+	for i := range sh.clients {
+		if len(sh.clients[i].entries) > len(sh.clients[busiest].entries) {
 			busiest = i
 		}
 	}
@@ -194,7 +195,7 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 		"short client":   func(c *clientResult) { c.entries = c.entries[1:] },
 	}
 	for name, mutate := range forge {
-		snap := *ref.shard
+		snap := *sh
 		snap.clients = []clientResult{snap.clients[busiest]}
 		mutate(&snap.clients[0])
 		path := filepath.Join(t.TempDir(), "analysis.ckpt")

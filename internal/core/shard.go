@@ -14,12 +14,13 @@ import (
 
 // AnalysisShard is a mergeable partial analysis: everything the
 // classification of one slice of a trace produces, minus anything that
-// depends on seeing the whole trace. Every run classifies its clients
-// into one — over the resident dataset in memory, one spill partition
-// at a time out of core — and finalizes it. Independent processes can
-// each CollectShard over their slice of a trace, serialize the shards
-// (WriteShardFile), and reduce them with Merge + Finalize into the same
-// *Analysis a single in-memory run would produce.
+// depends on seeing the whole trace. A resident run classifies its
+// clients into one and finalizes it, and checkpoints snapshot one; a
+// budgeted AnalyzeSource finalizes each client as it is classified and
+// keeps no shard. Independent processes can each CollectShard over
+// their slice of a trace, serialize the shards (WriteShardFile), and
+// reduce them with Merge + Finalize into the same *Analysis a single
+// in-memory run would produce.
 //
 // What makes the merge exact is that a shard stores per-connection
 // *pairing facts* (which lookup paired, the gap, first-use and expiry
@@ -216,61 +217,75 @@ func MergeShards(shards ...*AnalysisShard) (*AnalysisShard, error) {
 // Digest, and WriteSummary exactly as the in-memory path would; see
 // Analysis.Summary for what a summary analysis cannot do.
 func (s *AnalysisShard) Finalize() *Analysis {
-	a := &Analysis{
-		Opts:      s.opts,
-		summary:   true,
-		dnsTotal:  int(s.dnsTotal),
-		connTotal: int(s.connTotal),
-		failures:  &FailureStats{},
-	}
-	*a.failures = s.failures
-	var thByRes []time.Duration
-	a.Thresholds, thByRes = deriveThresholds(&s.opts, s.dnsTotal, s.resolvers)
-	a.finalize(s, thByRes)
+	a, thByRes := newSummary(s.opts, s.dnsTotal, s.connTotal, s.failures, s.resolvers)
+	a.finalize(s.clients, thByRes)
 	return a
 }
 
-// finalize is the reduce every run ends in. Each client's connections
-// get their Table 2 class from the stored pairing facts under thByRes
-// (indexed like s.resolvers); the classes are tallied and folded into
-// the digest. A resident analysis, whose client i is a.shards.list[i],
-// also gets Paired and DNSUsed, with client-local lookup positions
-// mapped back to record indices.
-func (a *Analysis) finalize(s *AnalysisShard, thByRes []time.Duration) {
-	a.shard = s
-	h := newDigest()
-	h.u64(uint64(s.connTotal))
-	h.u64(uint64(s.dnsTotal))
-	a.digest = uint64(h)
-	for i := range s.clients {
-		c := &s.clients[i]
-		h := newDigest()
-		h.addr(c.client)
-		h.u64(uint64(c.nDNS))
+// newSummary starts a summary-grade Analysis of a trace from its
+// whole-trace summaries: the totals, the failure stats, and the
+// resolver statistics the SC/R thresholds derive from. It returns the
+// thresholds indexed like resolvers too, for foldClient.
+func newSummary(opts Options, dnsTotal, connTotal int64, failures FailureStats, resolvers []resolverStat) (*Analysis, []time.Duration) {
+	a := &Analysis{
+		Opts:      opts,
+		summary:   true,
+		dnsTotal:  int(dnsTotal),
+		connTotal: int(connTotal),
+		failures:  &failures,
+		digest:    totalsDigest(int(connTotal), int(dnsTotal)),
+	}
+	var thByRes []time.Duration
+	a.Thresholds, thByRes = deriveThresholds(&opts, dnsTotal, resolvers)
+	return a, thByRes
+}
+
+// finalize is the reduce of a resident run and of Finalize: it folds
+// every classified client into the analysis (see foldClient). A
+// resident analysis, whose client i is a.shards.list[i], also gets
+// Paired and DNSUsed.
+func (a *Analysis) finalize(clients []clientResult, thByRes []time.Duration) {
+	for i := range clients {
 		var conns, dns []int32
 		if a.st != nil {
 			conns, dns = a.shards.records(i)
 		}
-		for j := range c.entries {
-			e := &c.entries[j]
-			class := entryClass(e, &s.opts, thByRes)
-			a.classCounts[class]++
-			h.entry(e, class)
-			if a.st == nil {
-				continue
-			}
-			ci := conns[j]
-			pc := &a.Paired[ci]
-			*pc = PairedConn{Conn: int(ci), DNS: -1, Class: class}
-			if e.localDNS >= 0 {
-				di := dns[e.localDNS]
-				pc.DNS, pc.Gap, pc.Candidates = int(di), e.gap, int(e.candidates)
-				pc.FirstUse, pc.UsedExpired = e.firstUse, e.usedExpired
-				a.DNSUsed[di] = true
-			}
-		}
-		a.digest ^= uint64(h)
+		a.digest ^= a.foldClient(&clients[i], thByRes, &a.classCounts, conns, dns)
 	}
+}
+
+// foldClient finalizes one classified client: each connection gets its
+// Table 2 class from the stored pairing facts under thByRes (indexed
+// like the run's resolver table), the classes are tallied into counts,
+// and the client's digest term is returned. Both fold in any order, so
+// a summary-grade run may fold its clients concurrently, each into
+// counts of its own. Given the client's connection and DNS record
+// positions (a resident run), foldClient also fills the client's Paired
+// and DNSUsed entries, with client-local lookup positions mapped back
+// to record indices.
+func (a *Analysis) foldClient(c *clientResult, thByRes []time.Duration, counts *[numClasses]int, conns, dns []int32) uint64 {
+	h := newDigest()
+	h.addr(c.client)
+	h.u64(uint64(c.nDNS))
+	for j := range c.entries {
+		e := &c.entries[j]
+		class := entryClass(e, &a.Opts, thByRes)
+		counts[class]++
+		h.entry(e, class)
+		if conns == nil {
+			continue
+		}
+		ci := conns[j]
+		pc := &a.Paired[ci]
+		*pc = PairedConn{Conn: int(ci), DNS: -1, Class: class}
+		if e.localDNS >= 0 {
+			di := dns[e.localDNS]
+			pc.DNS, pc.Gap, pc.Candidates = int(di), e.gap, int(e.candidates)
+			pc.FirstUse, pc.UsedExpired = e.firstUse, e.usedExpired
+			a.DNSUsed[di] = true
+		}
+	}
+	return uint64(h)
 }
 
 // entryClass derives the Table 2 class from one entry's pairing facts
@@ -300,6 +315,15 @@ func entryClass(e *connEntry, opts *Options, thByRes []time.Duration) Class {
 // client order, and shard grouping. Equal digests across the in-memory,
 // streaming, and merged paths are the parity tests' success criterion.
 func (a *Analysis) Digest() uint64 { return a.digest }
+
+// totalsDigest is the digest's term for the trace's totals, onto which
+// every client's term is XOR-folded.
+func totalsDigest(connTotal, dnsTotal int) uint64 {
+	h := newDigest()
+	h.u64(uint64(connTotal))
+	h.u64(uint64(dnsTotal))
+	return uint64(h)
+}
 
 // digestHash is an inline FNV-64a accumulator.
 type digestHash uint64

@@ -20,7 +20,8 @@ import (
 // (stream, partition) — in arrival (= time) order. Because pairing is
 // strictly per-client, each partition is a self-contained slice of the
 // trace: the classify phase loads one partition at a time, so peak
-// memory is one partition plus the accumulating shard, not the trace.
+// memory is one partition, not the trace (AnalyzeSource finalizes each
+// client as it is classified; only CollectShard accumulates a shard).
 //
 // The format is a transient process-private scratch encoding — framed
 // little-endian records, no header or checksum — created and deleted
@@ -32,10 +33,16 @@ import (
 // trace N bytes over budget wants spillParts comfortably above N/budget.
 const spillParts = 32
 
+// spillBufBytes is the write buffer of one partition. A writer makes a
+// partition's buffer at its first frame and drops them all when its
+// stream ends, so at most spillParts of them (512 KiB) are live, and
+// only while a stream writes.
+const spillBufBytes = 16 << 10
+
 // spillWriter owns one stream's partition files.
 type spillWriter struct {
 	files []*os.File
-	bufs  []*bufio.Writer
+	bufs  []*bufio.Writer // nil until the partition's first frame
 	// counts tallies what each partition holds, so the reader can size
 	// its arrays exactly and tell a truncated partition from a whole one.
 	counts []spillCount
@@ -62,28 +69,50 @@ func newSpillWriter(dir, stream string) (*spillWriter, error) {
 			return nil, fmt.Errorf("dnscontext: creating spill partition: %w", err)
 		}
 		w.files[p] = f
-		w.bufs[p] = bufio.NewWriterSize(f, 1<<16)
 	}
 	return w, nil
 }
 
-// flushAll flushes every partition's buffer so readers see complete
-// frames.
-func (w *spillWriter) flushAll() error {
-	for _, b := range w.bufs {
+// write appends the encoded frame in scratch to partition p.
+func (w *spillWriter) write(p int) error {
+	b := w.bufs[p]
+	if b == nil {
+		b = bufio.NewWriterSize(w.files[p], spillBufBytes)
+		w.bufs[p] = b
+	}
+	_, err := b.Write(w.scratch)
+	return err
+}
+
+// finish ends the writer's stream: it flushes every partition, so
+// readers see complete frames, drops the buffers and closes the files.
+// The counts stay.
+func (w *spillWriter) finish() error {
+	for p, b := range w.bufs {
+		if b == nil {
+			continue
+		}
+		w.bufs[p] = nil
 		if err := b.Flush(); err != nil {
 			return fmt.Errorf("dnscontext: flushing spill partition: %w", err)
 		}
 	}
-	return nil
+	return w.close()
 }
 
-func (w *spillWriter) close() {
-	for _, f := range w.files {
-		if f != nil {
-			f.Close()
+// close closes the partition files still open.
+func (w *spillWriter) close() error {
+	var err error
+	for p, f := range w.files {
+		if f == nil {
+			continue
+		}
+		w.files[p] = nil
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("dnscontext: closing spill partition: %w", cerr)
 		}
 	}
+	return err
 }
 
 // partitionOf assigns a client to a spill partition: FNV-64a over the
@@ -178,16 +207,14 @@ func (w *spillWriter) writeDNS(d *trace.DNSRecord) error {
 	w.counts[p].frames++
 	w.counts[p].answers += len(d.Answers)
 	w.scratch = appendDNSFrame(w.scratch[:0], d)
-	_, err := w.bufs[p].Write(w.scratch)
-	return err
+	return w.write(p)
 }
 
 func (w *spillWriter) writeConn(c *trace.ConnRecord) error {
 	p := partitionOf(c.Orig)
 	w.counts[p].frames++
 	w.scratch = appendConnFrame(w.scratch[:0], c)
-	_, err := w.bufs[p].Write(w.scratch)
-	return err
+	return w.write(p)
 }
 
 // Partition reload. A partition must fit in memory anyway (see

@@ -23,9 +23,19 @@ import (
 // results, thresholds, failure statistics, and Digest are bit-identical
 // to what the in-memory pipeline computes on the same trace.
 //
+// A budgeted run holds what the budget or a constant bounds: the
+// records retained until the trip (the budget), then the parse
+// pipeline's chunks, one spill buffer of 16 KiB for each of the 32
+// partitions of the stream being written, and, while classifying, one
+// partition's records and pairing index. Each client is finalized as
+// soon as it is classified, so the run keeps nothing per connection;
+// what grows with the trace is per client and per resolver.
+//
 // The streaming map phase is exposed separately as CollectShard for
 // multi-process runs: each process collects a shard over its slice of
 // the trace, and MergeShards + Finalize reduce them to the same result.
+// A shard is the pairing facts of every connection (40 bytes each), so
+// CollectShard holds them by design.
 func AnalyzeSource(ctx context.Context, src trace.Source, opts Options) (*Analysis, error) {
 	opts = opts.withDefaults()
 	if d, ok := src.(*trace.DatasetSource); ok && opts.MemoryBudget <= 0 {
@@ -34,22 +44,42 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts Options) (*Analys
 	applyIngestWorkers(src, opts)
 	run := &streamRun{opts: opts}
 	defer run.cleanup()
-	if err := run.ingest(ctx, src); err != nil {
+	return run.analyzeSource(ctx, src)
+}
+
+// analyzeSource is AnalyzeSource past its short cut: it ingests src and
+// analyzes it in memory if the budget never tripped, else one spill
+// partition at a time.
+func (r *streamRun) analyzeSource(ctx context.Context, src trace.Source) (*Analysis, error) {
+	if err := r.ingest(ctx, src); err != nil {
 		return nil, analysisAborted(err)
 	}
-	if !run.spilled {
-		return analyze(ctx, run.store(), opts)
+	if !r.spilled {
+		a, _, err := analyze(ctx, r.store(), r.opts)
+		return a, err
 	}
-	sh, err := run.collect(ctx)
+	// Ingest has summarized every resolver, so the thresholds are final
+	// before the first client is classified, and each client is folded
+	// into the analysis as it is: both folds are order-independent.
+	sp := r.opts.Trace.StartPhase("thresholds")
+	a, thByRes := newSummary(r.opts, r.dnsTotal, r.connTotal, r.failures, r.resolvers)
+	sp.SetItems(len(a.Thresholds))
+	var mu sync.Mutex
+	err := r.collect(ctx, func(c clientResult) {
+		var counts [numClasses]int
+		digest := a.foldClient(&c, thByRes, &counts, nil, nil)
+		mu.Lock()
+		for k, n := range counts {
+			a.classCounts[k] += n
+		}
+		a.digest ^= digest
+		mu.Unlock()
+	})
 	if err != nil {
 		return nil, analysisAborted(err)
 	}
-	sp := opts.Trace.StartPhase("reduce")
-	a := sh.Finalize()
-	sp.SetItems(len(sh.clients))
-	sp.End()
-	a.publishMetrics(opts.Metrics)
-	run.publishMetrics()
+	a.publishMetrics(r.opts.Metrics)
+	r.publishMetrics()
 	return a, nil
 }
 
@@ -63,15 +93,15 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts Options) (*Analys
 // so cross-process exactness is only guaranteed under PairMostRecent.
 func CollectShard(ctx context.Context, src trace.Source, opts Options) (*AnalysisShard, error) {
 	opts = opts.withDefaults()
-	inMemory := func(a *Analysis, err error) (*AnalysisShard, error) {
+	inMemory := func(a *Analysis, sh *AnalysisShard, err error) (*AnalysisShard, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.shard.failures = a.Failures()
-		return a.shard, nil
+		sh.failures = a.Failures()
+		return sh, nil
 	}
 	if d, ok := src.(*trace.DatasetSource); ok && opts.MemoryBudget <= 0 {
-		return inMemory(AnalyzeContext(ctx, d.DS, opts))
+		return inMemory(analyzeDataset(ctx, d.DS, opts))
 	}
 	applyIngestWorkers(src, opts)
 	run := &streamRun{opts: opts}
@@ -82,7 +112,19 @@ func CollectShard(ctx context.Context, src trace.Source, opts Options) (*Analysi
 	if !run.spilled {
 		return inMemory(analyze(ctx, run.store(), opts))
 	}
-	sh, err := run.collect(ctx)
+	sh := &AnalysisShard{
+		opts:      opts,
+		dnsTotal:  run.dnsTotal,
+		connTotal: run.connTotal,
+		failures:  run.failures,
+		resolvers: run.resolvers,
+	}
+	var mu sync.Mutex
+	err := run.collect(ctx, func(c clientResult) {
+		mu.Lock()
+		sh.clients = append(sh.clients, c)
+		mu.Unlock()
+	})
 	if err != nil {
 		return nil, analysisAborted(err)
 	}
@@ -116,8 +158,10 @@ type streamRun struct {
 	retained     int64
 	peakRetained int64
 
-	// Spill mode.
+	// Spill mode. dnsDone marks the end of the DNS stream, after which
+	// its writer has finished.
 	spilled        bool
+	dnsDone        bool
 	spillDir       string
 	ownsDir        bool
 	dnsW, connW    *spillWriter
@@ -139,25 +183,28 @@ type streamRun struct {
 	dnsOrder            []netip.Addr
 }
 
+// cleanup closes and removes the spill partitions, if any. It runs once
+// the partitions are read, and again, as a no-op, when the run returns.
 func (r *streamRun) cleanup() {
-	if r.dnsW != nil {
-		r.dnsW.close()
-	}
-	if r.connW != nil {
-		r.connW.close()
-	}
-	if r.spillDir != "" {
-		if r.ownsDir {
-			os.RemoveAll(r.spillDir)
-		} else {
-			// A caller-provided spill dir is theirs; only the scratch
-			// partitions this run created are removed.
-			for p := 0; p < spillParts; p++ {
-				os.Remove(spillPath(r.spillDir, "dns", p))
-				os.Remove(spillPath(r.spillDir, "conn", p))
-			}
+	for _, w := range []*spillWriter{r.dnsW, r.connW} {
+		if w != nil {
+			w.close()
 		}
 	}
+	if r.spillDir == "" {
+		return
+	}
+	if r.ownsDir {
+		os.RemoveAll(r.spillDir)
+	} else {
+		// A caller-provided spill dir is theirs; only the scratch
+		// partitions this run created are removed.
+		for p := 0; p < spillParts; p++ {
+			os.Remove(spillPath(r.spillDir, "dns", p))
+			os.Remove(spillPath(r.spillDir, "conn", p))
+		}
+	}
+	r.spillDir = ""
 }
 
 func spillPath(dir, stream string, p int) string {
@@ -198,6 +245,12 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 		}
 		return r.account(n + r.tables.charged - charged)
 	})
+	r.dnsDone = true
+	if err == nil && r.spilled {
+		// Every DNS frame is written: the writer's buffers go before the
+		// first connection is read.
+		err = r.dnsW.finish()
+	}
 	sp.SetItems(int(r.dnsTotal))
 	if err != nil {
 		return err
@@ -230,21 +283,16 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 		rec := r.tables.conn(c)
 		return r.account(int64(r.conns.push(&rec))*connRecBytes + r.tables.charged - charged)
 	})
-	if err == nil && !r.spilled {
-		r.conns.flatten() // ingest work: keep it inside the phase
+	// Ingest work, kept inside the phase: the resident stream's final
+	// copy, or the spill writer's last flush.
+	if err == nil && r.spilled {
+		err = r.connW.finish()
+	} else if err == nil {
+		r.conns.flatten()
 	}
 	sp.SetItems(int(r.connTotal))
 	sp.End()
-	if err != nil {
-		return err
-	}
-	if r.spilled {
-		if err := r.dnsW.flushAll(); err != nil {
-			return err
-		}
-		return r.connW.flushAll()
-	}
-	return nil
+	return err
 }
 
 // store returns the record store of a run that never spilled, whose
@@ -344,6 +392,11 @@ func (r *streamRun) trip() error {
 		r.observeDNS(&rec)
 		return r.dnsW.writeDNS(&rec)
 	})
+	if err == nil && r.dnsDone {
+		// Tripped in the connection stream: the DNS partitions are
+		// complete.
+		err = r.dnsW.finish()
+	}
 	if err != nil {
 		return err
 	}
@@ -434,14 +487,17 @@ func (b *recordBlocks[T]) each(fn func(*T) error) error {
 	return nil
 }
 
-// collect classifies the spilled trace into an AnalysisShard. The
-// producer loads one partition at a time (each holds every record of
-// its clients, since partitioning hashes the client), the consumers
-// classify per client, and the fold is commutative, so the shard — and
-// everything finalized from it — is identical for every worker count.
-func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
+// collect classifies the spilled trace and hands each classified
+// client to keep, from several goroutines at once. The producer loads
+// one partition at a time (each holds every record of its clients,
+// since partitioning hashes the client) and the consumers classify per
+// client; keep must fold commutatively, so what it builds is identical
+// for every worker count. The spill partitions are removed once read,
+// inside the phase, so the run's phases cover its end.
+func (r *streamRun) collect(ctx context.Context, keep func(clientResult)) error {
 	tr := r.opts.Trace
 	sp := tr.StartPhase("classify-spill")
+	defer sp.End()
 	// Shard ranks replicate buildShards over the whole trace:
 	// conn-originating clients in first-connection order, then DNS-only
 	// clients in first-lookup order. Ranks seed the per-client RNG
@@ -456,16 +512,6 @@ func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 			rank[c] = len(rank)
 		}
 	}
-
-	sh := &AnalysisShard{
-		opts:      r.opts,
-		dnsTotal:  r.dnsTotal,
-		connTotal: r.connTotal,
-		failures:  r.failures,
-		resolvers: append([]resolverStat(nil), r.resolvers...),
-		clients:   make([]clientResult, 0, len(rank)),
-	}
-	var mu sync.Mutex
 
 	// A job is one client of a loaded partition.
 	type job struct {
@@ -491,20 +537,17 @@ func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 	consume := func(j job) error {
 		p := j.p
 		client := p.st.addrs[p.shards.list[j.s].client]
-		c := classifyClient(&r.opts, rank[client], p.st, &p.shards, j.s)
-		mu.Lock()
-		sh.clients = append(sh.clients, c)
-		mu.Unlock()
+		keep(classifyClient(&r.opts, rank[client], p.st, &p.shards, j.s))
 		return nil
 	}
 	// Buffer a handful of clients so the producer reads the next
 	// partition while consumers classify the previous one's tail.
 	if err := parallel.Stream(ctx, r.opts.Workers, workers*2, produce, consume); err != nil {
-		return nil, err
+		return err
 	}
-	sp.SetItems(len(sh.clients))
-	sp.End()
-	return sh, nil
+	sp.SetItems(len(rank))
+	r.cleanup()
+	return nil
 }
 
 // publishMetrics records the streaming run's counters.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -120,11 +123,7 @@ func TestStreamTripPointParity(t *testing.T) {
 			o.MemoryBudget = int64(frac * float64(total))
 			run := &streamRun{opts: o}
 			src := &tripProbe{Source: trace.NewDatasetSource(ds), run: run}
-			err := run.ingest(context.Background(), src)
-			var sh *AnalysisShard
-			if err == nil {
-				sh, err = run.collect(context.Background())
-			}
+			a, err := run.analyzeSource(context.Background(), src)
 			run.cleanup()
 			if err != nil {
 				t.Fatalf("pairing=%v budget=%.2f: %v", pairing, frac, err)
@@ -133,7 +132,6 @@ func TestStreamTripPointParity(t *testing.T) {
 				t.Fatalf("pairing=%v budget=%.2f: budget never tripped", pairing, frac)
 			}
 			tripped[src.stream] = true
-			a := sh.Finalize()
 			if got, want := a.Digest(), ref.Digest(); got != want {
 				t.Errorf("pairing=%v budget=%.2f (trip in %s): digest %#016x, want %#016x",
 					pairing, frac, src.stream, got, want)
@@ -203,13 +201,18 @@ func TestStreamBoundedResidency(t *testing.T) {
 	if run.peakRetained > opts.MemoryBudget+maxRecord {
 		t.Errorf("peak retained %d bytes exceeds budget %d + slack", run.peakRetained, opts.MemoryBudget)
 	}
-	sh, err := run.collect(context.Background())
-	if err != nil {
+	var mu sync.Mutex
+	var conns, dns int
+	if err := run.collect(context.Background(), func(c clientResult) {
+		mu.Lock()
+		conns, dns = conns+len(c.entries), dns+int(c.nDNS)
+		mu.Unlock()
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if sh.ConnTotal() != len(ds.Conns) || sh.DNSTotal() != len(ds.DNS) {
-		t.Errorf("shard covers %d conns / %d dns, want %d / %d",
-			sh.ConnTotal(), sh.DNSTotal(), len(ds.Conns), len(ds.DNS))
+	if conns != len(ds.Conns) || dns != len(ds.DNS) {
+		t.Errorf("classified clients cover %d conns / %d dns, want %d / %d",
+			conns, dns, len(ds.Conns), len(ds.DNS))
 	}
 }
 
@@ -335,6 +338,103 @@ func TestMultiProcessMergeMatchesInMemory(t *testing.T) {
 	}
 	if got, want := summaryBytes(t, a), summaryBytes(t, ref); !bytes.Equal(got, want) {
 		t.Errorf("merged summary differs from in-memory:\n--- merged ---\n%s\n--- in-memory ---\n%s", got, want)
+	}
+}
+
+// repeatTrace returns the time-sorted ds followed by n-1 copies of
+// itself, each shifted past the end of the one before: the same clients
+// and resolvers, n times the records.
+func repeatTrace(ds *trace.Dataset, n int) *trace.Dataset {
+	ds.SortByTime()
+	var span time.Duration
+	if len(ds.DNS) > 0 {
+		span = ds.DNS[len(ds.DNS)-1].TS
+	}
+	if len(ds.Conns) > 0 {
+		span = max(span, ds.Conns[len(ds.Conns)-1].TS)
+	}
+	span += time.Hour
+	out := &trace.Dataset{}
+	for k := range n {
+		shift := time.Duration(k) * span
+		for _, d := range ds.DNS {
+			d.QueryTS += shift
+			d.TS += shift
+			out.DNS = append(out.DNS, d)
+		}
+		for _, c := range ds.Conns {
+			c.TS += shift
+			out.Conns = append(out.Conns, c)
+		}
+	}
+	return out
+}
+
+// budgetedLiveHeap runs a budgeted AnalyzeSource over a private copy of
+// ds and returns the analysis with the heap it keeps live: the live
+// heap after a collection with the analysis held, less the live heap
+// before the run.
+func budgetedLiveHeap(t *testing.T, ds *trace.Dataset, opts Options) (*Analysis, int64) {
+	t.Helper()
+	src := trace.NewDatasetSource(&trace.Dataset{
+		DNS:   append([]trace.DNSRecord(nil), ds.DNS...),
+		Conns: append([]trace.ConnRecord(nil), ds.Conns...),
+	})
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	before := m.HeapAlloc
+	a, err := AnalyzeSource(context.Background(), src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	runtime.KeepAlive(src)
+	return a, int64(m.HeapAlloc) - int64(before)
+}
+
+// TestBudgetedAnalysisHoldsNoPerConnectionState pins what a budgeted
+// AnalyzeSource keeps: under one budget, a trace and the same trace
+// repeated four times over (the same clients and resolvers, four times
+// the connections) must return analyses that keep the same live heap,
+// where keeping each connection's 40-byte pairing facts would grow it
+// by 40 B per connection. Both must match the in-memory run's Digest
+// and Table2 under both pairing policies.
+func TestBudgetedAnalysisHoldsNoPerConnectionState(t *testing.T) {
+	base := repeatTrace(determinismTrace(t), 4)
+	traces := []*trace.Dataset{base, repeatTrace(base, 4)}
+	extra := len(traces[1].Conns) - len(traces[0].Conns)
+	for _, pairing := range []PairingPolicy{PairMostRecent, PairRandom} {
+		opts := DefaultOptions()
+		opts.Pairing = pairing
+		opts.SCRMinSamples = 50
+		o := opts
+		o.MemoryBudget = 64 << 10
+		budgetedLiveHeap(t, base, o) // warm the runtime's one-time allocations
+		var kept [2]int64
+		for i, ds := range traces {
+			ref := analyzeCopy(ds, opts)
+			a, live := budgetedLiveHeap(t, ds, o)
+			if !a.Summary() {
+				t.Fatalf("pairing=%v: a %d-connection trace did not spill", pairing, len(ds.Conns))
+			}
+			if a.Digest() != ref.Digest() {
+				t.Errorf("pairing=%v, %d connections: digest %#016x, want %#016x",
+					pairing, len(ds.Conns), a.Digest(), ref.Digest())
+			}
+			if got, want := a.Table2(), ref.Table2(); !reflect.DeepEqual(got, want) {
+				t.Errorf("pairing=%v, %d connections: Table2 %v, want %v", pairing, len(ds.Conns), got, want)
+			}
+			kept[i] = live
+			t.Logf("pairing=%v: %d connections, the analysis keeps %d B live", pairing, len(ds.Conns), live)
+		}
+		// Four bytes per added connection is far below the 40 that
+		// pairing facts take and far above the collector's noise.
+		if grow := kept[1] - kept[0]; grow > 4*int64(extra) {
+			t.Errorf("pairing=%v: the kept heap grew by %d B for %d more connections (%.1f B each)",
+				pairing, grow, extra, float64(grow)/float64(extra))
+		}
 	}
 }
 

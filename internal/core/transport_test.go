@@ -39,7 +39,7 @@ func TestExplicitUDPTransportMatchesGolden(t *testing.T) {
 			opts.SCRMinSamples = 50
 			opts.Workers = workers
 			a := analyzeCopy(ds, opts)
-			report, paired, checkpoint := hashAnalysis(t, a, eco.Profiles)
+			report, paired, checkpoint := hashAnalysis(t, a, collectCopy(t, ds, opts), eco.Profiles)
 			if report != want.report || paired != want.paired || checkpoint != want.checkpoint {
 				t.Errorf("pairing=%v workers=%d: explicit udp transport broke golden parity: %#016x/%#016x/%#016x",
 					pairing, workers, report, paired, checkpoint)
@@ -79,7 +79,7 @@ func TestTransportMatrixDigestParity(t *testing.T) {
 			opts.SCRMinSamples = 50
 			opts.Workers = workers
 			a := analyzeCopy(ds, opts)
-			report, paired, checkpoint := hashAnalysis(t, a, eco.Profiles)
+			report, paired, checkpoint := hashAnalysis(t, a, collectCopy(t, ds, opts), eco.Profiles)
 			if i == 0 {
 				base = [3]uint64{report, paired, checkpoint}
 				continue

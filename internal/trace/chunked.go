@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"slices"
 
 	"dnscontext/internal/parallel"
 )
@@ -197,7 +198,7 @@ const minRecordLine = 17
 // minRecordLine if that is smaller, so short blank and comment lines,
 // which advance the line counter only (as in the serial scanners),
 // cannot inflate it.
-func parseChunkLines[R any](c ingestChunk, recs []R, parse func(lineNo int, line []byte) (R, error)) parsedChunk[R] {
+func parseChunkLines[R any](c ingestChunk, recs []R, parse func(lineNo int, line []byte, rec *R) error) parsedChunk[R] {
 	if n := min(c.lines, len(c.data)/minRecordLine); cap(recs) < n {
 		recs = make([]R, 0, n+n/16)
 	}
@@ -218,12 +219,14 @@ func parseChunkLines[R any](c ingestChunk, recs []R, parse func(lineNo int, line
 		if len(ln) == 0 || ln[0] == '#' {
 			continue
 		}
-		rec, err := parse(line, ln)
-		if err != nil {
-			pc.fails = append(pc.fails, lineFailure{line: line, before: len(pc.recs), text: string(ln), err: err})
-			continue
+		// Parse into the next slot in place; a failed line gives it
+		// back.
+		n := len(pc.recs)
+		pc.recs = slices.Grow(pc.recs, 1)[:n+1]
+		if err := parse(line, ln, &pc.recs[n]); err != nil {
+			pc.recs = pc.recs[:n]
+			pc.fails = append(pc.fails, lineFailure{line: line, before: n, text: string(ln), err: err})
 		}
-		pc.recs = append(pc.recs, rec)
 	}
 	return pc
 }
@@ -319,13 +322,27 @@ func chunksAhead(w int) int { return 2 * w }
 // back to states once the merge has yielded every record in it: the
 // Source contract limits a yielded pointer to the call.
 func scanChunked[R any](inputs []streamInput, workers, chunkBytes int, policy ErrorPolicy, states *parseStates[R],
-	parse func(lineNo int, line []byte, st *parseState) (R, error),
+	parse func(lineNo int, line []byte, st *parseState, rec *R) error,
 	yield func(*R) error) error {
 
 	// The replay counters are per input, as a serial scan's are.
 	var input, lines, nQuar int
+	// done hands policy.Done the tallies of the inputs before upTo not
+	// yet handed over: the current input's counters, and zeros for an
+	// empty input, which yields no chunk.
+	tallied := 0
+	done := func(upTo int) {
+		for ; tallied < upTo && policy.Done != nil; tallied++ {
+			var st ScanStats
+			if tallied == input {
+				st = ScanStats{Lines: lines, Records: lines - nQuar, Quarantined: nQuar}
+			}
+			policy.Done(inputs[tallied].path, st)
+		}
+	}
 	replay := func(pc parsedChunk[R]) error {
 		if pc.input != input {
+			done(pc.input)
 			input, lines, nQuar = pc.input, 0, 0
 		}
 		next := 0
@@ -348,7 +365,7 @@ func scanChunked[R any](inputs []streamInput, workers, chunkBytes int, policy Er
 				return f.err
 			}
 			nQuar++
-			q := Quarantined{Line: f.line, Text: f.text, Err: f.err}
+			q := Quarantined{Path: inputs[pc.input].path, Line: f.line, Text: f.text, Err: f.err}
 			if policy.Sink != nil {
 				policy.Sink(q)
 			}
@@ -366,6 +383,11 @@ func scanChunked[R any](inputs []streamInput, workers, chunkBytes int, policy Er
 		return nil
 	}
 	var err error
+	// readTo is the first input the producer could not read to its end.
+	// A producer error does not stop the merge, which replays every
+	// chunk emitted before it, so unless the replay itself failed, the
+	// inputs before readTo are complete once the stream returns.
+	readTo, replayFailed := len(inputs), false
 	// Label the scan so profiles attribute parse samples to the stage;
 	// the chunk workers inherit the label from this goroutine.
 	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "scan"), func(ctx context.Context) {
@@ -375,6 +397,7 @@ func scanChunked[R any](inputs []streamInput, workers, chunkBytes int, policy Er
 					if err := in.read(func(r io.Reader) error {
 						return produceIngestChunks(r, i, chunkBytes, states.buf, emit)
 					}); err != nil {
+						readTo = i
 						return err
 					}
 				}
@@ -382,16 +405,21 @@ func scanChunked[R any](inputs []streamInput, workers, chunkBytes int, policy Er
 			},
 			func(c ingestChunk) (parsedChunk[R], error) {
 				st := states.get()
-				pc := parseChunkLines(c, states.recs(), func(lineNo int, line []byte) (R, error) {
-					return parse(lineNo, line, st)
+				pc := parseChunkLines(c, states.recs(), func(lineNo int, line []byte, rec *R) error {
+					return parse(lineNo, line, st, rec)
 				})
 				states.put(st)
 				states.putBuf(c.data)
 				return pc, nil
 			},
 			func(pc parsedChunk[R]) error {
-				return inputs[pc.input].annotate(replay(pc))
+				err := replay(pc)
+				replayFailed = err != nil
+				return inputs[pc.input].annotate(err)
 			})
 	})
+	if !replayFailed {
+		done(readTo)
+	}
 	return err
 }

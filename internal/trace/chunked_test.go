@@ -97,7 +97,7 @@ func assertScanParity(t *testing.T, label string,
 		t.Fatalf("%s: quarantine count mismatch: serial %d vs chunked %d", label, len(wantQuar), len(gotQuar))
 	}
 	for i := range wantQuar {
-		if wantQuar[i].Line != gotQuar[i].Line || wantQuar[i].Text != gotQuar[i].Text ||
+		if wantQuar[i].Path != gotQuar[i].Path || wantQuar[i].Line != gotQuar[i].Line || wantQuar[i].Text != gotQuar[i].Text ||
 			wantQuar[i].Err.Error() != gotQuar[i].Err.Error() {
 			t.Fatalf("%s: quarantine %d mismatch:\nserial:  %+v\nchunked: %+v", label, i, wantQuar[i], gotQuar[i])
 		}
@@ -351,14 +351,25 @@ func writeDNSParts(t *testing.T, edit func(part int, lines []string) string) str
 	return dir
 }
 
+// inputTally is what ErrorPolicy.Done receives for one input.
+type inputTally struct {
+	path  string
+	stats ScanStats
+}
+
 // serialScanEachFile is the reference for a DirSource: a serial scanner
 // over each partition file in name order, with the file's path on its
-// error, stopping at the first error.
-func serialScanEachFile(t *testing.T, dir string, policy ErrorPolicy) ([]DNSRecord, []Quarantined, error) {
+// error and its quarantined lines, and its tally once read, stopping at
+// the first error.
+func serialScanEachFile(t *testing.T, dir string, policy ErrorPolicy) ([]DNSRecord, []Quarantined, []inputTally, error) {
 	t.Helper()
 	var quar []Quarantined
+	var path string
 	if policy.Quarantine {
-		policy.Sink = func(q Quarantined) { quar = append(quar, q) }
+		policy.Sink = func(q Quarantined) {
+			q.Path = path
+			quar = append(quar, q)
+		}
 	}
 	paths, err := filepath.Glob(filepath.Join(dir, "*.dns.tsv"))
 	if err != nil {
@@ -366,10 +377,11 @@ func serialScanEachFile(t *testing.T, dir string, policy ErrorPolicy) ([]DNSReco
 	}
 	sort.Strings(paths)
 	var recs []DNSRecord
-	for _, path := range paths {
+	var tallies []inputTally
+	for _, path = range paths {
 		f, err := os.Open(path)
 		if err != nil {
-			return recs, quar, err
+			return recs, quar, tallies, err
 		}
 		sc := NewDNSScanner(f, policy)
 		for sc.Scan() {
@@ -377,10 +389,11 @@ func serialScanEachFile(t *testing.T, dir string, policy ErrorPolicy) ([]DNSReco
 		}
 		f.Close()
 		if err := sc.Err(); err != nil {
-			return recs, quar, fmt.Errorf("%s: %w", path, err)
+			return recs, quar, tallies, fmt.Errorf("%s: %w", path, err)
 		}
+		tallies = append(tallies, inputTally{path, sc.Stats()})
 	}
-	return recs, quar, nil
+	return recs, quar, tallies, nil
 }
 
 // TestDirSourceMultiFileParity: the one chunk pipeline a DirSource runs
@@ -389,11 +402,13 @@ func serialScanEachFile(t *testing.T, dir string, policy ErrorPolicy) ([]DNSReco
 // under a strict failure in file 2, quarantined lines in files 1 and 3
 // with the budget tripping in file 3 (the budget counts per file, so a
 // pipeline that carried counts across files would trip at file 3's
-// first line), files without a trailing newline, and a dangling
-// partition symlink last. It runs through DirSource at Workers 1, 2
-// and 8, and through the pipeline itself at chunk sizes down to one
-// byte, so pooled buffers are overwritten long before the records
-// parsed from them are compared.
+// first line), files without a trailing newline, an empty file, and a
+// dangling partition symlink last. Quarantined lines must name their
+// file, and ErrorPolicy.Done must get each file's tally, an empty
+// file's included. It runs through DirSource at Workers 1, 2 and 8,
+// and through the pipeline itself at chunk sizes down to one byte, so
+// pooled buffers are overwritten long before the records parsed from
+// them are compared.
 func TestDirSourceMultiFileParity(t *testing.T) {
 	join := func(lines []string) string { return strings.Join(lines, "\n") + "\n" }
 	corrupt := "CORRUPT\tline"
@@ -433,6 +448,17 @@ func TestDirSourceMultiFileParity(t *testing.T) {
 				return join(lines)
 			})
 		}, ""},
+		{"empty file", QuarantineAll(), func() string {
+			return writeDNSParts(t, func(p int, lines []string) string {
+				switch p {
+				case 0:
+					return ""
+				case 2:
+					lines[7] = corrupt
+				}
+				return join(lines)
+			})
+		}, ""},
 		{"dangling symlink last", Strict(), func() string {
 			dir := writeDNSParts(t, func(_ int, lines []string) string { return join(lines) })
 			last := filepath.Join(dir, "part-3.dns.tsv")
@@ -447,46 +473,51 @@ func TestDirSourceMultiFileParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		dir := tc.dir()
-		wantRecs, wantQuar, wantErr := serialScanEachFile(t, dir, tc.policy)
+		wantRecs, wantQuar, wantTallies, wantErr := serialScanEachFile(t, dir, tc.policy)
 		if tc.want == "" && wantErr != nil || tc.want != "" && (wantErr == nil || !strings.Contains(wantErr.Error(), tc.want)) {
 			t.Fatalf("%s: reference error %v, want one containing %q", tc.name, wantErr, tc.want)
 		}
-		check := func(label string, recs []DNSRecord, quar []Quarantined, err error) {
+		check := func(label string, recs []DNSRecord, quar []Quarantined, tallies []inputTally, err error) {
 			t.Helper()
 			assertScanParity(t, tc.name+": "+label, wantRecs, recs, wantQuar, quar, wantErr, err)
+			if !reflect.DeepEqual(tallies, wantTallies) {
+				t.Fatalf("%s: %s: tallies %+v, serial %+v", tc.name, label, tallies, wantTallies)
+			}
 			var wb, gb *BudgetError
 			if errors.As(wantErr, &wb) != errors.As(err, &gb) ||
 				wb != nil && (wb.Quarantined != gb.Quarantined || wb.Lines != gb.Lines || wb.Last.Line != gb.Last.Line) {
 				t.Fatalf("%s: %s: budget error %+v, serial %+v", tc.name, label, gb, wb)
 			}
 		}
-		collect := func(policy ErrorPolicy, scan func(ErrorPolicy, func(*DNSRecord) error) error) ([]DNSRecord, []Quarantined, error) {
+		collect := func(policy ErrorPolicy, scan func(ErrorPolicy, func(*DNSRecord) error) error) ([]DNSRecord, []Quarantined, []inputTally, error) {
 			var recs []DNSRecord
 			var quar []Quarantined
+			var tallies []inputTally
 			if policy.Quarantine {
 				policy.Sink = func(q Quarantined) { quar = append(quar, q) }
 			}
+			policy.Done = func(path string, st ScanStats) { tallies = append(tallies, inputTally{path, st}) }
 			err := scan(policy, func(d *DNSRecord) error { recs = append(recs, *d); return nil })
-			return recs, quar, err
+			return recs, quar, tallies, err
 		}
 		for _, workers := range []int{1, 2, 8} {
-			recs, quar, err := collect(tc.policy, func(policy ErrorPolicy, yield func(*DNSRecord) error) error {
+			recs, quar, tallies, err := collect(tc.policy, func(policy ErrorPolicy, yield func(*DNSRecord) error) error {
 				src := NewDirSource(dir, policy)
 				src.SetIngestWorkers(workers)
 				return src.StreamDNS(yield)
 			})
-			check(fmt.Sprintf("DirSource workers=%d", workers), recs, quar, err)
+			check(fmt.Sprintf("DirSource workers=%d", workers), recs, quar, tallies, err)
 		}
 		for _, workers := range []int{2, 8} {
 			for _, chunkBytes := range []int{1, 7, 100, 4096} {
-				recs, quar, err := collect(tc.policy, func(policy ErrorPolicy, yield func(*DNSRecord) error) error {
+				recs, quar, tallies, err := collect(tc.policy, func(policy ErrorPolicy, yield func(*DNSRecord) error) error {
 					inputs, err := (&DirSource{dir: dir}).partitions(".dns.tsv", ".dns.log")
 					if err != nil {
 						return err
 					}
 					return scanChunked(inputs, workers, chunkBytes, policy, newParseStates[DNSRecord](workers), parseDNSLineBytes, yield)
 				})
-				check(fmt.Sprintf("pipeline workers=%d chunk=%d", workers, chunkBytes), recs, quar, err)
+				check(fmt.Sprintf("pipeline workers=%d chunk=%d", workers, chunkBytes), recs, quar, tallies, err)
 			}
 		}
 	}
@@ -501,18 +532,57 @@ func TestShortestRecordLine(t *testing.T) {
 	if len(shortest) != minRecordLine {
 		t.Fatalf("shortest line is %d bytes, minRecordLine %d", len(shortest), minRecordLine)
 	}
-	if _, err := parseDNSLineBytes(1, []byte(shortest), st); err != nil {
+	var d DNSRecord
+	if err := parseDNSLineBytes(1, []byte(shortest), st, &d); err != nil {
 		t.Fatalf("shortest DNS line: %v", err)
 	}
 	for i := range shortest {
 		cut := shortest[:i] + shortest[i+1:]
-		if _, err := parseDNSLineBytes(1, []byte(cut), st); err == nil {
+		if err := parseDNSLineBytes(1, []byte(cut), st, &d); err == nil {
 			t.Errorf("DNS line %q of %d bytes parses", cut, len(cut))
 		}
 	}
 	conn := "0\t0\ttcp\t::\t0\t::\t0\t0\t0"
-	if _, err := parseConnLineBytes(1, []byte(conn), st); err != nil || len(conn) < minRecordLine {
+	var c ConnRecord
+	if err := parseConnLineBytes(1, []byte(conn), st, &c); err != nil || len(conn) < minRecordLine {
 		t.Fatalf("shortest connection line (%d bytes): %v", len(conn), err)
+	}
+}
+
+// TestParseInPlaceWritesEveryField: the parsers fill a reused slot, so
+// a line parsed into a slot holding another record, every field set,
+// must come out as it does from a zeroed slot: an answerless, a
+// 9-field and a 'F' line must clear what the stale record had.
+func TestParseInPlaceWritesEveryField(t *testing.T) {
+	st := newParseState()
+	addr := netip.MustParseAddr("192.0.2.9")
+	staleDNS := DNSRecord{QueryTS: 1, TS: 2, Client: addr, Resolver: addr, ID: 3, Query: "stale.example",
+		QType: 4, RCode: 5, Answers: []Answer{{Addr: addr, TTL: 6}}, Retries: 7, TC: true}
+	for _, line := range []string{
+		"1.000000\t1.010000\t10.1.0.1\t8.8.8.8\t5\thost.example\t1\t0\t203.0.113.1/30.000000\t0\tF",
+		"1.000000\t1.010000\t10.1.0.1\t8.8.8.8\t5\thost.example\t28\t0\t-\t2\tT",
+		"1.000000\t1.010000\t10.1.0.1\t8.8.8.8\t5\thost.example\t1\t0\t203.0.113.1/30.000000",
+		"1.000000\t1.010000\t::1\t::\t0\t\t0\t0\t-",
+	} {
+		var want DNSRecord
+		if err := parseDNSLineBytes(1, []byte(line), st, &want); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		got := staleDNS
+		if err := parseDNSLineBytes(1, []byte(line), st, &got); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%q into a used slot: %+v (err %v), want %+v", line, got, err, want)
+		}
+	}
+	staleConn := ConnRecord{TS: 1, Duration: 2, Proto: UDP, Orig: addr, OrigPort: 3, Resp: addr, RespPort: 4,
+		OrigBytes: 5, RespBytes: 6}
+	line := "0.500000\t0.000000\ttcp\t10.1.0.1\t0\t203.0.113.1\t0\t0\t0"
+	var want ConnRecord
+	if err := parseConnLineBytes(1, []byte(line), st, &want); err != nil {
+		t.Fatal(err)
+	}
+	got := staleConn
+	if err := parseConnLineBytes(1, []byte(line), st, &got); err != nil || got != want {
+		t.Errorf("%q into a used slot: %+v (err %v), want %+v", line, got, err, want)
 	}
 }
 

@@ -70,6 +70,9 @@ func (b ErrorBudget) Exceeded(quarantined, processed int) bool {
 // Quarantined is one malformed line diverted instead of aborting the
 // scan: where it was, what it said, and why it failed to parse.
 type Quarantined struct {
+	// Path is the file the line is in: a DirSource partition's path. It
+	// is empty for a line read from an io.Reader.
+	Path string
 	// Line is the 1-based physical line number in the input.
 	Line int
 	// Text is the raw line.
@@ -92,6 +95,10 @@ type ErrorPolicy struct {
 	// diverted and the scanner retains nothing. With a nil Sink the
 	// scanner retains quarantined lines for Quarantined().
 	Sink func(Quarantined)
+	// Done, when non-nil, receives a Source's tally of each input it
+	// has read to the end without error, in input order: the input's
+	// path (empty for an io.Reader) and its line counts.
+	Done func(path string, stats ScanStats)
 }
 
 // Strict returns the fail-fast policy (the zero ErrorPolicy).
@@ -152,6 +159,7 @@ type scanner struct {
 	sc     *bufio.Scanner
 	policy ErrorPolicy
 	st     *parseState
+	path   string // the input's, for Quarantined.Path
 
 	line  int // physical line number of the last line read
 	lines int // data lines processed
@@ -214,7 +222,7 @@ func (s *scanner) next(parse func(lineNo int, line []byte) error) bool {
 		}
 		s.nQuar++
 		s.quarantinedC.Inc()
-		q := Quarantined{Line: s.line, Text: string(line), Err: perr}
+		q := Quarantined{Path: s.path, Line: s.line, Text: string(line), Err: perr}
 		if s.policy.Sink != nil {
 			s.policy.Sink(q)
 		} else {
@@ -268,12 +276,7 @@ func (s *DNSScanner) Observe(reg *obs.Registry) { s.observe(reg, "dns") }
 // error (see Err).
 func (s *DNSScanner) Scan() bool {
 	return s.next(func(lineNo int, line []byte) error {
-		rec, err := parseDNSLineBytes(lineNo, line, s.st)
-		if err != nil {
-			return err
-		}
-		s.rec = rec
-		return nil
+		return parseDNSLineBytes(lineNo, line, s.st, &s.rec)
 	})
 }
 
@@ -300,12 +303,7 @@ func (s *ConnScanner) Observe(reg *obs.Registry) { s.observe(reg, "conn") }
 // error (see Err).
 func (s *ConnScanner) Scan() bool {
 	return s.next(func(lineNo int, line []byte) error {
-		rec, err := parseConnLineBytes(lineNo, line, s.st)
-		if err != nil {
-			return err
-		}
-		s.rec = rec
-		return nil
+		return parseConnLineBytes(lineNo, line, s.st, &s.rec)
 	})
 }
 

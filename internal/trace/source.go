@@ -108,10 +108,10 @@ func (s *ScannerSource) StreamConns(yield func(*ConnRecord) error) error {
 // streamRecords scans the inputs of one stream in order: through one
 // chunk pipeline when workers exceeds one, else with the serial scanner
 // core, one scanner per input sharing one parse state. Either way each
-// input keeps its own line numbers and budget counters, and its errors
-// carry its path.
+// input keeps its own line numbers and budget counters, its errors and
+// quarantined lines carry its path, and policy.Done gets its tally.
 func streamRecords[R any](inputs []streamInput, policy ErrorPolicy, workers int,
-	parse func(lineNo int, line []byte, st *parseState) (R, error), yield func(*R) error) error {
+	parse func(lineNo int, line []byte, st *parseState, rec *R) error, yield func(*R) error) error {
 	if workers > 1 {
 		return scanChunked(inputs, workers, ingestChunkBytes, policy, newParseStates[R](workers), parse, yield)
 	}
@@ -119,19 +119,26 @@ func streamRecords[R any](inputs []streamInput, policy ErrorPolicy, workers int,
 	for _, in := range inputs {
 		if err := in.read(func(r io.Reader) error {
 			sc := newScanner(r, policy, st)
-			// One record, reused: yield's pointer is valid only for the
-			// call, so no per-record copy is needed.
+			sc.path = in.path
+			// One record, parsed in place and reused: yield's pointer
+			// is valid only for the call, so no per-record copy is
+			// needed.
 			var rec R
-			parseLine := func(lineNo int, line []byte) (err error) {
-				rec, err = parse(lineNo, line, st)
-				return err
+			parseLine := func(lineNo int, line []byte) error {
+				return parse(lineNo, line, st, &rec)
 			}
 			for sc.next(parseLine) {
 				if err := yield(&rec); err != nil {
 					return err
 				}
 			}
-			return sc.Err()
+			if err := sc.Err(); err != nil {
+				return err
+			}
+			if policy.Done != nil {
+				policy.Done(in.path, sc.Stats())
+			}
+			return nil
 		}); err != nil {
 			return err
 		}

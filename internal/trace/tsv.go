@@ -134,49 +134,51 @@ func appendDNSLine(b []byte, d *DNSRecord) []byte {
 	return append(b, "\tF\n"...)
 }
 
-// parseDNSLineBytes parses one data line in place: fields are located
-// by index in the scanner's line buffer, numbers and addresses parse
-// without materializing per-field strings, the query name is interned
-// through st.names, and the answers land in st's shared arena. Accepted
-// inputs, values, and error text are exactly those of the historical
-// strings.Split parser.
-func parseDNSLineBytes(lineNo int, line []byte, st *parseState) (DNSRecord, error) {
-	var d DNSRecord
+// parseDNSLineBytes parses one data line in place into *d: fields are
+// located by index in the scanner's line buffer, numbers and addresses
+// parse without materializing per-field strings, the query name is
+// interned through st.names, and the answers land in st's shared arena.
+// Every field of *d is written, so the caller's slot need not be
+// zeroed first; on an error, *d holds a partial record to discard.
+// Accepted inputs, values, and error text are exactly those of the
+// historical strings.Split parser.
+func parseDNSLineBytes(lineNo int, line []byte, st *parseState, d *DNSRecord) error {
 	f, nf := tabFields(line)
 	// 9 fields is the pre-fault format (no retries/tc columns);
 	// accept it so existing trace files keep loading.
 	if nf != 9 && nf != 11 {
-		return d, fmt.Errorf("trace: dns line %d: %d fields, want 9 or 11", lineNo, nf)
+		return fmt.Errorf("trace: dns line %d: %d fields, want 9 or 11", lineNo, nf)
 	}
 	var err error
 	if d.QueryTS, err = parseSecsBytes(f[0]); err != nil {
-		return d, fmt.Errorf("trace: dns line %d query_ts: %w", lineNo, err)
+		return fmt.Errorf("trace: dns line %d query_ts: %w", lineNo, err)
 	}
 	if d.TS, err = parseSecsBytes(f[1]); err != nil {
-		return d, fmt.Errorf("trace: dns line %d ts: %w", lineNo, err)
+		return fmt.Errorf("trace: dns line %d ts: %w", lineNo, err)
 	}
 	if d.Client, err = parseAddrBytes(f[2]); err != nil {
-		return d, fmt.Errorf("trace: dns line %d client: %w", lineNo, err)
+		return fmt.Errorf("trace: dns line %d client: %w", lineNo, err)
 	}
 	if d.Resolver, err = parseAddrBytes(f[3]); err != nil {
-		return d, fmt.Errorf("trace: dns line %d resolver: %w", lineNo, err)
+		return fmt.Errorf("trace: dns line %d resolver: %w", lineNo, err)
 	}
 	id, err := parseUintBytes(f[4], 16)
 	if err != nil {
-		return d, fmt.Errorf("trace: dns line %d id: %w", lineNo, err)
+		return fmt.Errorf("trace: dns line %d id: %w", lineNo, err)
 	}
 	d.ID = uint16(id)
 	d.Query = st.names.Canonical(f[5])
 	qt, err := parseUintBytes(f[6], 16)
 	if err != nil {
-		return d, fmt.Errorf("trace: dns line %d qtype: %w", lineNo, err)
+		return fmt.Errorf("trace: dns line %d qtype: %w", lineNo, err)
 	}
 	d.QType = uint16(qt)
 	rc, err := parseUintBytes(f[7], 8)
 	if err != nil {
-		return d, fmt.Errorf("trace: dns line %d rcode: %w", lineNo, err)
+		return fmt.Errorf("trace: dns line %d rcode: %w", lineNo, err)
 	}
 	d.RCode = uint8(rc)
+	d.Answers = nil
 	if !bytes.Equal(f[8], dashField) {
 		st.answers = st.answers[:0]
 		rest := f[8]
@@ -189,41 +191,41 @@ func parseDNSLineBytes(lineNo int, line []byte, st *parseState) (DNSRecord, erro
 			}
 			addr, ttlStr, ok := bytes.Cut(part, slashSep)
 			if !ok {
-				return d, fmt.Errorf("trace: dns line %d answer %q missing ttl", lineNo, part)
+				return fmt.Errorf("trace: dns line %d answer %q missing ttl", lineNo, part)
 			}
 			var a Answer
 			if a.Addr, err = parseAddrBytes(addr); err != nil {
-				return d, fmt.Errorf("trace: dns line %d answer addr: %w", lineNo, err)
+				return fmt.Errorf("trace: dns line %d answer addr: %w", lineNo, err)
 			}
 			// Zone identifiers may contain commas, which would corrupt
 			// the comma-joined answers field on the next write; no DNS
 			// answer legitimately carries one.
 			if a.Addr.Zone() != "" {
-				return d, fmt.Errorf("trace: dns line %d answer addr %q has a zone", lineNo, addr)
+				return fmt.Errorf("trace: dns line %d answer addr %q has a zone", lineNo, addr)
 			}
 			if a.TTL, err = parseSecsBytes(ttlStr); err != nil {
-				return d, fmt.Errorf("trace: dns line %d answer ttl: %w", lineNo, err)
+				return fmt.Errorf("trace: dns line %d answer ttl: %w", lineNo, err)
 			}
 			st.answers = append(st.answers, a)
 		}
 		d.Answers = st.arena.take(st.answers)
 	}
+	d.Retries, d.TC = 0, false
 	if nf == 11 {
 		rt, err := parseUintBytes(f[9], 8)
 		if err != nil {
-			return d, fmt.Errorf("trace: dns line %d retries: %w", lineNo, err)
+			return fmt.Errorf("trace: dns line %d retries: %w", lineNo, err)
 		}
 		d.Retries = uint8(rt)
 		switch {
 		case len(f[10]) == 1 && f[10][0] == 'T':
 			d.TC = true
 		case len(f[10]) == 1 && f[10][0] == 'F':
-			d.TC = false
 		default:
-			return d, fmt.Errorf("trace: dns line %d tc: %q, want T or F", lineNo, f[10])
+			return fmt.Errorf("trace: dns line %d tc: %q, want T or F", lineNo, f[10])
 		}
 	}
-	return d, nil
+	return nil
 }
 
 var (
@@ -284,20 +286,19 @@ func appendConnLine(b []byte, c *ConnRecord) []byte {
 	return append(b, '\n')
 }
 
-// parseConnLineBytes parses one data line in place; see
-// parseDNSLineBytes for the zero-copy contract.
-func parseConnLineBytes(lineNo int, line []byte, st *parseState) (ConnRecord, error) {
-	var c ConnRecord
+// parseConnLineBytes parses one data line in place into *c, writing
+// every field; see parseDNSLineBytes for the zero-copy contract.
+func parseConnLineBytes(lineNo int, line []byte, st *parseState, c *ConnRecord) error {
 	f, nf := tabFields(line)
 	if nf != 9 {
-		return c, fmt.Errorf("trace: conn line %d: %d fields, want 9", lineNo, nf)
+		return fmt.Errorf("trace: conn line %d: %d fields, want 9", lineNo, nf)
 	}
 	var err error
 	if c.TS, err = parseSecsBytes(f[0]); err != nil {
-		return c, fmt.Errorf("trace: conn line %d ts: %w", lineNo, err)
+		return fmt.Errorf("trace: conn line %d ts: %w", lineNo, err)
 	}
 	if c.Duration, err = parseSecsBytes(f[1]); err != nil {
-		return c, fmt.Errorf("trace: conn line %d duration: %w", lineNo, err)
+		return fmt.Errorf("trace: conn line %d duration: %w", lineNo, err)
 	}
 	switch {
 	case bytes.Equal(f[2], protoTCP):
@@ -306,32 +307,32 @@ func parseConnLineBytes(lineNo int, line []byte, st *parseState) (ConnRecord, er
 		c.Proto = UDP
 	default:
 		if c.Proto, err = ParseProto(string(f[2])); err != nil {
-			return c, fmt.Errorf("trace: conn line %d: %w", lineNo, err)
+			return fmt.Errorf("trace: conn line %d: %w", lineNo, err)
 		}
 	}
 	if c.Orig, err = parseAddrBytes(f[3]); err != nil {
-		return c, fmt.Errorf("trace: conn line %d orig: %w", lineNo, err)
+		return fmt.Errorf("trace: conn line %d orig: %w", lineNo, err)
 	}
 	op, err := parseUintBytes(f[4], 16)
 	if err != nil {
-		return c, fmt.Errorf("trace: conn line %d orig_port: %w", lineNo, err)
+		return fmt.Errorf("trace: conn line %d orig_port: %w", lineNo, err)
 	}
 	c.OrigPort = uint16(op)
 	if c.Resp, err = parseAddrBytes(f[5]); err != nil {
-		return c, fmt.Errorf("trace: conn line %d resp: %w", lineNo, err)
+		return fmt.Errorf("trace: conn line %d resp: %w", lineNo, err)
 	}
 	rp, err := parseUintBytes(f[6], 16)
 	if err != nil {
-		return c, fmt.Errorf("trace: conn line %d resp_port: %w", lineNo, err)
+		return fmt.Errorf("trace: conn line %d resp_port: %w", lineNo, err)
 	}
 	c.RespPort = uint16(rp)
 	if c.OrigBytes, err = parseIntBytes(f[7]); err != nil {
-		return c, fmt.Errorf("trace: conn line %d orig_bytes: %w", lineNo, err)
+		return fmt.Errorf("trace: conn line %d orig_bytes: %w", lineNo, err)
 	}
 	if c.RespBytes, err = parseIntBytes(f[8]); err != nil {
-		return c, fmt.Errorf("trace: conn line %d resp_bytes: %w", lineNo, err)
+		return fmt.Errorf("trace: conn line %d resp_bytes: %w", lineNo, err)
 	}
-	return c, nil
+	return nil
 }
 
 var (
