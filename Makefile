@@ -64,31 +64,38 @@ obs-determinism:
 # tests pin it, the zone tests check that spill frames and shard files
 # keep IPv6 zones, and the pinned fingerprint keeps old snapshots
 # resumable. Spill frames carry names and answer lists longer than
-# 65,535 whole. On the ingest side, a DirSource's one chunk pipeline
-# over all its files must match a serial scan of each file (records,
-# quarantined lines, budget counts, file-prefixed errors) at Workers
-# 1/2/8 and chunk sizes down to one byte, quarantined lines naming their
-# file. A budgeted run must stay within what its budget and constants
-# bound: under one budget, a trace and four times its connections must
-# leave analyses of the same live heap, with the in-memory Digest and
-# Table2 (TestBudgetedAnalysisHoldsNoPerConnectionState). End to end,
+# 65,535 whole. Every path groups its records by client through one
+# counting sort, whose client order seeds the per-client RNG streams:
+# it must match a map-based reference grouping over a generated trace,
+# a hand-built store, an empty one and a reloaded spill partition
+# (TestBuildShardsMatchesReference). On the ingest side, a DirSource's
+# one chunk pipeline over all its files must match a serial scan of
+# each file (records, quarantined lines, budget counts, file-prefixed
+# errors) at Workers 1/2/8 and chunk sizes down to one byte, quarantined
+# lines naming their file. A budgeted run must stay within what its
+# budget and constants bound: under one budget, a trace and four times
+# its connections must leave analyses of the same live heap, with the
+# in-memory Digest and Table2
+# (TestBudgetedAnalysisHoldsNoPerConnectionState). End to end,
 # the dnsctx command must print one report for a TSV pair, a partition
 # directory and a JSON pair at GOMAXPROCS 1 and 2, one summary for a
 # spilling run and a shard merge, and refuse every conflicting flag set
 # with exit 2 (TestEndToEnd). Also covered by `race`, but named so the
 # gate is visible.
 stream-parity:
-	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory|TestReference|TestCrashResumeDeterminism|TestResume|TestResidentRecordsPointerFree|TestStoreRoundTrip|TestStoreSameFromDatasetAndStream|KeepsAddressZones|TestCheckpointFingerprintPinned|TestSpillWideFrames|TestBudgetedAnalysisHoldsNoPerConnectionState' -count=1
+	$(GO) test ./internal/core -run='TestStreamParityWithInMemory|TestMultiProcessMergeMatchesInMemory|TestReference|TestCrashResumeDeterminism|TestResume|TestResidentRecordsPointerFree|TestStoreRoundTrip|TestStoreSameFromDatasetAndStream|KeepsAddressZones|TestCheckpointFingerprintPinned|TestSpillWideFrames|TestBudgetedAnalysisHoldsNoPerConnectionState|TestBuildShardsMatchesReference' -count=1
 	$(GO) test ./internal/trace -run='^TestDirSourceMultiFileParity$$' -count=1
 	$(GO) test ./cmd/dnsctx -run='^TestEndToEnd$$' -count=1
 
 # Transport matrix: the default (Do53) transport must reproduce the
-# pre-transport golden hashes bit for bit, and every transport's trace
+# pre-transport golden hashes bit for bit, every transport's trace
 # must analyze digest-identically at Workers 1, 2, and 8 under nonzero
-# faults (the PR 7 encrypted-transport invariant). Also covered by
+# faults (the PR 7 encrypted-transport invariant), and the transport
+# what-if's rows over a faulted trace must match their pinned hash at
+# Workers 1, 2, and 8 under both pairing policies. Also covered by
 # `race`, but named so the gate is visible.
 transport-matrix:
-	$(GO) test ./internal/core -run='TestGoldenOutputsBitIdentical|TestExplicitUDPTransportMatchesGolden|TestTransportMatrixDigestParity' -count=1
+	$(GO) test ./internal/core -run='TestGoldenOutputsBitIdentical|TestExplicitUDPTransportMatchesGolden|TestTransportMatrixDigestParity|TestTransportWhatIfGolden' -count=1
 
 # Report parity: the rendered report and every figure CSV must match
 # their pinned hashes (the fault-free golden, and a faulted trace that

@@ -81,15 +81,10 @@ func analyze(ctx context.Context, st *recordStore, opts Options) (*Analysis, *An
 	sp := tr.StartPhase("shard")
 	a := &Analysis{Opts: opts, st: st, connTotal: len(st.conns), dnsTotal: len(st.dns),
 		digest: totalsDigest(len(st.conns), len(st.dns))}
-	var err error
 	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "shard"), func(context.Context) {
-		a.shards, err = buildShards(ctx, opts.Workers, st)
+		a.shards = buildShards(st)
 	})
 	sp.SetItems(len(a.shards.list))
-	if err != nil {
-		sp.End()
-		return nil, nil, analysisAborted(err)
-	}
 	sp = tr.StartPhase("thresholds")
 	var thByRes []time.Duration
 	a.Thresholds, thByRes = deriveThresholds(&opts, int64(len(st.dns)), st.resolvers)
@@ -114,6 +109,7 @@ func analyze(ctx context.Context, st *recordStore, opts Options) (*Analysis, *An
 			}
 		}
 	}
+	var err error
 	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "classify"), func(context.Context) {
 		err = parallel.ForEach(ctx, opts.Workers, len(a.shards.list), func(s int) error {
 			if ck != nil && ck.isRestored(s) {

@@ -8,13 +8,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"dnscontext/internal/obs"
-	"dnscontext/internal/parallel"
 )
 
 // Class is the DNS-information origin of a connection (Table 2).
@@ -91,8 +89,8 @@ type Options struct {
 	// GOMAXPROCS. The result is bit-identical for every worker count:
 	// work is sharded by originating client and each shard carries its
 	// own RNG stream seeded from Seed and the shard ID. AnalyzeSource
-	// also parses a streaming TSV source on this many goroutines (one
-	// selects the serial scanner); the chunked scan replays records,
+	// also parses a streaming TSV source on this many goroutines, one
+	// included, through one chunk pipeline that replays records,
 	// quarantine decisions, and errors in exact serial order.
 	Workers int
 	// Metrics, when non-nil, receives analyzer counters (connections per
@@ -280,58 +278,55 @@ func (set *shardSet) records(s int) (conns, dns []int32) {
 // buildShards groups a store's records by client: the whole trace in
 // memory, one spill partition out of core. Pairing only ever matches a
 // connection with lookups from the same originator, so the clients can
-// be classified concurrently without locks. Clients come in
-// first-appearance order — connection originators first, then clients
-// that only issued lookups, so the shards partition both record arrays
-// completely. Grouping runs on the worker pool (counting-pass sharding,
-// see parallel.ShardByParallel) with the same order at every width; the
-// only error is context cancellation.
-func buildShards(ctx context.Context, workers int, st *recordStore) (shardSet, error) {
-	connShards, err := parallel.ShardByParallel(ctx, workers, len(st.conns),
-		func(i int) int32 { return st.conns[i].orig })
-	if err != nil {
-		return shardSet{}, err
-	}
-	dnsShards, err := parallel.ShardByParallel(ctx, workers, len(st.dns),
-		func(i int) int32 { return st.dns[i].client })
-	if err != nil {
-		return shardSet{}, err
-	}
-	// dnsOf is each client's DNS shard, -1 for none or already placed.
-	dnsOf := make([]int32, len(st.addrs))
-	for i := range dnsOf {
-		dnsOf[i] = -1
-	}
-	for p, s := range dnsShards {
-		dnsOf[s.Key] = int32(p)
-	}
-	set := shardSet{
-		list:  make([]clientShard, 0, len(connShards)+len(dnsShards)),
-		conns: make([]int32, 0, len(st.conns)),
-		dns:   make([]int32, 0, len(st.dns)),
-	}
-	add := func(client int32, conns, dns []int32) {
-		set.list = append(set.list, clientShard{
-			client: client,
-			conn0:  int32(len(set.conns)), conn1: int32(len(set.conns) + len(conns)),
-			dns0: int32(len(set.dns)), dns1: int32(len(set.dns) + len(dns)),
-		})
-		set.conns = append(set.conns, conns...)
-		set.dns = append(set.dns, dns...)
-	}
-	for _, s := range connShards {
-		var dns []int32
-		if p := dnsOf[s.Key]; p >= 0 {
-			dns, dnsOf[s.Key] = dnsShards[p].Items, -1
+// be classified concurrently without locks. Clients are dense address
+// symbols, so the grouping is a counting sort: each connection
+// originator takes the next shard at its first connection, then each
+// client that only issued lookups takes one at its first lookup — the
+// shards partition both record arrays completely, in an order that is
+// a function of the store alone — and a second pass over each array
+// fills every client's window of positions in record order, so each
+// window is ascending.
+func buildShards(st *recordStore) shardSet {
+	// shardOf[c] is client c's shard plus one; zero until its first
+	// record.
+	shardOf := make([]int32, len(st.addrs))
+	var list []clientShard
+	for i := range st.conns {
+		c := st.conns[i].orig
+		if shardOf[c] == 0 {
+			list = append(list, clientShard{client: c})
+			shardOf[c] = int32(len(list))
 		}
-		add(s.Key, s.Items, dns)
+		list[shardOf[c]-1].conn1++
 	}
-	for _, s := range dnsShards {
-		if dnsOf[s.Key] >= 0 {
-			add(s.Key, nil, s.Items)
+	for i := range st.dns {
+		c := st.dns[i].client
+		if shardOf[c] == 0 {
+			list = append(list, clientShard{client: c})
+			shardOf[c] = int32(len(list))
 		}
+		list[shardOf[c]-1].dns1++
 	}
-	return set, nil
+	// Turn the counts into windows, each end starting as the window's
+	// fill cursor; the fill leaves it at the window's end.
+	var nc, nd int32
+	for s := range list {
+		sh := &list[s]
+		sh.conn0, sh.conn1, nc = nc, nc, nc+sh.conn1
+		sh.dns0, sh.dns1, nd = nd, nd, nd+sh.dns1
+	}
+	set := shardSet{list: list, conns: make([]int32, nc), dns: make([]int32, nd)}
+	for i := range st.conns {
+		sh := &list[shardOf[st.conns[i].orig]-1]
+		set.conns[sh.conn1] = int32(i)
+		sh.conn1++
+	}
+	for i := range st.dns {
+		sh := &list[shardOf[st.dns[i].client]-1]
+		set.dns[sh.dns1] = int32(i)
+		sh.dns1++
+	}
+	return set
 }
 
 // Count returns the number of connections in class c.

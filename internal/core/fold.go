@@ -7,8 +7,10 @@ package core
 // one parallel pass over the shards computes any set of sections at
 // once; the per-house results merge in shard order, which makes the
 // outcome identical at every worker count. Report asks for every
-// section; each section's public method runs the same fold with only
-// its own section on, so the per-record code exists once.
+// section it renders; each section's public method runs the same fold
+// with only its own section on, so the per-record code exists once.
+// The transport what-if, which the report does not render, is a section
+// too: TransportWhatIf prices all its scenarios in one fold.
 
 import (
 	"context"
@@ -41,18 +43,22 @@ const (
 	secTolerable
 	secWholeHouse
 	secRefresh
+	secTransport
 
-	secAll = secRefresh<<1 - 1
+	// secAll is every section Report renders: all but the transport
+	// what-if, which TransportWhatIf prices on request.
+	secAll = secTransport - 1
 )
 
 // foldReq is one fold: the sections to compute and the inputs of the
 // parameterized ones.
 type foldReq struct {
-	secs     section
-	profiles []resolver.PlatformProfile // secTable1, secPerHouse, secResolvers
-	extra    time.Duration              // secTolerable
-	floor    time.Duration              // secRefresh
-	policies []RefreshPolicy            // secRefresh: one cache tally each
+	secs      section
+	profiles  []resolver.PlatformProfile // secTable1, secPerHouse, secResolvers, secTransport
+	extra     time.Duration              // secTolerable
+	floor     time.Duration              // secRefresh
+	policies  []RefreshPolicy            // secRefresh: one cache tally each
+	scenarios []TransportScenario        // secTransport: one tally each
 }
 
 // has reports whether s includes any of the sections in x.
@@ -79,6 +85,7 @@ type houseFold struct {
 	tolerable tolerableFold
 	whole     houseTally
 	refresh   refreshFold
+	transport []transportTally // indexed like foldReq.scenarios
 
 	// Set on the merged fold only: the platform IDs platforms is indexed
 	// by, and the window the refresh simulations normalize by.
@@ -121,6 +128,9 @@ func (h *houseFold) merge(o *houseFold) {
 	h.tolerable.merge(&o.tolerable)
 	h.whole.merge(&o.whole)
 	h.refresh.merge(&o.refresh)
+	for k := range o.transport {
+		h.transport[k].merge(&o.transport[k])
+	}
 }
 
 // platformTable resolves resolver platforms once per fold instead of
@@ -158,14 +168,18 @@ type folder struct {
 	ccSym   trace.Sym // ConnectivityCheckHost's symbol, or NoSym
 	authTTL []time.Duration
 	window  time.Duration
+	pricing transportPricing
 }
 
 // fold computes req's sections in one parallel pass over the houses and
 // returns their merged fold, every distribution in it sorted.
 func (a *Analysis) fold(req foldReq) *houseFold {
 	f := &folder{a: a, req: req, ccSym: trace.NoSym}
-	if req.secs.has(secTable1 | secPerHouse | secResolvers) {
+	if req.secs.has(secTable1 | secPerHouse | secResolvers | secTransport) {
 		f.plats = a.platformTable(req.profiles)
+	}
+	if req.secs.has(secTransport) {
+		f.pricing = newTransportPricing(req.scenarios, req.profiles, f.plats)
 	}
 	if req.secs.has(secResolvers) {
 		f.ccSym = a.st.names.Lookup(ConnectivityCheckHost)
@@ -194,6 +208,7 @@ func (a *Analysis) fold(req foldReq) *houseFold {
 	// Merge in shard order into distributions sized exactly once.
 	total := &houseFold{platforms: make([]platformFold, len(f.plats.ids))}
 	total.refresh.tallies = make([]cacheShardTally, len(req.policies))
+	total.transport = make([]transportTally, len(req.scenarios))
 	curves := total.curves()
 	sizes := make([]int, len(curves))
 	for s := range parts {
@@ -345,6 +360,9 @@ func (f *folder) house(s int, scr *whatIfScratch) (h houseFold) {
 		for k, pol := range f.req.policies {
 			h.refresh.tallies[k] = a.simulateShardCache(s, f.req.floor, pol, f.authTTL, f.window, scr)
 		}
+	}
+	if on.has(secTransport) {
+		h.transport = f.transport(conns, dns)
 	}
 	return h
 }

@@ -16,12 +16,12 @@ import (
 // TestParallelIngestGoldenParity is the tentpole determinism gate for
 // the chunked-ingest + prep-overlap path: AnalyzeSource over a TSV
 // ScannerSource must produce bit-identical golden hashes and Digest at
-// every Workers count, under both pairing policies. Ingest parses on
-// the Workers pool width, so Workers 1 runs the serial scanner and 2
-// and 8 the chunked parallel scan. The reference is one serial
-// in-memory analysis of the same parsed records (the TSV format rounds
-// timestamps to microseconds, so the reference must come from the
-// roundtripped dataset, not the generator's).
+// every Workers count, under both pairing policies. Ingest parses
+// through the chunk pipeline on the Workers pool width, one included.
+// The reference is one serial in-memory analysis of the records the
+// serial scanners (ReadDNS/ReadConns) parse from the same bytes (the
+// TSV format rounds timestamps to microseconds, so the reference must
+// come from the roundtripped dataset, not the generator's).
 func TestParallelIngestGoldenParity(t *testing.T) {
 	cfg := households.SmallConfig(7)
 	cfg.Houses = 8

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -339,10 +338,16 @@ func (h *digestHash) bytes(b []byte) {
 	*h = digestHash(v)
 }
 
+// u64 folds v's eight bytes, least significant first: the bytes of its
+// little-endian encoding.
 func (h *digestHash) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.bytes(b[:])
+	x := uint64(*h)
+	for i := 0; i < 8; i++ {
+		x ^= v & 0xff
+		x *= 0x100000001b3
+		v >>= 8
+	}
+	*h = digestHash(x)
 }
 
 func (h *digestHash) addr(a netip.Addr) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -429,11 +428,7 @@ func (l *partitionLoader) load(p int, dns, conn spillCount) (*partition, error) 
 	if err := decodeConnFrames(b, conn.frames, st); err != nil {
 		return nil, corruptPartition(path, err)
 	}
-	// One worker: the loader is the producer goroutine, and a partition
-	// is small. The only error is cancellation, which a background
-	// context never reports.
-	shards, _ := buildShards(context.Background(), 1, st)
-	return &partition{st: st, shards: shards}, nil
+	return &partition{st: st, shards: buildShards(st)}, nil
 }
 
 // read loads the file at path whole into the loader's buffer.

@@ -137,7 +137,8 @@ func CollectShard(ctx context.Context, src trace.Source, opts Options) (*Analysi
 type ingestTunable interface{ SetIngestWorkers(int) }
 
 // applyIngestWorkers parses sources that support it on the resolved
-// Workers pool width; a width of one keeps the serial scanner.
+// Workers pool width; a width of one parses on one goroutine, through
+// the same chunk pipeline as every other width.
 func applyIngestWorkers(src trace.Source, opts Options) {
 	if tun, ok := src.(ingestTunable); ok {
 		tun.SetIngestWorkers(parallel.Workers(opts.Workers))

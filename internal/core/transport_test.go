@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -174,5 +176,37 @@ func TestTransportWhatIfNeedsFullGrade(t *testing.T) {
 	}
 	if rows := a.TransportWhatIf(eco.Profiles, DefaultTransportScenarios()); rows != nil {
 		t.Fatal("summary-grade analysis returned what-if rows")
+	}
+}
+
+// goldenTransportHashes pins TransportWhatIf's rows (FNV-64a of every
+// field of every default-scenario row, formatted with %+v) over
+// faultGoldenTrace, captured at commit a02e9ea, the last implementation
+// that priced each scenario in its own pass over the client shards.
+var goldenTransportHashes = map[PairingPolicy]uint64{
+	PairMostRecent: 0x077dd2dadd01716f,
+	PairRandom:     0xb0600e2ba7d07e24,
+}
+
+// TestTransportWhatIfGolden pins the transport what-if rows over a
+// faulted trace at Workers 1, 2, and 8 under both pairing policies:
+// TestTransportWhatIfDeltas checks only their shape.
+func TestTransportWhatIfGolden(t *testing.T) {
+	ds, profiles := faultGoldenTrace(t)
+	for _, pairing := range []PairingPolicy{PairMostRecent, PairRandom} {
+		for _, workers := range []int{1, 2, 8} {
+			opts := DefaultOptions()
+			opts.Pairing = pairing
+			opts.SCRMinSamples = 50
+			opts.Workers = workers
+			h := fnv.New64a()
+			for _, r := range analyzeCopy(ds, opts).TransportWhatIf(profiles, DefaultTransportScenarios()) {
+				fmt.Fprintf(h, "%+v\n", r)
+			}
+			if got := h.Sum64(); got != goldenTransportHashes[pairing] {
+				t.Errorf("pairing=%v workers=%d: rows hash %#016x, want %#016x",
+					pairing, workers, got, goldenTransportHashes[pairing])
+			}
+		}
 	}
 }

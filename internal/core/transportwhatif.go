@@ -1,11 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"dnscontext/internal/parallel"
 	"dnscontext/internal/resolver"
 )
 
@@ -70,13 +69,51 @@ type TransportRow struct {
 	BlockedOverFraction float64
 }
 
-// transportTally is one client shard's contribution to a scenario row.
+// transportTally is one house's contribution to a scenario row, or,
+// once merged, the whole trace's.
 type transportTally struct {
 	wire, cold, resumed, reused int
 	handshake                   time.Duration
 	deltaSum                    time.Duration
 	blockedDeltaSum             time.Duration
 	blocked, blockedOver        int
+}
+
+func (t *transportTally) merge(o *transportTally) {
+	t.wire += o.wire
+	t.cold += o.cold
+	t.resumed += o.resumed
+	t.reused += o.reused
+	t.handshake += o.handshake
+	t.deltaSum += o.deltaSum
+	t.blockedDeltaSum += o.blockedDeltaSum
+	t.blocked += o.blocked
+	t.blockedOver += o.blockedOver
+}
+
+// row is scenario sc's row of the merged tally over connTotal
+// connections.
+func (t *transportTally) row(sc TransportScenario, connTotal int) TransportRow {
+	row := TransportRow{
+		Scenario:       sc,
+		WireLookups:    t.wire,
+		Cold:           t.cold,
+		Resumed:        t.resumed,
+		Reused:         t.reused,
+		HandshakeTotal: t.handshake,
+		BlockedConns:   t.blocked,
+		BlockedOver:    t.blockedOver,
+	}
+	if t.wire > 0 {
+		row.MeanLookupDelta = t.deltaSum / time.Duration(t.wire)
+	}
+	if t.blocked > 0 {
+		row.MeanBlockedDelta = t.blockedDeltaSum / time.Duration(t.blocked)
+	}
+	if connTotal > 0 {
+		row.BlockedOverFraction = float64(t.blockedOver) / float64(connTotal)
+	}
+	return row
 }
 
 // platConn is the replayed per-(client, platform) connection state: the
@@ -95,7 +132,8 @@ type platConn struct {
 // would have added using the platform link's analytic expected RTT. The
 // walk consumes no randomness and never mutates the analysis, so it is
 // safe to run alongside anything and is bit-reproducible by
-// construction.
+// construction. It is one section of the report fold (fold.go), which
+// prices every scenario in one pass over the houses.
 //
 // Two modeling notes. Clients are NAT'd houses, so the replay merges all
 // of a house's devices into one connection per platform — the passive
@@ -114,138 +152,110 @@ func (a *Analysis) TransportWhatIf(profiles []resolver.PlatformProfile, scenario
 	if len(scenarios) == 0 {
 		scenarios = DefaultTransportScenarios()
 	}
-	rows := make([]TransportRow, 0, len(scenarios))
-	for _, sc := range scenarios {
-		rows = append(rows, a.transportScenario(profiles, sc))
+	f := a.fold(foldReq{secs: secTransport, profiles: profiles, scenarios: scenarios})
+	rows := make([]TransportRow, len(scenarios))
+	for k, sc := range scenarios {
+		rows[k] = f.transport[k].row(sc, a.connTotal)
 	}
 	return rows
 }
 
-// transportScenario prices one scenario, shard-parallel like WholeHouse.
-func (a *Analysis) transportScenario(profiles []resolver.PlatformProfile, sc TransportScenario) TransportRow {
-	cfg := resolver.StreamConfig{SessionResumption: sc.Resumption}.WithDefaults(sc.Kind)
-	// Per-platform analytic expected RTTs, indexed by PlatformID.
-	expRTT := make(map[resolver.PlatformID]time.Duration, len(profiles))
-	for _, p := range profiles {
-		expRTT[p.ID] = p.Link.ExpectedRTT()
-	}
-
-	parts, _ := parallel.Map(context.Background(), a.Opts.Workers, len(a.shards.list),
-		func(s int) (transportTally, error) {
-			return a.transportShard(s, sc, cfg, profiles, expRTT), nil
-		})
-
-	var t transportTally
-	for _, p := range parts {
-		t.wire += p.wire
-		t.cold += p.cold
-		t.resumed += p.resumed
-		t.reused += p.reused
-		t.handshake += p.handshake
-		t.deltaSum += p.deltaSum
-		t.blockedDeltaSum += p.blockedDeltaSum
-		t.blocked += p.blocked
-		t.blockedOver += p.blockedOver
-	}
-	row := TransportRow{
-		Scenario:       sc,
-		WireLookups:    t.wire,
-		Cold:           t.cold,
-		Resumed:        t.resumed,
-		Reused:         t.reused,
-		HandshakeTotal: t.handshake,
-		BlockedConns:   t.blocked,
-		BlockedOver:    t.blockedOver,
-	}
-	if t.wire > 0 {
-		row.MeanLookupDelta = t.deltaSum / time.Duration(t.wire)
-	}
-	if t.blocked > 0 {
-		row.MeanBlockedDelta = t.blockedDeltaSum / time.Duration(t.blocked)
-	}
-	if a.connTotal > 0 {
-		row.BlockedOverFraction = float64(t.blockedOver) / float64(a.connTotal)
-	}
-	return row
+// transportPricing is what every house of a transport fold reads: each
+// scenario's stream configuration, indexed like foldReq.scenarios, and
+// the analytic expected RTT of each platform, indexed like the fold's
+// platformTable.ids.
+type transportPricing struct {
+	cfgs []resolver.StreamConfig
+	rtt  []time.Duration
 }
 
-// transportShard replays one client: first the DNS walk that advances the
-// per-platform connection state and prices each lookup's delta, then the
-// connection walk that charges those deltas to the blocked (SC/R) pairs.
-func (a *Analysis) transportShard(shardID int, sc TransportScenario, cfg resolver.StreamConfig,
-	profiles []resolver.PlatformProfile, expRTT map[resolver.PlatformID]time.Duration) (out transportTally) {
-	recs := a.st.dns
-	connPos, dnsPos := a.shards.records(shardID)
-	stream := sc.Kind.Stream()
-	var conns map[resolver.PlatformID]*platConn
-	var delta map[int32]time.Duration
-	if stream {
-		conns = make(map[resolver.PlatformID]*platConn, 4)
-		delta = make(map[int32]time.Duration, len(dnsPos))
+func newTransportPricing(scenarios []TransportScenario, profiles []resolver.PlatformProfile, plats platformTable) transportPricing {
+	p := transportPricing{
+		cfgs: make([]resolver.StreamConfig, len(scenarios)),
+		rtt:  make([]time.Duration, len(plats.ids)),
 	}
+	for k, sc := range scenarios {
+		p.cfgs[k] = resolver.StreamConfig{SessionResumption: sc.Resumption}.WithDefaults(sc.Kind)
+	}
+	// A platform listed twice takes its last profile's link.
+	for _, pr := range profiles {
+		p.rtt[slices.Index(plats.ids, pr.ID)] = pr.Link.ExpectedRTT()
+	}
+	return p
+}
 
-	for _, di := range dnsPos {
-		d := &recs[di]
-		pid, ok := resolver.PlatformOf(a.st.resolvers[d.res].addr, profiles)
-		if !ok {
+// transport replays one house under every scenario: first the DNS walk
+// that advances each scenario's per-platform connection state and
+// prices each lookup's delta, then the connection walk that charges
+// those deltas to the blocked (SC/R) pairs.
+func (f *folder) transport(conns, dns []int32) []transportTally {
+	a, pr, scenarios := f.a, &f.pricing, f.req.scenarios
+	nScen, nPlat := len(scenarios), len(f.plats.ids)
+	out := make([]transportTally, nScen)
+	// state[k*nPlat+p] is scenario k's connection toward platform p, and
+	// delta[k*len(dns)+j] the cost scenario k adds to the house's j-th
+	// lookup.
+	state := make([]platConn, nScen*nPlat)
+	delta := make([]time.Duration, nScen*len(dns))
+	for j, di := range dns {
+		d := &a.st.dns[di]
+		p := f.plats.of[d.res]
+		if p < 0 {
 			continue
 		}
-		out.wire++
-		if !stream {
-			continue
-		}
-		st := conns[pid]
-		if st == nil {
-			st = &platConn{}
-			conns[pid] = st
-		}
-		var add time.Duration
-		switch {
-		case st.established && d.queryTS <= st.idleDeadline:
-			out.reused++
-		default:
-			resumed := cfg.SessionResumption && sc.Kind.TLS() &&
-				st.hasSession && d.queryTS <= st.sessionUntil
-			if resumed {
-				out.resumed++
-			} else {
-				out.cold++
+		for k, sc := range scenarios {
+			t := &out[k]
+			t.wire++
+			if !sc.Kind.Stream() {
+				continue
 			}
-			hs := time.Duration(cfg.HandshakeRTTs(sc.Kind, resumed)) * expRTT[pid]
-			add = hs
-			out.handshake += hs
-		}
-		add += cfg.PerQueryOverhead
-		out.deltaSum += add
-		if add > 0 {
-			delta[di] = add
-		}
-		// The lookup completes later by the added cost; reuse windows
-		// shift with it.
-		done := d.ts + add
-		st.established = true
-		st.idleDeadline = done + cfg.IdleTimeout
-		if sc.Kind.TLS() {
-			st.hasSession = true
-			st.sessionUntil = done + cfg.SessionLifetime
+			cfg, st := &pr.cfgs[k], &state[k*nPlat+p]
+			var add time.Duration
+			switch {
+			case st.established && d.queryTS <= st.idleDeadline:
+				t.reused++
+			default:
+				resumed := cfg.SessionResumption && sc.Kind.TLS() &&
+					st.hasSession && d.queryTS <= st.sessionUntil
+				if resumed {
+					t.resumed++
+				} else {
+					t.cold++
+				}
+				hs := time.Duration(cfg.HandshakeRTTs(sc.Kind, resumed)) * pr.rtt[p]
+				add = hs
+				t.handshake += hs
+			}
+			add += cfg.PerQueryOverhead
+			t.deltaSum += add
+			delta[k*len(dns)+j] = add
+			// The lookup completes later by the added cost; reuse
+			// windows shift with it.
+			done := d.ts + add
+			st.established = true
+			st.idleDeadline = done + cfg.IdleTimeout
+			if sc.Kind.TLS() {
+				st.hasSession = true
+				st.sessionUntil = done + cfg.SessionLifetime
+			}
 		}
 	}
 
-	for _, ci := range connPos {
+	for _, ci := range conns {
 		pc := &a.Paired[ci]
 		if pc.Class != ClassSC && pc.Class != ClassR {
 			continue
 		}
-		d := &recs[pc.DNS]
-		out.blocked++
-		var add time.Duration
-		if stream {
-			add = delta[int32(pc.DNS)]
-		}
-		out.blockedDeltaSum += add
-		blockedFor := d.duration() + pc.Gap + add
-		if blockedFor >= a.Opts.BlockThreshold {
-			out.blockedOver++
+		// Pairing is client-local, so the lookup is one of the house's.
+		j, _ := slices.BinarySearch(dns, int32(pc.DNS))
+		blockedFor := a.st.dns[pc.DNS].duration() + pc.Gap
+		for k := range out {
+			t, add := &out[k], delta[k*len(dns)+j]
+			t.blocked++
+			t.blockedDeltaSum += add
+			if blockedFor+add >= a.Opts.BlockThreshold {
+				t.blockedOver++
+			}
 		}
 	}
 	return out

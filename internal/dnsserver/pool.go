@@ -76,13 +76,10 @@ type ClientPoolConfig struct {
 	Servers []string
 	// Adaptive switches per-attempt timeouts from the fixed ladder to
 	// the RFC 6298 estimate: RTO = SRTT + 4·RTTVAR per upstream, doubled
-	// per retry (or ×Backoff if larger), clamped to [MinTimeout,
-	// MaxTimeout or Timeout]. Until an upstream has a sample, the fixed
-	// ladder applies.
+	// per retry (or ×Backoff if larger), clamped to [20 ms, MaxTimeout
+	// or Timeout]. Until an upstream has a sample, the fixed ladder
+	// applies.
 	Adaptive bool
-	// MinTimeout floors the adaptive RTO (default 20 ms). Ignored in
-	// fixed mode.
-	MinTimeout time.Duration
 	// Hedge sends a second copy of a still-unanswered first attempt to
 	// another upstream (another socket when there is only one) once the
 	// hedge delay elapses; the first response wins and the loser is
@@ -118,11 +115,11 @@ func (c ClientPoolConfig) withDefaults() ClientPoolConfig {
 	if c.Backoff < 1 {
 		c.Backoff = 1
 	}
-	if c.MinTimeout <= 0 {
-		c.MinTimeout = 20 * time.Millisecond
-	}
 	return c
 }
+
+// minAdaptiveTimeout floors the adaptive RTO.
+const minAdaptiveTimeout = 20 * time.Millisecond
 
 // attemptTimeout returns the fixed ladder's timeout for the given
 // 0-based attempt: Timeout·Backoff^attempt, with MaxTimeout capping
@@ -145,7 +142,7 @@ func (c ClientPoolConfig) attemptTimeout(attempt int) time.Duration {
 
 // adaptiveTimeout returns the adaptive per-attempt timeout from a base
 // RTO: RTO·factor^attempt with factor = max(Backoff, 2), clamped to
-// [MinTimeout, MaxTimeout or Timeout]. Call on a defaulted config.
+// [minAdaptiveTimeout, MaxTimeout or Timeout]. Call on a defaulted config.
 func (c ClientPoolConfig) adaptiveTimeout(rto time.Duration, attempt int) time.Duration {
 	factor := c.Backoff
 	if factor < 2 {
@@ -162,8 +159,8 @@ func (c ClientPoolConfig) adaptiveTimeout(rto time.Duration, attempt int) time.D
 			break
 		}
 	}
-	if d < c.MinTimeout {
-		d = c.MinTimeout
+	if d < minAdaptiveTimeout {
+		d = minAdaptiveTimeout
 	}
 	if d > ceil {
 		d = ceil

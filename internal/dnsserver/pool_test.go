@@ -315,7 +315,7 @@ func TestAttemptTimeoutLadder(t *testing.T) {
 }
 
 // TestAdaptiveTimeoutClamps pins the RTO-driven ladder: factor is
-// max(Backoff, 2), the floor is MinTimeout, and the ceiling is
+// max(Backoff, 2), the floor is minAdaptiveTimeout, and the ceiling is
 // MaxTimeout (or Timeout when MaxTimeout is unset).
 func TestAdaptiveTimeoutClamps(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }

@@ -1,13 +1,15 @@
 // Package parallel provides the concurrency building blocks behind the
 // analysis pipeline: a bounded worker pool with cooperative cancellation
-// (ForEach / ForEachWorker / Map), a deterministic sharder that
-// partitions index ranges by key (ShardBy), and contiguous chunking for
-// order-preserving merges (Chunks).
+// (ForEach / ForEachWorker), producer/consumer pipelines (Stream, and
+// OrderedStream, which delivers results in emission order), and
+// contiguous chunking for order-preserving merges (Chunks).
 //
-// Determinism is the package's contract. ShardBy orders shards by first
-// appearance, so the same input always yields the same shard IDs; Map
-// returns results positionally, so merging in index order reproduces the
-// sequential result no matter how the scheduler interleaved the workers.
+// Determinism is the callers' contract, and the package keeps what they
+// need of it: ForEach runs every index exactly once, so results stored
+// by index and merged in index order reproduce the sequential result no
+// matter how the scheduler interleaved the workers; OrderedStream hands
+// results over in the order their items were produced; and Chunks'
+// ranges, merged in slice order, reproduce a left-to-right pass.
 package parallel
 
 import (
@@ -95,26 +97,6 @@ func ForEachWorker(ctx context.Context, workers, n int, fn func(w, i int) error)
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// Map applies fn to every index in [0, n) with up to workers goroutines
-// and returns the results in index order, so callers can merge them
-// deterministically. On error (or cancellation) the partial results are
-// discarded and the first error is returned.
-func Map[T any](ctx context.Context, workers, n int, fn func(int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(ctx, workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Stream overlaps production with consumption: produce runs on its own
@@ -348,167 +330,4 @@ func Chunks(n, parts int) []Range {
 		lo += size
 	}
 	return out
-}
-
-// Shard is one partition produced by ShardBy: the shared key and the
-// member indices in ascending order.
-type Shard[K comparable] struct {
-	Key   K
-	Items []int32
-}
-
-// minShardByChunk is the fewest items per counting-pass chunk worth a
-// goroutine in ShardByParallel; below it the serial ShardBy wins on
-// constant factors.
-const minShardByChunk = 4096
-
-// ShardByParallel is ShardBy computed with up to `workers` goroutines;
-// its result is identical to ShardBy's for every worker count. Each
-// chunk of the index range counts keys into a local table whose keys
-// land in chunk-local first-appearance order; because chunks are
-// contiguous and merged in slice order, a key's global rank — set by
-// the first chunk that saw it — equals its first-appearance rank over
-// the whole range, which is ShardBy's ordering contract. The fill pass
-// then writes every chunk into precomputed disjoint windows of one
-// shared backing array, so each shard's Items are ascending exactly as
-// the serial pass produces them.
-//
-// The only failure mode is context cancellation.
-func ShardByParallel[K comparable](ctx context.Context, workers, n int, key func(int) K) ([]Shard[K], error) {
-	w := Workers(workers)
-	if parts := n / minShardByChunk; w > parts {
-		w = parts
-	}
-	if w <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return ShardBy(n, key), nil
-	}
-	chunks := Chunks(n, w)
-	type local struct {
-		pos    map[K]int
-		keys   []K
-		counts []int32
-	}
-	locals := make([]local, len(chunks))
-	if err := ForEach(ctx, w, len(chunks), func(c int) error {
-		ch := chunks[c]
-		l := local{pos: make(map[K]int)}
-		for i := ch.Lo; i < ch.Hi; i++ {
-			k := key(i)
-			p, ok := l.pos[k]
-			if !ok {
-				p = len(l.keys)
-				l.pos[k] = p
-				l.keys = append(l.keys, k)
-				l.counts = append(l.counts, 0)
-			}
-			l.counts[p]++
-		}
-		locals[c] = l
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Global key order and totals: chunks in slice order, each chunk's
-	// first-seen keys in local first-appearance order.
-	gpos := make(map[K]int)
-	var gkeys []K
-	var gcounts []int32
-	for c := range locals {
-		for li, k := range locals[c].keys {
-			p, ok := gpos[k]
-			if !ok {
-				p = len(gkeys)
-				gpos[k] = p
-				gkeys = append(gkeys, k)
-				gcounts = append(gcounts, 0)
-			}
-			gcounts[p] += locals[c].counts[li]
-		}
-	}
-
-	// starts[p] is shard p's window in the backing array; cursors[c][li]
-	// is where chunk c writes its li-th local key's members, advanced in
-	// chunk order so chunk c+1's members for the same key land after
-	// chunk c's — preserving ascending Items.
-	starts := make([]int32, len(gkeys)+1)
-	for p, cnt := range gcounts {
-		starts[p+1] = starts[p] + cnt
-	}
-	next := append([]int32(nil), starts[:len(gkeys)]...)
-	cursors := make([][]int32, len(chunks))
-	for c := range locals {
-		cur := make([]int32, len(locals[c].keys))
-		for li, k := range locals[c].keys {
-			p := gpos[k]
-			cur[li] = next[p]
-			next[p] += locals[c].counts[li]
-		}
-		cursors[c] = cur
-	}
-
-	backing := make([]int32, n)
-	if err := ForEach(ctx, w, len(chunks), func(c int) error {
-		ch := chunks[c]
-		l := &locals[c]
-		cur := cursors[c]
-		for i := ch.Lo; i < ch.Hi; i++ {
-			li := l.pos[key(i)]
-			backing[cur[li]] = int32(i)
-			cur[li]++
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	shards := make([]Shard[K], len(gkeys))
-	for p := range shards {
-		shards[p] = Shard[K]{Key: gkeys[p], Items: backing[starts[p]:starts[p+1]:starts[p+1]]}
-	}
-	return shards, nil
-}
-
-// ShardBy partitions the indices [0, n) by key(i). Shards are ordered by
-// the first appearance of their key, and each shard's Items are
-// ascending, so the result — and therefore any shard-ID-derived state
-// such as per-shard RNG streams — is a deterministic function of the
-// input alone.
-//
-// A counting pass sizes every shard before any Items are stored: the
-// member slices are carved from one n-element backing array, so the
-// whole partition costs one map, one count slice, and one backing
-// allocation instead of per-shard append-growth.
-func ShardBy[K comparable](n int, key func(int) K) []Shard[K] {
-	if n <= 0 {
-		return nil
-	}
-	pos := make(map[K]int)
-	var keys []K
-	var counts []int32
-	for i := 0; i < n; i++ {
-		k := key(i)
-		p, ok := pos[k]
-		if !ok {
-			p = len(keys)
-			pos[k] = p
-			keys = append(keys, k)
-			counts = append(counts, 0)
-		}
-		counts[p]++
-	}
-	backing := make([]int32, n)
-	shards := make([]Shard[K], len(keys))
-	off := int32(0)
-	for p := range shards {
-		shards[p] = Shard[K]{Key: keys[p], Items: backing[off : off : off+counts[p]]}
-		off += counts[p]
-	}
-	for i := 0; i < n; i++ {
-		p := pos[key(i)]
-		shards[p].Items = append(shards[p].Items, int32(i))
-	}
-	return shards
 }

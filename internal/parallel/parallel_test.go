@@ -122,35 +122,6 @@ func TestForEachWorkerOwnsItsIndex(t *testing.T) {
 	}
 }
 
-func TestMapOrdersResults(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		out, err := Map(context.Background(), workers, 50, func(i int) (int, error) {
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-}
-
-func TestMapErrorDiscardsResults(t *testing.T) {
-	boom := errors.New("boom")
-	out, err := Map(context.Background(), 4, 10, func(i int) (int, error) {
-		if i == 3 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) || out != nil {
-		t.Fatalf("got (%v, %v), want (nil, boom)", out, err)
-	}
-}
-
 func TestChunksCoverContiguously(t *testing.T) {
 	for _, tc := range []struct{ n, parts int }{
 		{10, 3}, {3, 10}, {1, 1}, {100, 7}, {0, 4},
@@ -176,30 +147,6 @@ func TestChunksCoverContiguously(t *testing.T) {
 			want = tc.n
 			if len(chunks) != want {
 				t.Fatalf("Chunks(%d, %d) has %d parts", tc.n, tc.parts, len(chunks))
-			}
-		}
-	}
-}
-
-func TestShardByDeterministicOrder(t *testing.T) {
-	keys := []string{"b", "a", "b", "c", "a", "b"}
-	shards := ShardBy(len(keys), func(i int) string { return keys[i] })
-	if len(shards) != 3 {
-		t.Fatalf("got %d shards", len(shards))
-	}
-	// First-appearance order: b, a, c.
-	wantKeys := []string{"b", "a", "c"}
-	wantItems := [][]int32{{0, 2, 5}, {1, 4}, {3}}
-	for s := range shards {
-		if shards[s].Key != wantKeys[s] {
-			t.Fatalf("shard %d key %q, want %q", s, shards[s].Key, wantKeys[s])
-		}
-		if len(shards[s].Items) != len(wantItems[s]) {
-			t.Fatalf("shard %d items %v", s, shards[s].Items)
-		}
-		for j, it := range shards[s].Items {
-			if it != wantItems[s][j] {
-				t.Fatalf("shard %d items %v, want %v", s, shards[s].Items, wantItems[s])
 			}
 		}
 	}
@@ -323,75 +270,6 @@ func TestStreamCancelledContext(t *testing.T) {
 		func(int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("stream error %v, want context.Canceled", err)
-	}
-}
-
-// shardsEqual compares two shard partitions key by key, item by item.
-func shardsEqual(a, b []Shard[int]) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for p := range a {
-		if a[p].Key != b[p].Key || len(a[p].Items) != len(b[p].Items) {
-			return false
-		}
-		for j := range a[p].Items {
-			if a[p].Items[j] != b[p].Items[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// TestShardByParallelMatchesSerial is the determinism property behind
-// the parallel shard build: for every worker count, ShardByParallel
-// must reproduce ShardBy bit for bit — same shard order (first
-// appearance), same ascending Items.
-func TestShardByParallelMatchesSerial(t *testing.T) {
-	// Keyspaces chosen to exercise: keys confined to one chunk, keys
-	// spanning every chunk, a key appearing first in a late chunk, and
-	// a single-key degenerate case.
-	keyFns := map[string]func(int) int{
-		"spread": func(i int) int { return i % 97 },
-		"runs":   func(i int) int { return i / 1000 },
-		"late-first": func(i int) int {
-			if i < 9000 {
-				return i % 7
-			}
-			return 1000 + i%11
-		},
-		"single": func(int) int { return 42 },
-	}
-	for name, key := range keyFns {
-		n := 3 * minShardByChunk
-		want := ShardBy(n, key)
-		for _, w := range []int{1, 2, 3, 8} {
-			got, err := ShardByParallel(context.Background(), w, n, key)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if !shardsEqual(want, got) {
-				t.Fatalf("%s workers=%d: parallel shards differ from serial", name, w)
-			}
-		}
-	}
-}
-
-// TestShardByParallelSmallFallsBack covers the sub-chunk-size input:
-// the parallel path must quietly produce the serial result.
-func TestShardByParallelSmall(t *testing.T) {
-	key := func(i int) int { return i % 3 }
-	want := ShardBy(10, key)
-	got, err := ShardByParallel(context.Background(), 8, 10, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !shardsEqual(want, got) {
-		t.Fatal("small-input parallel shards differ from serial")
-	}
-	if got, err := ShardByParallel(context.Background(), 4, 0, key); err != nil || got != nil {
-		t.Fatalf("empty input: got %v, %v", got, err)
 	}
 }
 

@@ -293,8 +293,8 @@ func TestChunkedConnParity(t *testing.T) {
 }
 
 // TestScannerSourceIngestWorkers drives the SetIngestWorkers seam: a
-// ScannerSource with parallel ingest must stream exactly the records a
-// serial source does, DNS and conns both.
+// ScannerSource at every width, zero and one included, must stream
+// exactly the records the serial scanners yield, DNS and conns both.
 func TestScannerSourceIngestWorkers(t *testing.T) {
 	dnsIn, _ := chunkTestDNS(t, 300)
 	var connBuf bytes.Buffer
@@ -319,11 +319,20 @@ func TestScannerSourceIngestWorkers(t *testing.T) {
 		}
 		return ds, cs, nil
 	}
-	wantDNS, wantConns, err := collect(1)
-	if err != nil {
-		t.Fatal(err)
+	var wantDNS []DNSRecord
+	var wantConns []ConnRecord
+	ds := NewDNSScanner(strings.NewReader(dnsIn), QuarantineAll())
+	for ds.Scan() {
+		wantDNS = append(wantDNS, ds.Record())
 	}
-	for _, w := range []int{2, 8} {
+	cs := NewConnScanner(strings.NewReader(connBuf.String()), QuarantineAll())
+	for cs.Scan() {
+		wantConns = append(wantConns, cs.Record())
+	}
+	if ds.Err() != nil || cs.Err() != nil {
+		t.Fatal(ds.Err(), cs.Err())
+	}
+	for _, w := range []int{0, 1, 2, 8} {
 		gotDNS, gotConns, err := collect(w)
 		if err != nil {
 			t.Fatal(err)
@@ -508,7 +517,7 @@ func TestDirSourceMultiFileParity(t *testing.T) {
 			})
 			check(fmt.Sprintf("DirSource workers=%d", workers), recs, quar, tallies, err)
 		}
-		for _, workers := range []int{2, 8} {
+		for _, workers := range []int{1, 2, 8} {
 			for _, chunkBytes := range []int{1, 7, 100, 4096} {
 				recs, quar, tallies, err := collect(tc.policy, func(policy ErrorPolicy, yield func(*DNSRecord) error) error {
 					inputs, err := (&DirSource{dir: dir}).partitions(".dns.tsv", ".dns.log")

@@ -155,13 +155,14 @@ func parseIPv4(b []byte) (netip.Addr, bool) {
 // fields.
 const maxFields = 11
 
-// tabFields splits line on tabs into an array and returns it with the
-// field count n; the semantics are strings.Split's: n tabs make n+1
-// fields, empty ones included. A line of more than maxFields fields
-// still counts exactly, with the rest of the line in the last slot.
-// The array is returned by value, so it lives on the caller's stack and
-// storing a field writes no heap pointer.
-func tabFields(line []byte) (f [maxFields][]byte, n int) {
+// tabFields splits line on tabs into *f and returns the field count n;
+// the semantics are strings.Split's: n tabs make n+1 fields, empty ones
+// included. A line of more than maxFields fields still counts exactly,
+// with the rest of the line in the last slot. Slots from n on keep what
+// they held. f does not escape, so the caller's array stays on its
+// stack, storing a field writes no heap pointer, and no call copies the
+// array.
+func tabFields(line []byte, f *[maxFields][]byte) (n int) {
 	for n < maxFields-1 {
 		i := bytes.IndexByte(line, '\t')
 		if i < 0 {
@@ -174,7 +175,7 @@ func tabFields(line []byte) (f [maxFields][]byte, n int) {
 	if n++; n == maxFields {
 		n += bytes.Count(line, tabSep)
 	}
-	return f, n
+	return n
 }
 
 var tabSep = []byte{'\t'}

@@ -52,7 +52,8 @@ func checkSecs(t *testing.T, b []byte) bool {
 func checkFields(t *testing.T, line []byte) {
 	t.Helper()
 	want := strings.Split(string(line), "\t")
-	f, n := tabFields(line)
+	var f [maxFields][]byte
+	n := tabFields(line, &f)
 	if n != len(want) {
 		t.Fatalf("tabFields(%q): %d fields, strings.Split %d", line, n, len(want))
 	}

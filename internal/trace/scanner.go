@@ -33,18 +33,16 @@ type ErrorBudget struct {
 	MaxErrors int
 	// MaxErrorRate trips the budget when quarantined/processed exceeds
 	// this fraction. Zero disables the rate check. The rate is checked
-	// each time a record is quarantined, but only once RateMinLines
-	// records have been seen — otherwise a corrupt head would trip a
-	// rate budget the clean tail of the input would have satisfied.
+	// each time a record is quarantined, but only once 100 records
+	// (rateMinLines) have been seen — otherwise a corrupt head would
+	// trip a rate budget the clean tail of the input would have
+	// satisfied.
 	MaxErrorRate float64
-	// RateMinLines is the minimum number of processed records before
-	// MaxErrorRate is enforced. Zero means the default (100); negative
-	// enforces the rate from the first record.
-	RateMinLines int
 }
 
-// defaultRateMinLines is the grace period before a rate budget applies.
-const defaultRateMinLines = 100
+// rateMinLines is the grace period before a rate budget applies: the
+// number of processed records MaxErrorRate waits for.
+const rateMinLines = 100
 
 // UnlimitedBudget returns the budget that never trips.
 func UnlimitedBudget() ErrorBudget { return ErrorBudget{MaxErrors: -1} }
@@ -55,16 +53,8 @@ func (b ErrorBudget) Exceeded(quarantined, processed int) bool {
 	if b.MaxErrors >= 0 && quarantined > b.MaxErrors {
 		return true
 	}
-	if b.MaxErrorRate > 0 {
-		min := b.RateMinLines
-		if min == 0 {
-			min = defaultRateMinLines
-		}
-		if processed >= min && float64(quarantined)/float64(processed) > b.MaxErrorRate {
-			return true
-		}
-	}
-	return false
+	return b.MaxErrorRate > 0 && processed >= rateMinLines &&
+		float64(quarantined)/float64(processed) > b.MaxErrorRate
 }
 
 // Quarantined is one malformed line diverted instead of aborting the
@@ -159,7 +149,6 @@ type scanner struct {
 	sc     *bufio.Scanner
 	policy ErrorPolicy
 	st     *parseState
-	path   string // the input's, for Quarantined.Path
 
 	line  int // physical line number of the last line read
 	lines int // data lines processed
@@ -175,10 +164,10 @@ type scanner struct {
 	quarantinedC *obs.Counter
 }
 
-func newScanner(r io.Reader, policy ErrorPolicy, st *parseState) scanner {
+func newScanner(r io.Reader, policy ErrorPolicy) scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	return scanner{sc: sc, policy: policy, st: st}
+	return scanner{sc: sc, policy: policy, st: newParseState()}
 }
 
 // observe mirrors the scanner's progress into reg under the given
@@ -222,7 +211,7 @@ func (s *scanner) next(parse func(lineNo int, line []byte) error) bool {
 		}
 		s.nQuar++
 		s.quarantinedC.Inc()
-		q := Quarantined{Path: s.path, Line: s.line, Text: string(line), Err: perr}
+		q := Quarantined{Line: s.line, Text: string(line), Err: perr}
 		if s.policy.Sink != nil {
 			s.policy.Sink(q)
 		} else {
@@ -265,7 +254,7 @@ type DNSScanner struct {
 
 // NewDNSScanner returns a scanner over r with the given policy.
 func NewDNSScanner(r io.Reader, policy ErrorPolicy) *DNSScanner {
-	return &DNSScanner{scanner: newScanner(r, policy, newParseState())}
+	return &DNSScanner{scanner: newScanner(r, policy)}
 }
 
 // Observe mirrors scan progress (records yielded, lines quarantined)
@@ -293,7 +282,7 @@ type ConnScanner struct {
 
 // NewConnScanner returns a scanner over r with the given policy.
 func NewConnScanner(r io.Reader, policy ErrorPolicy) *ConnScanner {
-	return &ConnScanner{scanner: newScanner(r, policy, newParseState())}
+	return &ConnScanner{scanner: newScanner(r, policy)}
 }
 
 // Observe mirrors scan progress into reg under the "conn" stream label.

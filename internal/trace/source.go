@@ -88,11 +88,11 @@ func NewScannerSource(dns, conns io.Reader, policy ErrorPolicy) *ScannerSource {
 	return &ScannerSource{dns: dns, conns: conns, policy: policy}
 }
 
-// SetIngestWorkers selects how many goroutines parse the TSV streams.
-// Values above one enable the chunked parallel scan (see chunked.go);
-// zero or one keeps the serial scanners. Either way the record
-// sequence, quarantine decisions, budget trip points, and errors are
-// bit-identical — only the wall clock moves.
+// SetIngestWorkers selects how many goroutines parse the TSV streams
+// in the chunk pipeline (see chunked.go); zero or one parses on one
+// goroutine. At every width the record sequence, quarantine decisions,
+// budget trip points, and errors are those of a serial scan — only the
+// wall clock moves.
 func (s *ScannerSource) SetIngestWorkers(n int) { s.workers = n }
 
 // StreamDNS implements Source.
@@ -105,45 +105,14 @@ func (s *ScannerSource) StreamConns(yield func(*ConnRecord) error) error {
 	return streamRecords([]streamInput{{r: s.conns}}, s.policy, s.workers, parseConnLineBytes, yield)
 }
 
-// streamRecords scans the inputs of one stream in order: through one
-// chunk pipeline when workers exceeds one, else with the serial scanner
-// core, one scanner per input sharing one parse state. Either way each
-// input keeps its own line numbers and budget counters, its errors and
-// quarantined lines carry its path, and policy.Done gets its tally.
+// streamRecords scans the inputs of one stream in order through one
+// chunk pipeline on max(workers, 1) parse goroutines. Each input keeps
+// its own line numbers and budget counters, its errors and quarantined
+// lines carry its path, and policy.Done gets its tally.
 func streamRecords[R any](inputs []streamInput, policy ErrorPolicy, workers int,
 	parse func(lineNo int, line []byte, st *parseState, rec *R) error, yield func(*R) error) error {
-	if workers > 1 {
-		return scanChunked(inputs, workers, ingestChunkBytes, policy, newParseStates[R](workers), parse, yield)
-	}
-	st := newParseState()
-	for _, in := range inputs {
-		if err := in.read(func(r io.Reader) error {
-			sc := newScanner(r, policy, st)
-			sc.path = in.path
-			// One record, parsed in place and reused: yield's pointer
-			// is valid only for the call, so no per-record copy is
-			// needed.
-			var rec R
-			parseLine := func(lineNo int, line []byte) error {
-				return parse(lineNo, line, st, &rec)
-			}
-			for sc.next(parseLine) {
-				if err := yield(&rec); err != nil {
-					return err
-				}
-			}
-			if err := sc.Err(); err != nil {
-				return err
-			}
-			if policy.Done != nil {
-				policy.Done(in.path, sc.Stats())
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	workers = max(workers, 1)
+	return scanChunked(inputs, workers, ingestChunkBytes, policy, newParseStates[R](workers), parse, yield)
 }
 
 // DirSource streams a directory of time-partitioned trace files: the

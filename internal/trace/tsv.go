@@ -143,7 +143,8 @@ func appendDNSLine(b []byte, d *DNSRecord) []byte {
 // Accepted inputs, values, and error text are exactly those of the
 // historical strings.Split parser.
 func parseDNSLineBytes(lineNo int, line []byte, st *parseState, d *DNSRecord) error {
-	f, nf := tabFields(line)
+	var f [maxFields][]byte
+	nf := tabFields(line, &f)
 	// 9 fields is the pre-fault format (no retries/tc columns);
 	// accept it so existing trace files keep loading.
 	if nf != 9 && nf != 11 {
@@ -289,7 +290,8 @@ func appendConnLine(b []byte, c *ConnRecord) []byte {
 // parseConnLineBytes parses one data line in place into *c, writing
 // every field; see parseDNSLineBytes for the zero-copy contract.
 func parseConnLineBytes(lineNo int, line []byte, st *parseState, c *ConnRecord) error {
-	f, nf := tabFields(line)
+	var f [maxFields][]byte
+	nf := tabFields(line, &f)
 	if nf != 9 {
 		return fmt.Errorf("trace: conn line %d: %d fields, want 9", lineNo, nf)
 	}
