@@ -27,7 +27,7 @@ FUZZ_TARGETS := \
 	./internal/dnswire:FuzzReadTCPFrame \
 	./internal/dnsserver:FuzzZoneFastPath
 
-.PHONY: check vet build test race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke scaling-gate bench-all profile profile-spill profile-live fuzz cover
+.PHONY: check vet build test race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke scaling-gate bench-all profile profile-spill profile-live profile-gen fuzz cover
 
 check: vet build race obs-determinism stream-parity transport-matrix report-parity scan soak chaos bench-smoke
 
@@ -247,3 +247,20 @@ profile-live:
 	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_objects $(PROFILE_DIR)/bulk.test $(PROFILE_DIR)/live-mem.out
 	@echo '--- top allocations (alloc_space) ---'
 	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space $(PROFILE_DIR)/bulk.test $(PROFILE_DIR)/live-mem.out
+
+# The same three summaries for trace generation: BenchmarkGenerate runs
+# households.Generate at the report workloads' shape (60 houses × 24 h,
+# one fixed seed), the generation that dominates their setup_s and a
+# `dnsctx -generate` run, and reports records, allocations and bytes per
+# generated record.
+profile-gen:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -bench='^BenchmarkGenerate$$' -run='^$$' -benchtime=3x \
+		-cpuprofile=$(PROFILE_DIR)/gen-cpu.out -memprofile=$(PROFILE_DIR)/gen-mem.out \
+		-o $(PROFILE_DIR)/bench.test
+	@echo '--- top CPU ---'
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/gen-cpu.out
+	@echo '--- top allocations (alloc_objects) ---'
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_objects $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/gen-mem.out
+	@echo '--- top allocations (alloc_space) ---'
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/gen-mem.out

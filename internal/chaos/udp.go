@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -42,7 +43,7 @@ func NewUDP(cfg Config) (*Proxy, error) {
 // socket to the upstream plus the peer address responses return to.
 type udpSession struct {
 	conn *net.UDPConn
-	peer *net.UDPAddr
+	peer netip.AddrPort
 }
 
 // serveUDP reads client datagrams off the listen socket, lazily creates
@@ -51,16 +52,15 @@ type udpSession struct {
 func (p *Proxy) serveUDP(uaddr *net.UDPAddr) {
 	defer p.wg.Done()
 	var mu sync.Mutex
-	sessions := make(map[string]*udpSession)
+	sessions := make(map[netip.AddrPort]*udpSession)
 	buf := make([]byte, 65535)
 	for {
-		n, peer, err := p.pc.ReadFromUDP(buf)
+		n, peer, err := p.pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // listen socket closed by Close
 		}
-		key := peer.String()
 		mu.Lock()
-		sess := sessions[key]
+		sess := sessions[peer]
 		mu.Unlock()
 		if sess == nil {
 			conn, err := net.DialUDP("udp", nil, uaddr)
@@ -71,9 +71,9 @@ func (p *Proxy) serveUDP(uaddr *net.UDPAddr) {
 			if !p.track(conn) {
 				return
 			}
-			sess = &udpSession{conn: conn, peer: cloneUDPAddr(peer)}
+			sess = &udpSession{conn: conn, peer: peer}
 			mu.Lock()
-			sessions[key] = sess
+			sessions[peer] = sess
 			mu.Unlock()
 			p.wg.Add(1)
 			go p.pumpUDPDown(sess)
@@ -97,7 +97,7 @@ func (p *Proxy) pumpUDPDown(sess *udpSession) {
 		}
 		f := p.down.decide(p.cfg.Profile, p.elapsed())
 		p.deliverUDP(p.down, f, buf[:n], func(b []byte) {
-			_, _ = p.pc.WriteToUDP(b, sess.peer)
+			_, _ = p.pc.WriteToUDPAddrPort(b, sess.peer)
 		})
 	}
 }
@@ -149,8 +149,4 @@ func (p *Proxy) deliverUDP(l *lane, f fate, pkt []byte, send func([]byte)) {
 			}
 		})
 	}
-}
-
-func cloneUDPAddr(a *net.UDPAddr) *net.UDPAddr {
-	return &net.UDPAddr{IP: append(net.IP(nil), a.IP...), Port: a.Port, Zone: a.Zone}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"dnscontext/internal/blocks"
 	"dnscontext/internal/parallel"
 	"dnscontext/internal/trace"
 )
@@ -153,9 +154,9 @@ type streamRun struct {
 	// they arrive and retained until the budget trips, charged with
 	// their blocks' unused capacity and the table entries they add.
 	tables       symbolTables
-	dns          recordBlocks[dnsRec]
-	answers      recordBlocks[answerRec]
-	conns        recordBlocks[connRec]
+	dns          blocks.List[dnsRec]
+	answers      blocks.List[answerRec]
+	conns        blocks.List[connRec]
 	retained     int64
 	peakRetained int64
 
@@ -238,11 +239,11 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 		}
 		// Each block is charged whole when it opens.
 		charged := r.tables.charged
-		rec := r.tables.dns(d, uint32(r.answers.n))
-		n := int64(r.dns.push(&rec)) * dnsRecBytes
+		rec := r.tables.dns(d, uint32(r.answers.Len()))
+		n := int64(r.dns.Push(&rec)) * dnsRecBytes
 		for k := range d.Answers {
 			a := r.tables.answer(&d.Answers[k])
-			n += int64(r.answers.push(&a)) * answerRecBytes
+			n += int64(r.answers.Push(&a)) * answerRecBytes
 		}
 		return r.account(n + r.tables.charged - charged)
 	})
@@ -259,9 +260,9 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 	if !r.spilled {
 		// The DNS stream is complete: flatten it now, so its blocks are
 		// garbage before the connection stream grows.
-		r.retained -= int64(r.dns.slack())*dnsRecBytes + int64(r.answers.slack())*answerRecBytes
-		r.dns.flatten()
-		r.answers.flatten()
+		r.retained -= int64(r.dns.Slack())*dnsRecBytes + int64(r.answers.Slack())*answerRecBytes
+		r.dns.Flatten()
+		r.answers.Flatten()
 	}
 
 	sp = tr.StartPhase("ingest-conns")
@@ -282,14 +283,14 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 		}
 		charged := r.tables.charged
 		rec := r.tables.conn(c)
-		return r.account(int64(r.conns.push(&rec))*connRecBytes + r.tables.charged - charged)
+		return r.account(int64(r.conns.Push(&rec))*connRecBytes + r.tables.charged - charged)
 	})
 	// Ingest work, kept inside the phase: the resident stream's final
 	// copy, or the spill writer's last flush.
 	if err == nil && r.spilled {
 		err = r.connW.finish()
 	} else if err == nil {
-		r.conns.flatten()
+		r.conns.Flatten()
 	}
 	sp.SetItems(int(r.connTotal))
 	sp.End()
@@ -301,9 +302,9 @@ func (r *streamRun) ingest(ctx context.Context, src trace.Source) error {
 func (r *streamRun) store() *recordStore {
 	return &recordStore{
 		symbolTables: r.tables,
-		dns:          r.dns.flatten(),
-		answers:      r.answers.flatten(),
-		conns:        r.conns.flatten(),
+		dns:          r.dns.Flatten(),
+		answers:      r.answers.Flatten(),
+		conns:        r.conns.Flatten(),
 	}
 }
 
@@ -376,14 +377,15 @@ func (r *streamRun) trip() error {
 	// may cross a block boundary: walk the blocks with a cursor.
 	var ans []answerRec
 	var buf []trace.Answer
+	ansBlocks := r.answers.Blocks()
 	blk, pos := 0, 0
-	err = r.dns.each(func(d *dnsRec) error {
+	err = r.dns.Each(func(d *dnsRec) error {
 		ans = ans[:0]
 		for range d.nAns {
-			for pos == len(r.answers.blocks[blk]) {
+			for pos == len(ansBlocks[blk]) {
 				blk, pos = blk+1, 0
 			}
-			ans = append(ans, r.answers.blocks[blk][pos])
+			ans = append(ans, ansBlocks[blk][pos])
 			pos++
 		}
 		rec := r.tables.traceDNS(d, ans, buf)
@@ -401,7 +403,7 @@ func (r *streamRun) trip() error {
 	if err != nil {
 		return err
 	}
-	err = r.conns.each(func(c *connRec) error {
+	err = r.conns.Each(func(c *connRec) error {
 		rec := r.tables.traceConn(c)
 		r.observeConn(&rec)
 		return r.connW.writeConn(&rec)
@@ -409,82 +411,11 @@ func (r *streamRun) trip() error {
 	if err != nil {
 		return err
 	}
-	r.spilledRecords += int64(r.dns.n + r.conns.n)
-	r.dns, r.answers, r.conns = recordBlocks[dnsRec]{}, recordBlocks[answerRec]{}, recordBlocks[connRec]{}
+	r.spilledRecords += int64(r.dns.Len() + r.conns.Len())
+	r.dns, r.answers, r.conns = blocks.List[dnsRec]{}, blocks.List[answerRec]{}, blocks.List[connRec]{}
 	r.tables = symbolTables{}
 	r.retained = 0
 	r.spilled = true
-	return nil
-}
-
-// Retention blocks start at minRetainBlock records and double up to
-// maxRetainBlock (about 1 MiB of DNS records), so a small stream stays
-// small and a large one appends without ever copying a filled block.
-const (
-	minRetainBlock = 64
-	maxRetainBlock = 8192
-)
-
-// recordBlocks retains one stream's records in arrival order.
-type recordBlocks[T any] struct {
-	blocks [][]T // only the last has unused capacity
-	n      int
-}
-
-// push appends a copy of *v and returns the capacity of the block it
-// had to open, or 0.
-func (b *recordBlocks[T]) push(v *T) (opened int) {
-	last := len(b.blocks) - 1
-	if last < 0 || len(b.blocks[last]) == cap(b.blocks[last]) {
-		opened = minRetainBlock
-		if last >= 0 {
-			opened = min(2*cap(b.blocks[last]), maxRetainBlock)
-		}
-		b.blocks = append(b.blocks, make([]T, 0, opened))
-		last++
-	}
-	b.blocks[last] = append(b.blocks[last], *v)
-	b.n++
-	return opened
-}
-
-// slack is the unused capacity of the last block, in records.
-func (b *recordBlocks[T]) slack() int {
-	if len(b.blocks) == 0 {
-		return 0
-	}
-	last := b.blocks[len(b.blocks)-1]
-	return cap(last) - len(last)
-}
-
-// flatten returns the records as one exact-size slice (nil when there
-// are none). The first call concatenates the blocks; the slice then
-// stands as the only block, so later calls return it as is.
-func (b *recordBlocks[T]) flatten() []T {
-	if b.n == 0 {
-		return nil
-	}
-	if len(b.blocks) == 1 && b.slack() == 0 {
-		return b.blocks[0]
-	}
-	all := make([]T, 0, b.n)
-	for _, blk := range b.blocks {
-		all = append(all, blk...)
-	}
-	b.blocks = [][]T{all}
-	return all
-}
-
-// each calls fn on every record in arrival order, stopping at the
-// first error.
-func (b *recordBlocks[T]) each(fn func(*T) error) error {
-	for _, blk := range b.blocks {
-		for i := range blk {
-			if err := fn(&blk[i]); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 

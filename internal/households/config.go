@@ -104,7 +104,7 @@ type Config struct {
 	// --- Per-device behavior ---
 
 	// SessionsPerDay is the mean number of browsing sessions per browsing
-	// device per day.
+	// device per day; rates below 0.01 browse at 0.01.
 	SessionsPerDay float64
 	// PagesPerSession is the mean page views in one session.
 	PagesPerSession float64

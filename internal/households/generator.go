@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"time"
 
+	"dnscontext/internal/blocks"
 	"dnscontext/internal/netsim"
 	"dnscontext/internal/resolver"
 	"dnscontext/internal/stats"
@@ -31,8 +32,12 @@ type Generator struct {
 	platforms map[resolver.PlatformID]*resolver.Recursive
 	profiles  []resolver.PlatformProfile
 	tm        *transferModel
-	ds        *trace.Dataset
 	houses    []*house
+
+	// The simulation's records, warm-up included, in emission order;
+	// trim copies the observation window out of them.
+	dns   blocks.List[trace.DNSRecord]
+	conns blocks.List[trace.ConnRecord]
 }
 
 // Hard-coded external endpoints mimicking the paper's §5.1 examples: a
@@ -78,6 +83,26 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 			return nil, nil, fmt.Errorf("households: %s = %v outside [0, 1]", p.name, p.v)
 		}
 	}
+	for _, m := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"AppPeriodMedian", cfg.AppPeriodMedian},
+		{"DwellMedian", cfg.DwellMedian},
+		{"ClickDelayMedian", cfg.ClickDelayMedian},
+		{"ProbePeriodMedian", cfg.ProbePeriodMedian},
+		{"ViolationHoldMedian", cfg.ViolationHoldMedian},
+	} {
+		if m.v <= 0 {
+			return nil, nil, fmt.Errorf("households: %s must be positive, got %v", m.name, m.v)
+		}
+	}
+	if cfg.AppStartDelayMean < 0 {
+		return nil, nil, fmt.Errorf("households: AppStartDelayMean must not be negative, got %v", cfg.AppStartDelayMean)
+	}
+	if !(cfg.SessionsPerDay >= 0) || math.IsInf(cfg.SessionsPerDay, 1) {
+		return nil, nil, fmt.Errorf("households: SessionsPerDay must be finite and not negative, got %v", cfg.SessionsPerDay)
+	}
 	for i, w := range cfg.Faults.LocalOutages {
 		if w.Start < 0 || w.End <= w.Start {
 			return nil, nil, fmt.Errorf("households: Faults.LocalOutages[%d] = %v..%v not a valid window", i, w.Start, w.End)
@@ -92,7 +117,6 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 		sim: netsim.New(),
 		rng: stats.NewRNG(cfg.Seed),
 		tm:  nil,
-		ds:  &trace.Dataset{},
 	}
 	g.tm = newTransferModel(g.rng.Split())
 
@@ -152,37 +176,59 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 	}
 
 	g.sim.RunUntil(cfg.Warmup + cfg.Duration)
-	g.trim()
-	g.ds.SortByTime()
+	ds := g.trim()
+	ds.SortByTime()
 	// The simulated resolvers hand each record its own small Answers
 	// backing; repack them into shared blocks so downstream passes walk
 	// contiguous memory instead of pointer-chasing tiny allocations.
-	g.ds.CompactAnswers()
+	ds.CompactAnswers()
 	eco := &Ecosystem{Zones: zones, Platforms: g.platforms, Profiles: g.profiles}
-	return g.ds, eco, nil
+	return ds, eco, nil
 }
 
-// trim drops warmup traffic and records starting after the observation
-// window, then shifts timestamps so the window starts at zero.
-func (g *Generator) trim() {
+// trim copies the observation window out of the record blocks into an
+// exact-size dataset: it drops warm-up traffic and records starting
+// after the window, and shifts timestamps so the window starts at zero.
+func (g *Generator) trim() *trace.Dataset {
 	lo, hi := g.cfg.Warmup, g.cfg.Warmup+g.cfg.Duration
-	dns := g.ds.DNS[:0]
-	for _, d := range g.ds.DNS {
-		if d.QueryTS >= lo && d.QueryTS <= hi {
-			d.QueryTS -= lo
-			d.TS -= lo
-			dns = append(dns, d)
+	ds := &trace.Dataset{
+		DNS:   window(&g.dns, func(d *trace.DNSRecord) bool { return d.QueryTS >= lo && d.QueryTS <= hi }),
+		Conns: window(&g.conns, func(c *trace.ConnRecord) bool { return c.TS >= lo && c.TS <= hi }),
+	}
+	g.dns, g.conns = blocks.List[trace.DNSRecord]{}, blocks.List[trace.ConnRecord]{}
+	for i := range ds.DNS {
+		ds.DNS[i].QueryTS -= lo
+		ds.DNS[i].TS -= lo
+	}
+	for i := range ds.Conns {
+		ds.Conns[i].TS -= lo
+	}
+	return ds
+}
+
+// window copies the records of b that keep accepts, in order, into one
+// exact-size slice (nil when none is accepted).
+func window[T any](b *blocks.List[T], keep func(*T) bool) []T {
+	n := 0
+	for _, blk := range b.Blocks() {
+		for i := range blk {
+			if keep(&blk[i]) {
+				n++
+			}
 		}
 	}
-	g.ds.DNS = dns
-	conns := g.ds.Conns[:0]
-	for _, c := range g.ds.Conns {
-		if c.TS >= lo && c.TS <= hi {
-			c.TS -= lo
-			conns = append(conns, c)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for _, blk := range b.Blocks() {
+		for i := range blk {
+			if keep(&blk[i]) {
+				out = append(out, blk[i])
+			}
 		}
 	}
-	g.ds.Conns = conns
+	return out
 }
 
 // diurnal is the activity-rate multiplier at virtual time t: quiet
@@ -252,7 +298,7 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 		}
 	}
 
-	g.ds.DNS = append(g.ds.DNS, trace.DNSRecord{
+	g.dns.Push(&trace.DNSRecord{
 		QueryTS:  now,
 		TS:       done,
 		Client:   d.house.addr,
@@ -286,7 +332,7 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 	// v4-only, so the response is empty and the transaction never pairs
 	// with a connection.
 	if g.rng.Bool(g.cfg.DualStackProb) {
-		g.ds.DNS = append(g.ds.DNS, trace.DNSRecord{
+		g.dns.Push(&trace.DNSRecord{
 			QueryTS:  now,
 			TS:       done + time.Duration(g.rng.Intn(2000))*time.Microsecond,
 			Client:   d.house.addr,
@@ -309,7 +355,7 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 
 // emitConn appends one connection record.
 func (g *Generator) emitConn(start time.Duration, h *house, remote netip.Addr, rport uint16, proto trace.Proto, tr transfer) {
-	g.ds.Conns = append(g.ds.Conns, trace.ConnRecord{
+	g.conns.Push(&trace.ConnRecord{
 		TS:        start,
 		Duration:  tr.duration,
 		Proto:     proto,
@@ -406,8 +452,8 @@ func (g *Generator) devices(h *house) []*device { return h.devices }
 // --- Browsing ---
 
 func (g *Generator) scheduleBrowsing(d *device) {
-	meanGap := 24 * time.Hour / time.Duration(math.Max(g.cfg.SessionsPerDay, 0.01))
-	gap := time.Duration(float64(meanGap) * g.rng.ExpFloat64() / diurnal(g.sim.Now()))
+	meanGap := float64(24*time.Hour) / math.Max(g.cfg.SessionsPerDay, 0.01)
+	gap := time.Duration(meanGap * g.rng.ExpFloat64() / diurnal(g.sim.Now()))
 	g.sim.After(gap, func(now time.Duration) {
 		if now > g.end() {
 			return
@@ -692,7 +738,7 @@ func (g *Generator) connForVia(d *device, now time.Duration, name *zonedb.Name, 
 	}
 	res := rec.LookupConn(d.connState(pid, rec), now, name.Host, d.retry)
 	done := now + res.Duration
-	g.ds.DNS = append(g.ds.DNS, trace.DNSRecord{
+	g.dns.Push(&trace.DNSRecord{
 		QueryTS: now, TS: done, Client: d.house.addr, Resolver: res.Resolver,
 		ID: d.house.dnsID(), Query: name.Host, QType: 1, RCode: res.RCode, Answers: res.Answers,
 		Retries: uint8(res.Retries()), TC: res.TCPFallback,

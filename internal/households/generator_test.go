@@ -1,6 +1,8 @@
 package households
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -358,5 +360,87 @@ func TestGenerateRejectsBadProbabilities(t *testing.T) {
 	cfg.Warmup = -time.Hour
 	if _, _, err := Generate(cfg); err == nil {
 		t.Error("negative warmup accepted")
+	}
+}
+
+// TestGenerateRefusesBadBehaviourParameters checks that configurations
+// the simulation cannot run are refused with an error, not a panic or a
+// hang, and that fractional session rates are honoured.
+func TestGenerateRefusesBadBehaviourParameters(t *testing.T) {
+	tiny := func() Config {
+		cfg := SmallConfig(1)
+		cfg.Houses, cfg.Duration, cfg.Warmup = 2, 30*time.Minute, 30*time.Minute
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"zero DwellMedian", func(c *Config) { c.DwellMedian = 0 }, false},
+		{"negative AppPeriodMedian", func(c *Config) { c.AppPeriodMedian = -time.Minute }, false},
+		{"zero ProbePeriodMedian", func(c *Config) { c.ProbePeriodMedian = 0 }, false},
+		{"zero ClickDelayMedian", func(c *Config) { c.ClickDelayMedian = 0 }, false},
+		{"zero ViolationHoldMedian", func(c *Config) { c.ViolationHoldMedian = 0 }, false},
+		{"negative AppStartDelayMean", func(c *Config) { c.AppStartDelayMean = -time.Millisecond }, false},
+		{"negative SessionsPerDay", func(c *Config) { c.SessionsPerDay = -1 }, false},
+		{"NaN SessionsPerDay", func(c *Config) { c.SessionsPerDay = math.NaN() }, false},
+		{"infinite SessionsPerDay", func(c *Config) { c.SessionsPerDay = math.Inf(1) }, false},
+		{"zero AppStartDelayMean", func(c *Config) { c.AppStartDelayMean = 0 }, true},
+		{"zero SessionsPerDay", func(c *Config) { c.SessionsPerDay = 0 }, true},
+		{"fractional SessionsPerDay", func(c *Config) { c.SessionsPerDay = 0.5 }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tiny()
+			tc.set(&cfg)
+			_, _, err := Generate(cfg)
+			if tc.ok && err != nil {
+				t.Fatalf("refused: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+
+	// A rate of 1.7 sessions a day browses more often than 1: over a day
+	// the two draw different session times.
+	one := tiny()
+	one.Duration = 24 * time.Hour
+	onePointSeven := one
+	one.SessionsPerDay, onePointSeven.SessionsPerDay = 1, 1.7
+	a, _, err := Generate(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := Generate(onePointSeven)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(a, b) {
+		t.Fatal("SessionsPerDay 1.7 generated the same trace as 1")
+	}
+}
+
+// TestGenerateAllocBudget bounds the generator's allocations per output
+// record. Records go into fixed-size blocks, events into a value-typed
+// heap and cache entries into index-linked slots, so what is left is
+// mostly event closures and answer slices: 3.65 per record on this
+// trace. A per-record or per-event allocation puts it over budget.
+func TestGenerateAllocBudget(t *testing.T) {
+	const budget = 4.0
+	cfg := SmallConfig(1)
+	var records int
+	allocs := testing.AllocsPerRun(1, func() {
+		ds, _, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = len(ds.DNS) + len(ds.Conns)
+	})
+	perRecord := allocs / float64(records)
+	t.Logf("%.0f allocations for %d records: %.2f per record", allocs, records, perRecord)
+	if perRecord > budget {
+		t.Fatalf("%.2f allocations per record, budget %.1f", perRecord, budget)
 	}
 }

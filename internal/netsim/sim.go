@@ -5,7 +5,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -15,30 +14,66 @@ import (
 // Event is a callback scheduled to run at a virtual time.
 type Event func(now time.Duration)
 
+// item is one scheduled event, held by value in the queue.
 type item struct {
 	at  time.Duration
 	seq uint64 // tie-breaker: FIFO among equal timestamps
 	fn  Event
 }
 
-type eventQueue []*item
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders events by time, then by scheduling order.
+func (a *item) before(b *item) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*item)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+
+// eventQueue is a binary min-heap of events ordered by (at, seq).
+type eventQueue []item
+
+func (q *eventQueue) push(it item) {
+	*q = append(*q, it)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event; the queue must not be
+// empty.
+func (q *eventQueue) pop() item {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = item{} // drop the closure reference
+	h = h[:n]
+	*q = h
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l >= n {
+			break
+		}
+		if h[l].before(&h[least]) {
+			least = l
+		}
+		if r := l + 1; r < n && h[r].before(&h[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	return top
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable; call New.
@@ -47,6 +82,11 @@ type Sim struct {
 	queue  eventQueue
 	seq    uint64
 	events uint64
+
+	// handles holds the seq of every pending event scheduled through
+	// Schedule, mapped to whether it was cancelled. Events scheduled
+	// through At never enter it.
+	handles map[uint64]bool
 
 	// Optional observability hooks; nil instruments are no-ops, so an
 	// unobserved simulator pays one nil check per event. Instruments
@@ -91,7 +131,7 @@ func (s *Sim) At(at time.Duration, fn Event) {
 		panic(fmt.Sprintf("netsim: scheduling event at %v, before now %v", at, s.now))
 	}
 	s.seq++
-	heap.Push(&s.queue, &item{at: at, seq: s.seq, fn: fn})
+	s.queue.push(item{at: at, seq: s.seq, fn: fn})
 }
 
 // After schedules fn to run delay after the current virtual time. Negative
@@ -107,39 +147,54 @@ func (s *Sim) After(delay time.Duration, fn Event) {
 // primitive timeout modelling needs: schedule a deadline, cancel it when
 // the awaited response arrives first.
 type Handle struct {
-	it *item
+	s   *Sim
+	seq uint64
 }
 
 // Cancel withdraws the event. It reports whether the event was still
 // pending; cancelling an executed or already-cancelled event is a no-op.
 // The queue slot is reclaimed lazily when the event's time comes up.
 func (h *Handle) Cancel() bool {
-	if h == nil || h.it == nil || h.it.fn == nil {
+	if h == nil || h.s == nil {
 		return false
 	}
-	h.it.fn = nil
+	if cancelled, pending := h.s.handles[h.seq]; !pending || cancelled {
+		return false
+	}
+	h.s.handles[h.seq] = true
 	return true
 }
 
 // Schedule is At returning a cancellable Handle. Cancelled events do not
 // execute, do not advance the clock, and do not count toward Events().
 func (s *Sim) Schedule(at time.Duration, fn Event) *Handle {
-	if at < s.now {
-		panic(fmt.Sprintf("netsim: scheduling event at %v, before now %v", at, s.now))
+	s.At(at, fn)
+	if s.handles == nil {
+		s.handles = make(map[uint64]bool)
 	}
-	s.seq++
-	it := &item{at: at, seq: s.seq, fn: fn}
-	heap.Push(&s.queue, it)
-	return &Handle{it: it}
+	s.handles[s.seq] = false
+	return &Handle{s: s, seq: s.seq}
+}
+
+// popEvent removes the earliest event from the queue and reports
+// whether it was cancelled, settling its handle if it has one.
+func (s *Sim) popEvent() (item, bool) {
+	it := s.queue.pop()
+	if len(s.handles) == 0 {
+		return it, false
+	}
+	cancelled := s.handles[it.seq]
+	delete(s.handles, it.seq)
+	return it, cancelled
 }
 
 // Step executes the single earliest pending event, discarding cancelled
 // ones along the way. It reports whether an event was executed.
 func (s *Sim) Step() bool {
 	for len(s.queue) > 0 {
-		it := heap.Pop(&s.queue).(*item)
-		if it.fn == nil {
-			continue // cancelled
+		it, cancelled := s.popEvent()
+		if cancelled {
+			continue
 		}
 		s.now = it.at
 		s.events++
@@ -158,8 +213,8 @@ func (s *Sim) Step() bool {
 // executed event if the queue drains first and that is later).
 func (s *Sim) RunUntil(end time.Duration) {
 	for len(s.queue) > 0 {
-		if s.queue[0].fn == nil {
-			heap.Pop(&s.queue)
+		if s.handles[s.queue[0].seq] { // cancelled
+			s.popEvent()
 			continue
 		}
 		if s.queue[0].at > end {

@@ -6,7 +6,6 @@
 package resolver
 
 import (
-	"container/list"
 	"time"
 
 	"dnscontext/internal/obs"
@@ -17,9 +16,7 @@ import (
 // original answers with their insertion time so reads return decremented
 // remaining TTLs, as real resolvers do.
 type Cache struct {
-	capacity int
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recently used
+	entries lru[cacheEntry]
 
 	hits, misses, expired uint64
 
@@ -29,7 +26,6 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	host       string
 	answers    []trace.Answer // TTLs as stored (full lifetime from insertedAt)
 	rcode      uint8
 	insertedAt time.Duration
@@ -39,16 +35,12 @@ type cacheEntry struct {
 // NewCache returns a cache holding at most capacity entries; capacity <= 0
 // means unbounded.
 func NewCache(capacity int) *Cache {
-	return &Cache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-	}
+	return &Cache{entries: newLRU[cacheEntry](capacity)}
 }
 
 // Len returns the number of live entries (including expired ones not yet
 // evicted).
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.entries.len() }
 
 // Stats returns cumulative hit/miss/expired-hit counters.
 func (c *Cache) Stats() (hits, misses, expired uint64) {
@@ -68,23 +60,12 @@ func (c *Cache) Put(now time.Duration, host string, answers []trace.Answer, rcod
 			life = a.TTL
 		}
 	}
-	e := &cacheEntry{
-		host:       host,
+	if c.entries.put(host, cacheEntry{
 		answers:    answers,
 		rcode:      rcode,
 		insertedAt: now,
 		expiresAt:  now + life,
-	}
-	if el, ok := c.entries[host]; ok {
-		el.Value = e
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[host] = c.lru.PushFront(e)
-	if c.capacity > 0 && c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).host)
+	}) {
 		c.evictCtr.Inc()
 	}
 }
@@ -92,32 +73,29 @@ func (c *Cache) Put(now time.Duration, host string, answers []trace.Answer, rcod
 // Get returns the unexpired answers for host with remaining TTLs, or
 // ok=false on a miss or expiry. Expired entries are evicted.
 func (c *Cache) Get(now time.Duration, host string) (answers []trace.Answer, rcode uint8, ok bool) {
-	el, found := c.entries[host]
-	if !found {
+	i, e := c.entries.get(host)
+	if e == nil {
 		c.misses++
 		return nil, 0, false
 	}
-	e := el.Value.(*cacheEntry)
 	if now >= e.expiresAt {
 		c.expired++
 		c.misses++
-		c.lru.Remove(el)
-		delete(c.entries, host)
+		c.entries.remove(i)
 		return nil, 0, false
 	}
 	c.hits++
-	c.lru.MoveToFront(el)
+	c.entries.touch(i)
 	return remainingTTLs(e, now), e.rcode, true
 }
 
 // Peek is Get without statistics, LRU promotion, or eviction; the refresh
 // simulator uses it to inspect cache state.
 func (c *Cache) Peek(now time.Duration, host string) (expiresAt time.Duration, ok bool) {
-	el, found := c.entries[host]
-	if !found {
+	_, e := c.entries.get(host)
+	if e == nil {
 		return 0, false
 	}
-	e := el.Value.(*cacheEntry)
 	if now >= e.expiresAt {
 		return e.expiresAt, false
 	}

@@ -1,7 +1,6 @@
 package resolver
 
 import (
-	"container/list"
 	"time"
 
 	"dnscontext/internal/trace"
@@ -24,13 +23,10 @@ type Stub struct {
 	// returns them.
 	StaleHold time.Duration
 
-	capacity int
-	entries  map[string]*list.Element
-	lru      *list.List
+	entries lru[stubEntry]
 }
 
 type stubEntry struct {
-	host       string
 	answers    []trace.Answer
 	insertedAt time.Duration
 	ttlExpiry  time.Duration // when the record *should* die
@@ -48,16 +44,11 @@ type StubLookup struct {
 // NewStub returns a stub cache with the given entry capacity (<=0 means
 // unbounded) and TTL-violation hold.
 func NewStub(capacity int, minHold time.Duration) *Stub {
-	return &Stub{
-		MinHold:  minHold,
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-	}
+	return &Stub{MinHold: minHold, entries: newLRU[stubEntry](capacity)}
 }
 
 // Len returns the number of stored entries.
-func (s *Stub) Len() int { return len(s.entries) }
+func (s *Stub) Len() int { return s.entries.len() }
 
 // Put stores a response. Answerless responses are not cached (stubs do
 // little negative caching, and the analysis does not need it).
@@ -75,46 +66,32 @@ func (s *Stub) Put(now time.Duration, host string, answers []trace.Answer) {
 	if s.MinHold > hold {
 		hold = s.MinHold
 	}
-	e := &stubEntry{
-		host:       host,
+	s.entries.put(host, stubEntry{
 		answers:    answers,
 		insertedAt: now,
 		ttlExpiry:  now + life,
 		holdExpiry: now + hold,
-	}
-	if el, ok := s.entries[host]; ok {
-		el.Value = e
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.entries[host] = s.lru.PushFront(e)
-	if s.capacity > 0 && s.lru.Len() > s.capacity {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*stubEntry).host)
-	}
+	})
 }
 
 // Get returns the stored answers if the stub is still willing to serve
 // them. Remaining TTLs are decremented, clamping at zero for entries
 // served in violation of their TTL.
 func (s *Stub) Get(now time.Duration, host string) (StubLookup, bool) {
-	el, found := s.entries[host]
-	if !found {
+	i, e := s.entries.get(host)
+	if e == nil {
 		return StubLookup{}, false
 	}
-	e := el.Value.(*stubEntry)
 	if now >= e.holdExpiry {
 		if s.StaleHold > 0 && now < e.holdExpiry+s.StaleHold {
 			// Retained for serve-stale, but a regular lookup must still
 			// miss and go upstream; GetStale is the failure path.
 			return StubLookup{}, false
 		}
-		s.lru.Remove(el)
-		delete(s.entries, host)
+		s.entries.remove(i)
 		return StubLookup{}, false
 	}
-	s.lru.MoveToFront(el)
+	s.entries.touch(i)
 	age := now - e.insertedAt
 	if age < 0 {
 		age = 0
@@ -138,15 +115,13 @@ func (s *Stub) Get(now time.Duration, host string) (StubLookup, bool) {
 // lifetime are returned too — a device that just failed upstream serves
 // whatever it has.
 func (s *Stub) GetStale(now time.Duration, host string) (StubLookup, bool) {
-	el, found := s.entries[host]
-	if !found {
+	i, e := s.entries.get(host)
+	if e == nil {
 		return StubLookup{}, false
 	}
-	e := el.Value.(*stubEntry)
 	if now >= e.holdExpiry {
 		if s.StaleHold <= 0 || now >= e.holdExpiry+s.StaleHold {
-			s.lru.Remove(el)
-			delete(s.entries, host)
+			s.entries.remove(i)
 			return StubLookup{}, false
 		}
 		out := make([]trace.Answer, len(e.answers))
